@@ -34,6 +34,7 @@ from .errors import (
 from .inequalities import interference_coefficient
 from .probability import JointDistribution3, symmetrize
 from .protocol import (
+    Branch,
     ClassicalHiddenVariable,
     DesignVariant,
     ProtocolDesign,
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--design", choices=["three", "two"], default="three")
     sim.add_argument("--n", type=int, required=True, help="agents per branch")
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=int, default=1, help="at least 1; no effect on output")
     sim.add_argument("--out", type=Path, required=True)
 
     tst = sub.add_parser("test", help="analyze a CSV dataset, write a JSON report")
@@ -136,21 +137,20 @@ def _cmd_simulate(args) -> int:
 def _cmd_test(args) -> int:
     data = parse_dataset(args.dataset.read_text())
     symmetry = check_symmetry(data, tolerance=args.symmetry_tolerance)
-    design = _infer_design(data)
-    context = ReportContext(seed=args.seed, design=design, alpha=args.alpha)
-    exit_code = EXIT_OK
+    context = ReportContext(seed=args.seed, design=_infer_design(data.counts),
+                            alpha=args.alpha)
     try:
         table = estimate_frequencies(data)
-        test = violation_test(table, alpha=args.alpha)
-        text = emit_report(test, table, context, symmetry)
-    except DegenerateVariance as exc:
-        table = estimate_frequencies(data)
-        text = emit_report(None, table, context, symmetry,
-                           degenerate_margin=exc.margin)
-        exit_code = EXIT_DEGENERATE
     except EmptyConditioningBranch as exc:
         print(f"test: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    exit_code = EXIT_OK
+    try:
+        text = emit_report(violation_test(table, alpha=args.alpha), table, context, symmetry)
+    except DegenerateVariance as exc:
+        text = emit_report(None, table, context, symmetry,
+                           degenerate_margin=exc.margin)
+        exit_code = EXIT_DEGENERATE
     if args.report is not None:
         args.report.write_text(text)
     else:
@@ -158,8 +158,9 @@ def _cmd_test(args) -> int:
     return exit_code
 
 
-def _infer_design(data) -> str:
-    branches = {rec.branch.value for rec in data}
+def _infer_design(counts: np.ndarray) -> str:
+    totals = counts.sum(axis=(1, 2, 3, 4))
+    branches = {branch.value for branch, n in zip(Branch, totals) if n}
     if branches <= {"BA", "BC", "CA"}:
         return "three"
     if branches <= {"S1", "S2"}:

@@ -4,8 +4,9 @@ CSV dataset format (header is bit-exact):
 
     respondent_id,branch,first_question,first_answer,second_question,second_answer
 
-Answers are spelled "+1"/"-1" and questions "a"/"b"/"c".  The JSON report
-has a fixed key order so identical runs serialize to identical bytes.
+Answers are spelled "+1"/"-1" and questions "a"/"b"/"c", asked in the
+branch's order.  The JSON report has a fixed key order so identical runs
+serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 
 from .errors import DuplicateRespondent, FormatError
 from .protocol import (
+    CELL_FIELDS,
+    CONSISTENT_CELLS,
     Branch,
     FrequencyTable,
     ResponseDataset,
@@ -31,22 +34,18 @@ VERDICT_QUANTUM = "quantum-like-violation"
 VERDICT_DEGENERATE = "inconclusive-degenerate"
 
 
+# Each cell's row after the respondent id: ",branch,q1,a1,q2,a2" and newline.
+_ROW_TAILS = tuple(
+    ",".join(("", b.value, q1.token(), a1.token(), q2.token(), a2.token())) + "\n"
+    for b, q1, a1, q2, a2 in CELL_FIELDS
+)
+# The fields after the id that a well-formed row may hold, and their cells.
+_CELL_OF_FIELDS = {_ROW_TAILS[cell][1:-1]: cell for cell in CONSISTENT_CELLS}
+
+
 def format_dataset(data: ResponseDataset) -> str:
-    lines = [CSV_HEADER]
-    for rec in data:
-        lines.append(
-            ",".join(
-                (
-                    rec.respondent_id,
-                    rec.branch.value,
-                    rec.first_question.token(),
-                    rec.first_answer.token(),
-                    rec.second_question.token(),
-                    rec.second_answer.token(),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    tails = map(_ROW_TAILS.__getitem__, data.cells.tolist())
+    return "".join([CSV_HEADER, "\n", *map(str.__add__, data.respondent_ids, tails)])
 
 
 def parse_dataset(text: str) -> ResponseDataset:
@@ -54,33 +53,43 @@ def parse_dataset(text: str) -> ResponseDataset:
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise FormatError(1, f"header must be exactly {CSV_HEADER!r}")
-    records: list[ResponseRecord] = []
-    seen: set[str] = set()
+    rows: dict[str, int] = {}  # respondent id -> cell, in file order
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise FormatError(lineno, f"expected 6 fields, got {len(fields)}")
-        rid, branch_tok, q1_tok, a1_tok, q2_tok, a2_tok = fields
-        if rid == "":
-            raise FormatError(lineno, "empty respondent id")
-        if rid in seen:
-            raise DuplicateRespondent(rid, lineno)
-        seen.add(rid)
-        try:
-            rec = ResponseRecord(
-                respondent_id=rid,
-                branch=Branch(branch_tok),
-                first_question=VariableIndex.from_token(q1_tok),
-                first_answer=Outcome.from_token(a1_tok),
-                second_question=VariableIndex.from_token(q2_tok),
-                second_answer=Outcome.from_token(a2_tok),
-            )
-        except ValueError as exc:
-            raise FormatError(lineno, str(exc)) from None
-        records.append(rec)
-    return ResponseDataset(records=tuple(records))
+        rid, _, fields = line.partition(",")
+        cell = _CELL_OF_FIELDS.get(fields)
+        if cell is None or rid == "" or rid in rows:
+            cell = _checked_cell(lineno, line, rows)
+        rows[rid] = cell
+    return ResponseDataset.from_cells(list(rows.values()), list(rows))
+
+
+def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
+    """Check, field by field, a row the table lookup missed: returns its cell
+    (question tokens may be upper case) or raises for its first bad field."""
+    fields = line.split(",")
+    if len(fields) != 6:
+        raise FormatError(lineno, f"expected 6 fields, got {len(fields)}")
+    rid, branch_tok, q1_tok, a1_tok, q2_tok, a2_tok = fields
+    if rid == "":
+        raise FormatError(lineno, "empty respondent id")
+    if rid in seen:
+        raise DuplicateRespondent(rid, lineno)
+    try:
+        rec = ResponseRecord(rid, Branch(branch_tok), VariableIndex.from_token(q1_tok),
+                             Outcome.from_token(a1_tok), VariableIndex.from_token(q2_tok),
+                             Outcome.from_token(a2_tok))
+    except ValueError as exc:
+        raise FormatError(lineno, str(exc)) from None
+    tokens = (branch_tok, rec.first_question.token(), a1_tok, rec.second_question.token(), a2_tok)
+    cell = _CELL_OF_FIELDS.get(",".join(tokens))
+    if cell is None:
+        raise FormatError(
+            lineno,
+            f"branch {branch_tok} does not ask {q1_tok}, then {q2_tok} after {a1_tok}",
+        )
+    return cell
 
 
 @dataclass(frozen=True)

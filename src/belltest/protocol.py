@@ -12,14 +12,20 @@ Two designs are supported:
 Classical agents carry one predetermined sign triple drawn from a joint
 law, so their answers do not depend on question order.  Quantum agents
 start unpolarized and collapse after each answer.
+
+A dataset is columnar: each response is one cell index into the count
+tensor over (branch, first question, first answer, second question, second
+answer).  The estimators and the symmetry check all read that tensor, which
+one ``np.bincount`` builds once per dataset.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from functools import cached_property
+from itertools import product
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -36,9 +42,6 @@ class Branch(Enum):
     S1 = "S1"
     S2 = "S2"
 
-
-# Stream ids for the counter-based RNG, one per branch.
-_BRANCH_STREAM = {Branch.BA: 1, Branch.BC: 2, Branch.CA: 3, Branch.S1: 4, Branch.S2: 5}
 
 # Draw slots within an agent's stream.
 _DRAW_FIRST = 0
@@ -98,16 +101,70 @@ class ResponseRecord:
             raise ValueError("an agent is never asked the same question twice")
 
 
-@dataclass(frozen=True)
+#: Count tensor axes: branch, first question, first answer, second question,
+#: second answer.  Branches and questions keep their enum order; answer
+#: code 0 is +1 and code 1 is -1.
+COUNT_SHAPE = (len(Branch), 3, 2, 3, 2)
+
+#: The response fields of each cell, in flat (C) order of COUNT_SHAPE.
+CELL_FIELDS: tuple[tuple[Branch, VariableIndex, Outcome, VariableIndex, Outcome], ...] = tuple(
+    product(Branch, VariableIndex, (Outcome.PLUS, Outcome.MINUS),
+            VariableIndex, (Outcome.PLUS, Outcome.MINUS))
+)
+_CELL_OF = {fields: cell for cell, fields in enumerate(CELL_FIELDS)}
+
+
 class ResponseDataset:
-    records: tuple[ResponseRecord, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
+    """Survey responses stored column-wise: ``cells`` holds one uint8 cell
+    index (see ``COUNT_SHAPE``) per response.  Respondent ids are a list, or
+    implicit (``r`` and the zero-padded row number) for simulated data.
+    Iteration and ``records`` rebuild ``ResponseRecord``s on request.
+    """
+
+    def __init__(self, records: Iterable[ResponseRecord] = (), metadata: dict | None = None):
+        records = tuple(records)
+        self.cells = np.array([_CELL_OF[(r.branch, r.first_question, r.first_answer,
+                                         r.second_question, r.second_answer)]
+                               for r in records], dtype=np.uint8)
+        self._ids: list[str] | None = [r.respondent_id for r in records]
+        self.metadata = {} if metadata is None else metadata
+
+    @classmethod
+    def from_cells(
+        cls, cells: np.ndarray, ids: list[str] | None = None, metadata: dict | None = None
+    ) -> "ResponseDataset":
+        """A dataset over ``cells``; ``ids=None`` keeps the ids implicit."""
+        data = cls(metadata=metadata)
+        data.cells, data._ids = np.asarray(cells, dtype=np.uint8), ids
+        return data
+
+    @property
+    def respondent_ids(self) -> list[str]:
+        if self._ids is not None:
+            return self._ids
+        width = len(str(len(self.cells)))
+        return list(map(f"r%0{width}d".__mod__, range(len(self.cells))))
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Responses per cell, as an array of shape ``COUNT_SHAPE``."""
+        return np.bincount(self.cells, minlength=len(CELL_FIELDS)).reshape(COUNT_SHAPE)
+
+    @property
+    def records(self) -> tuple[ResponseRecord, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.cells)
 
     def __iter__(self) -> Iterator[ResponseRecord]:
-        return iter(self.records)
+        for rid, cell in zip(self.respondent_ids, self.cells.tolist()):
+            yield ResponseRecord(rid, *CELL_FIELDS[cell])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResponseDataset):
+            return NotImplemented
+        return self.records == other.records
 
 
 @dataclass(frozen=True)
@@ -158,75 +215,55 @@ class SymmetryReport:
 # --- simulation -------------------------------------------------------------
 
 
-def _second_prob_quantum(
-    first_plus: np.ndarray, q1: float, q2: np.ndarray
-) -> np.ndarray:
-    # State after the first answer: q1 for "yes", q1 + pi for "no".
-    state = np.where(first_plus, q1, q1 + np.pi)
-    return np.cos(0.5 * (state - q2)) ** 2
-
-
 def _simulate_chunk(
     pop: PopulationModel,
     branch: Branch,
     seed: int,
     indices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Answers for one index range of one branch.
-
-    Returns (first_answer_plus, second_question_code, second_answer_plus)
-    where question codes are VariableIndex values.
-    """
-    stream = _BRANCH_STREAM[branch]
+) -> np.ndarray:
+    """Cells (see ``COUNT_SHAPE``) of the agents at ``indices`` in one branch."""
+    code = list(Branch).index(branch)
+    stream = code + 1  # counter-RNG stream ids are 1 to 5 in branch order
     u_first = counter_uniforms(seed, stream, indices, _DRAW_FIRST)
-
-    first_q, second_q = _branch_questions(branch)
+    first_q, after_yes, after_no = _BRANCH_QUESTIONS[branch]
 
     if isinstance(pop, ClassicalHiddenVariable):
         cum = np.cumsum(pop.joint.as_array())
         atom = np.searchsorted(cum, u_first, side="right").clip(max=7)
         signs = np.asarray(ATOMS)[atom]  # (n, 3)
         first_plus = signs[:, first_q] > 0
-        if branch is Branch.S1:
-            second_code = np.where(first_plus, VariableIndex.A, VariableIndex.C)
-        else:
-            second_code = np.full(indices.shape, second_q, dtype=np.int64)
+        second_code = np.where(first_plus, after_yes, after_no)
         second_plus = np.take_along_axis(
             signs, second_code.reshape(-1, 1), axis=1
         ).ravel() > 0
-        return first_plus, second_code, second_plus
-
-    q = pop.questions
-    angles = {VariableIndex.A: q.a.phi, VariableIndex.B: q.b.phi, VariableIndex.C: q.c.phi}
-    if pop.draw_initial_angle:
-        phi0 = TWO_PI * counter_uniforms(seed, stream, indices, _DRAW_ANGLE)
-        p_first = np.cos(0.5 * (phi0 - angles[first_q])) ** 2
     else:
-        p_first = 0.5
-    first_plus = u_first < p_first
-    if branch is Branch.S1:
-        second_code = np.where(first_plus, VariableIndex.A, VariableIndex.C)
-    else:
-        second_code = np.full(indices.shape, second_q, dtype=np.int64)
-    second_angle = np.where(
-        second_code == VariableIndex.A,
-        angles[VariableIndex.A],
-        np.where(second_code == VariableIndex.B, angles[VariableIndex.B], angles[VariableIndex.C]),
-    )
-    p_second = _second_prob_quantum(first_plus, angles[first_q], second_angle)
-    u_second = counter_uniforms(seed, stream, indices, _DRAW_SECOND)
-    second_plus = u_second < p_second
-    return first_plus, second_code, second_plus
+        q = pop.questions
+        angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
+        if pop.draw_initial_angle:
+            phi0 = TWO_PI * counter_uniforms(seed, stream, indices, _DRAW_ANGLE)
+            p_first = np.cos(0.5 * (phi0 - angles[first_q])) ** 2
+        else:
+            p_first = 0.5
+        first_plus = u_first < p_first
+        second_code = np.where(first_plus, after_yes, after_no)
+        # State after the first answer: q1 for "yes", q1 + pi for "no".
+        state = np.where(first_plus, angles[first_q], angles[first_q] + np.pi)
+        p_second = np.cos(0.5 * (state - angles[second_code])) ** 2
+        u_second = counter_uniforms(seed, stream, indices, _DRAW_SECOND)
+        second_plus = u_second < p_second
+    fields = (code, first_q, ~first_plus, second_code, ~second_plus)
+    return np.ravel_multi_index(fields, COUNT_SHAPE).astype(np.uint8)
 
 
-def _branch_questions(branch: Branch) -> tuple[VariableIndex, VariableIndex | None]:
-    if branch is Branch.BA:
-        return VariableIndex.B, VariableIndex.A
-    if branch is Branch.BC:
-        return VariableIndex.B, VariableIndex.C
-    if branch in (Branch.CA, Branch.S2):
-        return VariableIndex.C, VariableIndex.A
-    return VariableIndex.B, None  # S1: second question depends on the answer
+# Per branch: the first question, then the second after a "yes" and after a
+# "no".  Only S1 routes by the answer.
+_BRANCH_QUESTIONS = {
+    Branch.BA: (VariableIndex.B, VariableIndex.A, VariableIndex.A),
+    Branch.BC: (VariableIndex.B, VariableIndex.C, VariableIndex.C),
+    Branch.CA: (VariableIndex.C, VariableIndex.A, VariableIndex.A),
+    Branch.S1: (VariableIndex.B, VariableIndex.A, VariableIndex.C),
+    Branch.S2: (VariableIndex.C, VariableIndex.A, VariableIndex.A),
+}
 
 
 def _branch_plan(design: ProtocolDesign) -> list[tuple[Branch, int]]:
@@ -236,47 +273,31 @@ def _branch_plan(design: ProtocolDesign) -> list[tuple[Branch, int]]:
     return [(Branch.S1, 2 * n), (Branch.S2, n)]
 
 
+#: The cells a survey can produce: each branch's own question order.
+CONSISTENT_CELLS = frozenset(
+    cell for cell, (b, q1, a1, q2, _) in enumerate(CELL_FIELDS)
+    if q1 is _BRANCH_QUESTIONS[b][0] and q2 is _BRANCH_QUESTIONS[b][1 + (a1 is Outcome.MINUS)]
+)
+
+
 def run_protocol(
     pop: PopulationModel,
     design: ProtocolDesign,
     seed: int,
     workers: int = 1,
 ) -> ResponseDataset:
-    """Simulate the full survey; bit-identical for any worker count."""
+    """Simulate the full survey, one vectorised kernel call per branch.
+
+    ``workers`` must be at least 1 and has no effect on the result.
+    """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    plan = _branch_plan(design)
-    total = sum(n for _, n in plan)
-    width = len(str(total))
-
-    def branch_arrays(branch: Branch, n: int):
-        indices = np.arange(n, dtype=np.uint64)
-        if workers == 1 or n < 2 * workers:
-            return _simulate_chunk(pop, branch, seed, indices)
-        chunks = np.array_split(indices, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda ix: _simulate_chunk(pop, branch, seed, ix), chunks)
-            )
-        return tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
-
-    records: list[ResponseRecord] = []
-    offset = 0
-    for branch, n in plan:
-        first_plus, second_code, second_plus = branch_arrays(branch, n)
-        first_q, _ = _branch_questions(branch)
-        for i in range(n):
-            records.append(
-                ResponseRecord(
-                    respondent_id=f"r{offset + i:0{width}d}",
-                    branch=branch,
-                    first_question=first_q,
-                    first_answer=Outcome.PLUS if first_plus[i] else Outcome.MINUS,
-                    second_question=VariableIndex(int(second_code[i])),
-                    second_answer=Outcome.PLUS if second_plus[i] else Outcome.MINUS,
-                )
-            )
-        offset += n
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    cells = np.concatenate([
+        _simulate_chunk(pop, branch, seed, np.arange(n, dtype=np.uint64))
+        for branch, n in _branch_plan(design)
+    ])
     metadata = {
         "seed": seed,
         "design": design.variant.value,
@@ -287,86 +308,55 @@ def run_protocol(
         if design.variant is DesignVariant.TWO_ENSEMBLE
         else None,
     }
-    return ResponseDataset(records=tuple(records), metadata=metadata)
+    return ResponseDataset.from_cells(cells, metadata=metadata)
 
 
 # --- estimation -------------------------------------------------------------
 
 
-def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
-    """The count-ratio estimators of the three conditional probabilities."""
+def _first_answer_counts(data: ResponseDataset) -> dict[VariableIndex, tuple[int, int]]:
+    """(yes answers, respondents) per question asked first, in question order."""
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    counts = {  # (numerator, denominator) accumulators
-        "ab": [0, 0],
-        "cb": [0, 0],
-        "ac": [0, 0],
+    by_answer = data.counts.sum(axis=(0, 3, 4)).tolist()  # (first q, first answer)
+    return {
+        VariableIndex(q): (plus, plus + minus)
+        for q, (plus, minus) in enumerate(by_answer)
+        if plus + minus
     }
-    first_counts: dict[VariableIndex, list[int]] = {}
-    for rec in data:
-        fc = first_counts.setdefault(rec.first_question, [0, 0])
-        fc[1] += 1
-        if rec.first_answer is Outcome.PLUS:
-            fc[0] += 1
-        key = None
-        if (
-            rec.first_question is VariableIndex.B
-            and rec.first_answer is Outcome.PLUS
-            and rec.second_question is VariableIndex.A
-        ):
-            key = "ab"
-        elif (
-            rec.first_question is VariableIndex.B
-            and rec.first_answer is Outcome.MINUS
-            and rec.second_question is VariableIndex.C
-        ):
-            key = "cb"
-        elif (
-            rec.first_question is VariableIndex.C
-            and rec.first_answer is Outcome.PLUS
-            and rec.second_question is VariableIndex.A
-        ):
-            key = "ac"
-        if key is not None:
-            counts[key][1] += 1
-            if rec.second_answer is Outcome.PLUS:
-                counts[key][0] += 1
-    for key, label in (("ab", "a|b+"), ("cb", "c|b-"), ("ac", "a|c+")):
-        if counts[key][1] == 0:
+
+
+def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
+    """The count-ratio estimators of the three conditional probabilities."""
+    first_counts = _first_answer_counts(data)
+    pooled = data.counts.sum(axis=0)  # over branches
+    ratios = []
+    for q1, a1, q2, label in (
+        (VariableIndex.B, 0, VariableIndex.A, "a|b+"),
+        (VariableIndex.B, 1, VariableIndex.C, "c|b-"),
+        (VariableIndex.C, 0, VariableIndex.A, "a|c+"),
+    ):
+        plus, minus = pooled[q1, a1, q2].tolist()
+        if plus + minus == 0:
             raise EmptyConditioningBranch(
                 f"no respondent reached the {label} conditioning event"
             )
-    return FrequencyTable(
-        nu_a_given_b_plus=tuple(counts["ab"]),
-        nu_c_given_b_minus=tuple(counts["cb"]),
-        nu_a_given_c_plus=tuple(counts["ac"]),
-        first_answer_counts={q: tuple(v) for q, v in sorted(first_counts.items())},
-    )
+        ratios.append((plus, plus + minus))
+    return FrequencyTable(*ratios, first_answer_counts=first_counts)
 
 
 def check_symmetry(data: ResponseDataset, tolerance: float) -> SymmetryReport:
     """Flag questions whose first-answer "yes" fraction strays from 1/2."""
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
-    first_counts: dict[VariableIndex, list[int]] = {}
-    for rec in data:
-        fc = first_counts.setdefault(rec.first_question, [0, 0])
-        fc[1] += 1
-        if rec.first_answer is Outcome.PLUS:
-            fc[0] += 1
-    entries = []
-    for q in sorted(first_counts):
-        plus, n = first_counts[q]
-        fraction = plus / n
-        entries.append(
-            SymmetryEntry(
-                question=q,
-                plus_fraction=fraction,
-                n_first_asked=n,
-                flagged=abs(fraction - 0.5) > tolerance,
-            )
+    entries = tuple(
+        SymmetryEntry(
+            question=q,
+            plus_fraction=plus / n,
+            n_first_asked=n,
+            flagged=abs(plus / n - 0.5) > tolerance,
         )
-    return SymmetryReport(entries=tuple(entries), tolerance=tolerance)
+        for q, (plus, n) in _first_answer_counts(data).items()
+    )
+    return SymmetryReport(entries=entries, tolerance=tolerance)
 
 
 # --- paired hidden-variable sampling ----------------------------------------

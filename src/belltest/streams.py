@@ -3,8 +3,8 @@
 Every uniform variate consumed by the survey driver is addressed by
 (seed, stream, agent index, draw slot) and produced by a stateless
 splitmix64-style mix of those four words.  Because nothing is shared
-between agents, any partition of the agent range across workers yields
-bit-identical results.
+between agents, any chunking of the agent range into calls yields
+bit-identical results.  ``run_protocol`` rejects seeds outside [0, 2**64).
 """
 
 from __future__ import annotations

@@ -66,6 +66,17 @@ class TestParseDataset:
             parse_dataset(bad)
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("row", ["r0,BA,c,+1,a,+1", "r0,S1,b,+1,c,+1"])
+    def test_rejects_questions_outside_branch_design(self, row):
+        bad = CSV_HEADER + "\nr9,BA,b,+1,a,+1\n" + row + "\n"
+        with pytest.raises(FormatError) as excinfo:
+            parse_dataset(bad)
+        assert excinfo.value.line == 3
+
+    def test_accepts_upper_case_question_tokens(self):
+        data = parse_dataset(CSV_HEADER + "\nr0,BA,B,-1,A,+1\n")
+        assert format_dataset(data) == CSV_HEADER + "\nr0,BA,b,-1,a,+1\n"
+
     def test_round_trip_is_lossless(self):
         design = ProtocolDesign(DesignVariant.TWO_ENSEMBLE, 1000)
         pop = QuantumUnpolarized(QuestionTriple.from_floats(0.0, 2.1, 1.0))
@@ -190,6 +201,26 @@ class TestCli:
 
     def test_interference_degenerate_exit_3(self):
         assert main(["interference", "--p", "0.5", "--p1", "0", "--p2", "0.5"]) == 3
+
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_exit_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "data.csv"
+        code = main([
+            "simulate", "--model", "quantum", "--angles", WITNESS_ARGS,
+            "--n", "10", "--seed", seed, "--out", str(out),
+        ])
+        assert code == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "data.csv"
+        code = main([
+            "simulate", "--model", "quantum", "--angles", WITNESS_ARGS,
+            "--n", "10", "--seed", str(2**64 - 1), "--out", str(out),
+        ])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 31
 
     def test_workers_flag_keeps_bytes_identical(self, tmp_path):
         outputs = []

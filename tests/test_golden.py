@@ -1,0 +1,56 @@
+"""Golden SHA-256 digests of `simulate` CSVs and `test` reports.
+
+The digests were recorded before the dataset became columnar; any change to
+the CSV or report bytes for a fixed seed shows up here.
+"""
+
+import hashlib
+import math
+
+import pytest
+
+from belltest.cli import main
+
+WITNESS_ARGS = f"0,{2 * math.pi / 3},{math.pi / 3}"
+MODELS = {
+    "quantum-three": ["--model", "quantum", "--angles", WITNESS_ARGS, "--design", "three"],
+    "classical-two": ["--model", "classical", "--atoms", "0.3", "0.2", "0.1", "0.05",
+                      "0.05", "0.1", "0.1", "0.1", "--symmetrize", "--design", "two"],
+}
+# (model, seed): (CSV digest, report digest), at n = 2000 agents per branch.
+GOLDEN = {
+    ("quantum-three", 1): (
+        "8f5418e4eafe5d84ba8772cfa9642beff87479994db38ecc495f50771fa565d1",
+        "eb5becc9c3eb206c3922602976d3015ebb9ff48afaea5a8fb159c69e3bed7f2f",
+    ),
+    ("quantum-three", 42): (
+        "8cad7b5abf962afde6d710f0b69e8003ec4e49764e6d083859823665072a28f6",
+        "8c11520ade8ab37cf0f3aec9c32b80f2714629e030f8eab0d7b2bfaa851e6cd8",
+    ),
+    ("quantum-three", 111): (
+        "5842620a8edd8a4b557eab15bb2833de0e05682f358dcbb41e234fc2e13e62b0",
+        "5eb979b124466318a14e2b2185cbd5ecc6fccbca765ab8f31be90653325a2895",
+    ),
+    ("classical-two", 1): (
+        "72385fc0410542d16a35fc774a06968cb2b0d3dff7a1839260d2d0447af87fff",
+        "647000afd7583c17f9f393f0b65760e5f5960cbaa6ed03cf1a0162348b11628e",
+    ),
+    ("classical-two", 42): (
+        "0859562622296ce01347a5ea9dae904a3c5193dadf6bd253eaf9b4fa78bd0f8d",
+        "e8635a333e8f9e65254ff31d9905dd5fc840b8cb0560529c204e1449e2aa2269",
+    ),
+    ("classical-two", 111): (
+        "37f9e8cf7dac247da4b145878234dfbe3fa1196702744fb066542efc3b8ea1ca",
+        "f70106f8e80cb4d67bea10d4d7bc0adda5bc16962e337ec55f91fc3d4732ac2d",
+    ),
+}
+
+
+@pytest.mark.parametrize("model, seed", sorted(GOLDEN))
+def test_simulate_and_test_bytes_match_golden(tmp_path, model, seed):
+    csv, report = tmp_path / "data.csv", tmp_path / "report.json"
+    assert main(["simulate", *MODELS[model], "--n", "2000", "--seed", str(seed),
+                 "--out", str(csv)]) == 0
+    assert main(["test", str(csv), "--seed", str(seed), "--report", str(report)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv, report))
+    assert digests == GOLDEN[model, seed]

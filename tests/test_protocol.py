@@ -92,6 +92,15 @@ class TestRunProtocol:
         for workers in (4, 8):
             assert format_dataset(run_protocol(pop, design, seed=9, workers=workers)) == base
 
+    def test_dataset_rebuilt_from_records_is_identical(self):
+        design = ProtocolDesign(TWO, 200)
+        data = run_protocol(QuantumUnpolarized(WITNESS), design, seed=12)
+        rebuilt = ResponseDataset(records=data.records)
+        assert rebuilt == data
+        assert rebuilt != run_protocol(QuantumUnpolarized(WITNESS), design, seed=13)
+        assert format_dataset(rebuilt) == format_dataset(data)
+        assert (rebuilt.counts == data.counts).all()
+
     def test_same_seed_same_dataset(self):
         design = ProtocolDesign(TWO, 300)
         pop = ClassicalHiddenVariable(random_joint(np.random.default_rng(5)))
@@ -153,6 +162,28 @@ class TestEstimateFrequencies:
         assert table.nu_c_given_b_minus == (1, 1)
         assert table.nu_a_given_c_plus == (0, 1)
         assert table.first_answer_counts[B] == (3, 5)
+
+    def test_matches_record_loop(self):
+        # Reference: count records one by one, as the estimator once did.
+        data = run_protocol(
+            ClassicalHiddenVariable(random_joint(np.random.default_rng(14))),
+            ProtocolDesign(TWO, 500),
+            seed=15,
+        )
+        pairs = {(B, PLUS, A): [0, 0], (B, MINUS, C): [0, 0], (C, PLUS, A): [0, 0]}
+        first = {}
+        for rec in data:
+            fc = first.setdefault(rec.first_question, [0, 0])
+            fc[0] += rec.first_answer is PLUS
+            fc[1] += 1
+            key = (rec.first_question, rec.first_answer, rec.second_question)
+            if key in pairs:
+                pairs[key][0] += rec.second_answer is PLUS
+                pairs[key][1] += 1
+        table = estimate_frequencies(data)
+        assert [table.nu_a_given_b_plus, table.nu_c_given_b_minus,
+                table.nu_a_given_c_plus] == [tuple(v) for v in pairs.values()]
+        assert table.first_answer_counts == {q: tuple(v) for q, v in sorted(first.items())}
 
     def test_empty_conditioning_branch(self):
         records = [
