@@ -347,6 +347,8 @@ def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
 
 def check_symmetry(data: ResponseDataset, tolerance: float) -> SymmetryReport:
     """Flag questions whose first-answer "yes" fraction strays from 1/2."""
+    if not 0.0 <= tolerance < float("inf"):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     entries = tuple(
         SymmetryEntry(
             question=q,

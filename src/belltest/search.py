@@ -33,6 +33,7 @@ from .qubit import QuestionTriple, predicted_conditional_triple
 logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
+_BLOCK_CELLS = 1 << 20  # grid cells evaluated at once, so memory stays bounded
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,16 @@ def maximize_quantum_violation(
         raise ValueError("refine_tol must be positive")
 
     gaps = np.arange(grid_steps) * (TWO_PI / grid_steps)
-    beta, gamma = np.meshgrid(gaps, gaps, indexing="ij")
-    margins = _margin_grid(beta, gamma)
-    evaluations = margins.size
-    flat = int(np.argmin(margins))  # row-major: first hit is lexicographic min
+    rows = max(1, _BLOCK_CELLS // grid_steps)
+    best_margin, flat = np.inf, 0
+    for start in range(0, grid_steps, rows):
+        beta, gamma = np.meshgrid(gaps[start:start + rows], gaps, indexing="ij")
+        margins = _margin_grid(beta, gamma)
+        k = int(np.argmin(margins))  # row-major: first hit is lexicographic min
+        if margins.flat[k] < best_margin:  # strict: earlier blocks win ties
+            best_margin, flat = float(margins.flat[k]), start * grid_steps + k
+    evaluations = grid_steps * grid_steps
     best = (gaps[flat // grid_steps], gaps[flat % grid_steps])
-    best_margin = float(margins.flat[flat])
 
     # Compass pattern search on the gap pair.
     step = TWO_PI / grid_steps

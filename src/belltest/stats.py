@@ -4,15 +4,15 @@ The three conditional frequencies come from disjoint sub-ensembles, so they
 are independent binomial proportions.  The margin nu1 + nu2 - nu3 therefore
 has a first-order-exact standard error, and a one-sided normal test in the
 violation direction is the natural decision rule.  Wilson intervals are
-reported per term because they stay sensible near 0 and 1.
+reported per term because they stay sensible near 0 and 1.  The normal
+tail and quantile are scipy.special's ndtr and ndtri, bit-identical to
+scipy.stats.norm.cdf and .ppf, and imported only when a test is computed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.stats import norm
 
 from .errors import DegenerateVariance
 from .protocol import FrequencyTable
@@ -37,7 +37,8 @@ def wilson_interval(
         raise ValueError(f"invalid counts ({successes}, {trials})")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
-    z = float(norm.ppf(0.5 + 0.5 * confidence))
+    from scipy.special import ndtri
+    z = float(ndtri(0.5 + 0.5 * confidence))
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
@@ -61,6 +62,7 @@ def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
     Raises DegenerateVariance (carrying the exact margin) when every branch
     proportion is exactly 0 or 1, since the normal approximation collapses.
     """
+    from scipy.special import ndtr
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     nu = table.proportions()
@@ -75,7 +77,7 @@ def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
         raise DegenerateVariance(margin)
     se = math.sqrt(variance)
     z = margin / se
-    p_value = float(norm.cdf(z))
+    p_value = float(ndtr(z))
     counts = (table.nu_a_given_b_plus, table.nu_c_given_b_minus, table.nu_a_given_c_plus)
     intervals = tuple(
         wilson_interval(num, den, 1.0 - alpha) for num, den in counts

@@ -229,3 +229,18 @@ class TestCli:
             outputs.append(out.read_bytes())
             out.unlink()
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_invalid_symmetry_tolerance_exit_2(self, tmp_path, capsys, tolerance):
+        out = self.simulate(tmp_path)
+        report = tmp_path / "report.json"
+        code = main(["test", str(out), f"--symmetry-tolerance={tolerance}",
+                     "--report", str(report)])
+        assert code == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_zero_symmetry_tolerance_accepted(self, tmp_path, capsys):
+        out = self.simulate(tmp_path)
+        assert main(["test", str(out), "--symmetry-tolerance=0"]) == 0
+        assert json.loads(capsys.readouterr().out)["symmetry_check"]["tolerance"] == 0.0

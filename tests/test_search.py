@@ -11,8 +11,9 @@ from belltest import (
     symmetrize,
     wigner_conditional_check,
 )
+from belltest import search
 from belltest.qubit import QuestionTriple
-from belltest.search import _conditional_triple, _margin_grid
+from belltest.search import _BLOCK_CELLS, SearchResult, _conditional_triple, _margin_grid
 
 TWO_PI = 2 * math.pi
 
@@ -69,6 +70,41 @@ class TestMaximizeQuantumViolation:
             assert margin_at(*(-x for x in angles)) == pytest.approx(
                 margin_at(*angles), abs=1e-12
             )
+
+
+def whole_grid_reference(grid_steps, refine_tol):
+    """The search with the full grid_steps**2 grid evaluated at once."""
+    gaps = np.arange(grid_steps) * (TWO_PI / grid_steps)
+    margins = _margin_grid(*np.meshgrid(gaps, gaps, indexing="ij"))
+    flat = int(np.argmin(margins))
+    best = (gaps[flat // grid_steps], gaps[flat % grid_steps])
+    best_margin, evaluations = float(margins.flat[flat]), margins.size
+    step = TWO_PI / grid_steps
+    while step > refine_tol:
+        moved = False
+        for db, dg in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            cand = (best[0] + db, best[1] + dg)
+            m = margin_at(0.0, *cand)
+            evaluations += 1
+            if m < best_margin:
+                best, best_margin, moved = cand, m, True
+        if not moved:
+            step *= 0.5
+    angles = QuestionTriple.from_floats(0.0, *best)
+    return SearchResult(angles, margin_at(0.0, *best), evaluations, refine_tol)
+
+
+class TestBlockedGrid:
+    def test_grid_spanning_blocks_matches_whole_grid(self):
+        grid = 1100
+        assert _BLOCK_CELLS // grid < grid  # rows per block: at least 2 blocks
+        assert maximize_quantum_violation(grid, 1e-9) == whole_grid_reference(grid, 1e-9)
+
+    @pytest.mark.parametrize("block_cells", [1, 36, 36 * 5, 36 * 36 - 1])
+    def test_block_size_does_not_change_result(self, monkeypatch, block_cells):
+        expected = whole_grid_reference(36, 1e-6)
+        monkeypatch.setattr(search, "_BLOCK_CELLS", block_cells)
+        assert maximize_quantum_violation(36, 1e-6) == expected
 
 
 class TestClassicalMarginFloor:

@@ -124,3 +124,40 @@ class TestViolationTest:
             false_hits += result.significant_violation
         sigma = math.sqrt(alpha * (1 - alpha) / sims)
         assert false_hits / sims <= alpha + 3 * sigma
+
+
+class TestNormalTailMatchesScipyStats:
+    """`stats` uses scipy.special's ndtr/ndtri; they must equal scipy.stats.norm
+    bit for bit, so reports stay byte-identical."""
+
+    def test_ndtr_equals_norm_cdf(self):
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(4)
+        zs = [math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300, 38.5, -38.5, 40.0, -40.0]
+        zs += np.linspace(-40.0, 40.0, 2001).tolist() + (3.0 * rng.standard_normal(2000)).tolist()
+        mismatches = [z for z in zs if float(ndtr(z)) != float(norm.cdf(z))]
+        assert mismatches == []
+
+    def test_ndtri_equals_norm_ppf_at_wilson_quantiles(self):
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(5)
+        confidences = [1e-12, 1.0 - 1e-12, 0.9, 0.95, 0.99, 0.5]
+        confidences += np.logspace(-12, 0, 1000, endpoint=False).tolist()
+        confidences += (1.0 - np.logspace(-12, 0, 1000, endpoint=False)).tolist()
+        confidences += rng.random(2000).tolist()
+        qs = [0.5 + 0.5 * c for c in confidences]
+        mismatches = [q for q in qs if float(ndtri(q)) != float(norm.ppf(q))]
+        assert mismatches == []
+
+    def test_violation_test_p_value_equals_norm_cdf(self):
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(2, 500))
+            result = violation_test(table(*((int(rng.integers(1, n)), n) for _ in range(3))))
+            assert result.p_value == float(norm.cdf(result.z_statistic))
