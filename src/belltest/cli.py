@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--grid", type=int, default=360)
     sea.add_argument("--refine-tol", type=float, default=1e-9)
     sea.add_argument("--floor-samples", type=int, default=0,
-                     help="also certify the classical margin floor on N samples")
+                     help="also certify the classical margin floor on N samples"
+                     " (0: no floor)")
     sea.add_argument("--seed", type=int, default=0)
 
     inter = sub.add_parser("interference", help="classify an interference coefficient")
@@ -135,6 +136,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    if not (0.0 < args.alpha < 1.0):
+        raise ValueError(f"alpha must be in (0, 1), got {args.alpha!r}")
     data = parse_dataset(args.dataset.read_text())
     symmetry = check_symmetry(data, tolerance=args.symmetry_tolerance)
     context = ReportContext(seed=args.seed, design=_infer_design(data.counts),
@@ -169,6 +172,8 @@ def _infer_design(counts: np.ndarray) -> str:
 
 
 def _cmd_search(args) -> int:
+    if args.floor_samples < 0:
+        raise ValueError(f"--floor-samples must be >= 0, got {args.floor_samples}")
     result = maximize_quantum_violation(grid_steps=args.grid, refine_tol=args.refine_tol)
     payload = {
         "best_angles": {
@@ -222,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (BellTestError, ValueError) as exc:
+    except (BellTestError, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -244,3 +244,48 @@ class TestCli:
         out = self.simulate(tmp_path)
         assert main(["test", str(out), "--symmetry-tolerance=0"]) == 0
         assert json.loads(capsys.readouterr().out)["symmetry_check"]["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("alpha", ["2", "0", "nan"])
+    def test_invalid_alpha_exit_2_before_reading_dataset(self, tmp_path, capsys, alpha):
+        # One row never reaches the c|b- event: the data alone would exit 3.
+        one = tmp_path / "one.csv"
+        one.write_text(CSV_HEADER + "\nr0,BA,b,+1,a,+1\n")
+        assert main(["test", str(one)]) == 3
+        capsys.readouterr()
+        assert main(["test", str(one), f"--alpha={alpha}"]) == 2
+        assert capsys.readouterr().err.startswith("test: alpha must be in (0, 1)")
+
+    def test_missing_dataset_exit_2(self, tmp_path, capsys):
+        assert main(["test", str(tmp_path / "missing.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("test: ") and "missing.csv" in err
+        assert err.count("\n") == 1
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.csv"
+        code = main(["simulate", "--model", "quantum", "--angles", WITNESS_ARGS,
+                     "--n", "10", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unwritable_report_exit_2(self, tmp_path, capsys):
+        out = self.simulate(tmp_path)
+        report = tmp_path / "no-such-dir" / "report.json"
+        assert main(["test", str(out), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("test: ") and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_negative_floor_samples_exit_2(self, capsys):
+        assert main(["search", "--grid", "36", "--refine-tol", "1e-3",
+                     "--floor-samples", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("search: --floor-samples must be >= 0")
+
+    def test_zero_floor_samples_means_no_floor(self, capsys):
+        assert main(["search", "--grid", "36", "--refine-tol", "1e-3",
+                     "--floor-samples", "0"]) == 0
+        assert "classical_floor" not in json.loads(capsys.readouterr().out)

@@ -1,7 +1,6 @@
 """Which SciPy modules each entry point loads, checked in a fresh interpreter.
 
-Only the normal tail and quantile in `stats` need SciPy, and they come from
-`scipy.special`; nothing may pull in `scipy.stats`.
+No command needs SciPy: `stats` computes the normal tail and quantile itself.
 """
 
 import json
@@ -37,7 +36,7 @@ def simulate_code(out: Path) -> str:
             f" '--n', '10', '--seed', '1', '--out', {str(out)!r}]) == 0\n")
 
 
-@pytest.mark.parametrize("entry", ["import", "simulate", "search"])
+@pytest.mark.parametrize("entry", ["import", "simulate", "search", "test"])
 def test_entry_points_load_no_scipy(tmp_path, entry):
     code = {
         "import": "import belltest.cli\n",
@@ -45,15 +44,9 @@ def test_entry_points_load_no_scipy(tmp_path, entry):
         "search": ("from belltest.cli import main\n"
                    "assert main(['search', '--grid', '36', '--refine-tol', '1e-3',"
                    " '--floor-samples', '10']) == 0\n"),
+        "test": simulate_code(tmp_path / "data.csv") + (
+            f"assert main(['test', {str(tmp_path / 'data.csv')!r},"
+            f" '--report', {str(tmp_path / 'r.json')!r}]) == 0\n"),
     }[entry]
     assert scipy_modules_after(code) == set()
 
-
-def test_test_command_loads_only_scipy_special(tmp_path):
-    data = tmp_path / "data.csv"
-    code = simulate_code(data) + (
-        f"assert main(['test', {str(data)!r}, '--report', {str(tmp_path / 'r.json')!r}]) == 0\n"
-    )
-    loaded = scipy_modules_after(code)
-    assert "scipy.special" in loaded
-    assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in loaded)

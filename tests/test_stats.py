@@ -10,6 +10,7 @@ from belltest import (
     violation_test,
     wilson_interval,
 )
+from belltest.stats import _ndtr, _ndtri
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 
@@ -127,8 +128,31 @@ class TestViolationTest:
 
 
 class TestNormalTailMatchesScipyStats:
-    """`stats` uses scipy.special's ndtr/ndtri; they must equal scipy.stats.norm
-    bit for bit, so reports stay byte-identical."""
+    """`stats` ports Cephes ndtr/ndtri; the port must equal scipy.special's
+    ufuncs (and so scipy.stats.norm) bit for bit, so reports stay
+    byte-identical."""
+
+    @staticmethod
+    def assert_same_bits(port, reference, xs):
+        expected = reference(np.array(xs, dtype=float)).tolist()
+        mismatches = [
+            (x, got, want) for x, got, want in zip(xs, map(port, xs), expected)
+            if not (got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+                    or math.isnan(got) and math.isnan(want))
+        ]
+        assert mismatches == []
+
+    @staticmethod
+    def around(points, steps=50):
+        """Each point and its `steps` float neighbours on either side."""
+        out = []
+        for point in points:
+            up = down = point
+            out.append(point)
+            for _ in range(steps):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                out += [up, down]
+        return out
 
     def test_ndtr_equals_norm_cdf(self):
         from scipy.special import ndtr
@@ -137,8 +161,19 @@ class TestNormalTailMatchesScipyStats:
         rng = np.random.default_rng(4)
         zs = [math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300, 38.5, -38.5, 40.0, -40.0]
         zs += np.linspace(-40.0, 40.0, 2001).tolist() + (3.0 * rng.standard_normal(2000)).tolist()
-        mismatches = [z for z in zs if float(ndtr(z)) != float(norm.cdf(z))]
-        assert mismatches == []
+        self.assert_same_bits(_ndtr, ndtr, zs)
+        assert [_ndtr(z) for z in zs] == norm.cdf(zs).tolist()
+
+    def test_ndtr_branch_edges(self):
+        from scipy.special import ndtr
+
+        # z/sqrt(2) crosses sqrt(1/2) (erf or erfc), 1 (erfc defers to erf),
+        # 8 (erfc's second table) and sqrt(MAXLOG) (exp underflow).
+        edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)]
+        zs = self.around(edges + [-e for e in edges])
+        zs += [math.nan, 5e-324, -5e-324, 1e308, -1e308]
+        zs += np.linspace(1.0, math.sqrt(2.0), 2001).tolist()
+        self.assert_same_bits(_ndtr, ndtr, zs)
 
     def test_ndtri_equals_norm_ppf_at_wilson_quantiles(self):
         from scipy.special import ndtri
@@ -150,8 +185,21 @@ class TestNormalTailMatchesScipyStats:
         confidences += (1.0 - np.logspace(-12, 0, 1000, endpoint=False)).tolist()
         confidences += rng.random(2000).tolist()
         qs = [0.5 + 0.5 * c for c in confidences]
-        mismatches = [q for q in qs if float(ndtri(q)) != float(norm.ppf(q))]
-        assert mismatches == []
+        self.assert_same_bits(_ndtri, ndtri, qs)
+        assert [_ndtri(q) for q in qs] == norm.ppf(qs).tolist()
+
+    def test_ndtri_branch_edges(self):
+        from scipy.special import ndtri
+
+        # p crosses e**-2 and 1 - e**-2 (central or tail table) and
+        # e**-32 and 1 - e**-32 (x = 8, the second tail table).
+        edges = [0.13533528323661269189, 1.0 - 0.13533528323661269189,
+                 math.exp(-32.0), 1.0 - math.exp(-32.0), 0.5]
+        ps = self.around(edges)
+        ps += [0.0, 1.0, -0.0, math.nan, math.inf, -math.inf, -1e-300, -1.0, 1.0 + 1e-15, 2.0]
+        ps += [5e-324, 1e-320, 1e-300, 1.0 - 2.0**-53, 1.0 - 1e-16]
+        ps += np.logspace(-320, 0, 2001, endpoint=False).tolist()
+        self.assert_same_bits(_ndtri, ndtri, ps)
 
     def test_violation_test_p_value_equals_norm_cdf(self):
         from scipy.stats import norm
