@@ -42,10 +42,11 @@ from .protocol import (
     check_symmetry,
     estimate_frequencies,
     run_protocol,
+    validate_tolerance,
 )
 from .qubit import QuestionTriple
 from .search import classical_margin_floor, maximize_quantum_violation
-from .stats import violation_test
+from .stats import validate_alpha, violation_test
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -136,8 +137,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    if not (0.0 < args.alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {args.alpha!r}")
+    validate_alpha(args.alpha)
+    validate_tolerance(args.symmetry_tolerance)
     data = parse_dataset(args.dataset.read_text())
     symmetry = check_symmetry(data, tolerance=args.symmetry_tolerance)
     context = ReportContext(seed=args.seed, design=_infer_design(data.counts),

@@ -7,12 +7,29 @@ CSV dataset format (header is bit-exact):
 Answers are spelled "+1"/"-1" and questions "a"/"b"/"c", asked in the
 branch's order.  The JSON report has a fixed key order so identical runs
 serialize to identical bytes.
+
+Both directions work on the CSV's bytes as numpy arrays where they can.
+``format_dataset`` builds the rows of a dataset with implicit ids (``r``
+and the zero-padded row number, as ``run_protocol`` makes) as one uint8
+array; explicit ids are joined as strings.  ``parse_dataset`` takes the
+byte path for ASCII text that starts with the exact header line, ends in
+a newline, has no line break but ``\n`` and no id longer than
+``_LONGEST_BYTE_ID`` bytes.  That path confirms every row's 13-byte tail,
+that ids are non-empty and hold no comma, and that no two ids share a
+64-bit key, as equal ids always do.  Any other text (CRLF rows, upper-case
+tokens, non-ASCII ids, a bad row), and any text that fails one of those
+checks, goes whole to the per-line loop.  That loop accepts exactly the
+same files and is the only code that raises, so each error keeps its
+exception, line and message.  Ids found on the byte path are decoded only
+when first needed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DuplicateRespondent, FormatError
 from .protocol import (
@@ -42,14 +59,112 @@ _ROW_TAILS = tuple(
 # The fields after the id that a well-formed row may hold, and their cells.
 _CELL_OF_FIELDS = {_ROW_TAILS[cell][1:-1]: cell for cell in CONSISTENT_CELLS}
 
+_HEADER_LINE = CSV_HEADER + "\n"
+# The row tails as a (cells, 14) byte table; a tail is 13 bytes and "\n".
+_TAIL_BYTES = np.frombuffer("".join(_ROW_TAILS).encode("ascii"), np.uint8).reshape(
+    len(_ROW_TAILS), -1)
+_TAIL = _TAIL_BYTES.shape[1] - 1
+# Odd multiplier of the wrapping uint64 fold that keys tails and ids.
+_FOLD = np.uint64(0x9E3779B97F4A7C15)
+# Ids on the byte path cost one array pass per 8 bytes of the longest, so a
+# file with a longer id takes the per-line loop.
+_LONGEST_BYTE_ID = 64
+# The ASCII characters other than "\n" at which str.splitlines breaks.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+# _BYTE_MASKS[k] keeps the first k bytes of a little-endian word.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """Every 8-byte little-endian word of ``buf``: word i is ``buf[i:i + 8]``."""
+    return np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+
+
+def _tail_words(words: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 13 bytes before each newline at ``ends``, as two overlapping words."""
+    return words[ends - _TAIL], words[ends - 8]
+
+
+# The first and last word of each cell's tail, and the consistent cells in
+# the order of their tails' fold keys.
+_CELL_LO, _CELL_HI = _tail_words(_words(_TAIL_BYTES.ravel()),
+                                 np.arange(len(_ROW_TAILS)) * (_TAIL + 1) + _TAIL)
+_CELL_KEYS = _CELL_LO * _FOLD + _CELL_HI
+_KEY_CELLS = np.array(sorted(CONSISTENT_CELLS, key=_CELL_KEYS.__getitem__), np.uint8)
+_SORTED_KEYS = _CELL_KEYS[_KEY_CELLS]
+
 
 def format_dataset(data: ResponseDataset) -> str:
-    tails = map(_ROW_TAILS.__getitem__, data.cells.tolist())
-    return "".join([CSV_HEADER, "\n", *map(str.__add__, data.respondent_ids, tails)])
+    if not data.implicit_ids:
+        tails = map(_ROW_TAILS.__getitem__, data.cells.tolist())
+        return "".join([_HEADER_LINE, *map(str.__add__, data.respondent_ids, tails)])
+    n = len(data)
+    width = len(str(n))
+    head, row = len(_HEADER_LINE), 1 + width + _TAIL_BYTES.shape[1]
+    out = np.empty(head + n * row, np.uint8)
+    out[:head] = np.frombuffer(_HEADER_LINE.encode("ascii"), np.uint8)
+    rows = out[head:].reshape(n, row)
+    rows[:, 0] = ord("r")
+    number = np.arange(n)
+    for column in range(width, 0, -1):
+        number, digit = np.divmod(number, 10)
+        rows[:, column] = digit + ord("0")
+    rows[:, 1 + width:] = _TAIL_BYTES[data.cells]
+    return str(out, "ascii")
 
 
 def parse_dataset(text: str) -> ResponseDataset:
     """Parse CSV content; raises FormatError / DuplicateRespondent."""
+    data = _parse_bytes(text)
+    return data if data is not None else _parse_lines(text)
+
+
+def _parse_bytes(text: str) -> ResponseDataset | None:
+    """The dataset in ``text`` by array operations on its bytes, or None
+    when any row needs the per-line loop."""
+    if not (text.isascii() and text.startswith(_HEADER_LINE) and text.endswith("\n")) \
+            or any(c in text for c in _OTHER_BREAKS):
+        return None
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    starts, ends = newlines[:-1] + 1, newlines[1:]
+    filled = ends > starts
+    starts, ends = starts[filled], ends[filled]
+    id_lengths = ends - starts - _TAIL
+    n = len(ends)
+    if n and not 1 <= id_lengths.min() <= id_lengths.max() <= _LONGEST_BYTE_ID:
+        return None
+    # The header and each tail hold five commas, so an id with one shows here.
+    if np.count_nonzero(buf == ord(",")) != 5 * (n + 1):
+        return None
+    words = _words(buf)
+    lo, hi = _tail_words(words, ends)
+    slot = np.searchsorted(_SORTED_KEYS, lo * _FOLD + hi)
+    cells = _KEY_CELLS[slot.clip(max=len(_SORTED_KEYS) - 1)]
+    if not (np.array_equal(lo, _CELL_LO[cells]) and np.array_equal(hi, _CELL_HI[cells])) \
+            or _may_repeat(words, starts, id_lengths):
+        return None
+
+    def ids() -> list[str]:
+        return list(map(text.__getitem__, map(slice, starts.tolist(),
+                                              (starts + id_lengths).tolist())))
+
+    return ResponseDataset.from_cells(cells, ids)
+
+
+def _may_repeat(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether two of the ids at ``starts`` share a 64-bit key, as every two
+    equal ids do.  An id of up to 8 bytes is its own key, with its length."""
+    key = lengths.astype(np.uint64)
+    for offset in range(0, lengths.max(initial=0), 8):
+        at = np.minimum(starts + offset, len(words) - 1)
+        key = key * _FOLD + (words[at] & _BYTE_MASKS[(lengths - offset).clip(0, 8)])
+    key.sort()
+    return bool((key[1:] == key[:-1]).any())
+
+
+def _parse_lines(text: str) -> ResponseDataset:
+    """Parse line by line; the path that raises for a malformed row."""
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise FormatError(1, f"header must be exactly {CSV_HEADER!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -116,7 +116,8 @@ _CELL_OF = {fields: cell for cell, fields in enumerate(CELL_FIELDS)}
 
 class ResponseDataset:
     """Survey responses stored column-wise: ``cells`` holds one uint8 cell
-    index (see ``COUNT_SHAPE``) per response.  Respondent ids are a list, or
+    index (see ``COUNT_SHAPE``) per response.  Respondent ids are a list,
+    a function that builds that list when the ids are first needed, or
     implicit (``r`` and the zero-padded row number) for simulated data.
     Iteration and ``records`` rebuild ``ResponseRecord``s on request.
     """
@@ -131,7 +132,10 @@ class ResponseDataset:
 
     @classmethod
     def from_cells(
-        cls, cells: np.ndarray, ids: list[str] | None = None, metadata: dict | None = None
+        cls,
+        cells: np.ndarray,
+        ids: list[str] | Callable[[], list[str]] | None = None,
+        metadata: dict | None = None,
     ) -> "ResponseDataset":
         """A dataset over ``cells``; ``ids=None`` keeps the ids implicit."""
         data = cls(metadata=metadata)
@@ -139,7 +143,13 @@ class ResponseDataset:
         return data
 
     @property
+    def implicit_ids(self) -> bool:
+        return self._ids is None
+
+    @property
     def respondent_ids(self) -> list[str]:
+        if callable(self._ids):
+            self._ids = self._ids()
         if self._ids is not None:
             return self._ids
         width = len(str(len(self.cells)))
@@ -345,10 +355,15 @@ def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
     return FrequencyTable(*ratios, first_answer_counts=first_counts)
 
 
-def check_symmetry(data: ResponseDataset, tolerance: float) -> SymmetryReport:
-    """Flag questions whose first-answer "yes" fraction strays from 1/2."""
+def validate_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless ``tolerance`` is a usable symmetry tolerance."""
     if not 0.0 <= tolerance < float("inf"):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+
+
+def check_symmetry(data: ResponseDataset, tolerance: float) -> SymmetryReport:
+    """Flag questions whose first-answer "yes" fraction strays from 1/2."""
+    validate_tolerance(tolerance)
     entries = tuple(
         SymmetryEntry(
             question=q,

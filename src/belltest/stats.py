@@ -194,14 +194,20 @@ def _wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
     return (low, high)
 
 
+def validate_alpha(alpha: float) -> None:
+    """Raise ValueError unless ``alpha`` is a usable test size: in (0, 1),
+    and large enough that the Wilson confidence ``1 - alpha`` is below 1."""
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
+        raise ValueError(f"alpha must be in (0, 1) with 1 - alpha < 1, got {alpha!r}")
+
+
 def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
     """One-sided test of the conditional-inequality margin against zero.
 
     Raises DegenerateVariance (carrying the exact margin) when every branch
     proportion is exactly 0 or 1, since the normal approximation collapses.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    validate_alpha(alpha)
     nu = table.proportions()
     ns = (
         table.nu_a_given_b_plus[1],

@@ -255,6 +255,18 @@ class TestCli:
         assert main(["test", str(one), f"--alpha={alpha}"]) == 2
         assert capsys.readouterr().err.startswith("test: alpha must be in (0, 1)")
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--alpha=1e-17", "test: alpha must be in (0, 1) with 1 - alpha < 1"),
+        ("--symmetry-tolerance=nan", "test: tolerance must be finite and >= 0"),
+    ])
+    def test_invalid_flag_exit_2_before_parsing_dataset(self, tmp_path, capsys, flag, message):
+        headless = tmp_path / "headless.csv"
+        headless.write_text("r0,BA,b,+1,a,+1\n")
+        assert main(["test", str(headless)]) == 2
+        assert "header must be exactly" in capsys.readouterr().err
+        assert main(["test", str(headless), flag]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         assert main(["test", str(tmp_path / "missing.csv")]) == 2
         err = capsys.readouterr().err

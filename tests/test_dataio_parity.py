@@ -1,0 +1,245 @@
+"""The CSV byte paths against reference copies of the string code they replace.
+
+``reference_parse`` is the per-line ``parse_dataset`` loop as it stood before
+parsing went through numpy, and ``reference_format`` the ``"r%0wd"`` string
+join.  ``parse_dataset`` must give the same cells and ids, or raise the same
+exception class with the same line and message, on every input below.
+"""
+
+import string
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from belltest import (
+    Branch,
+    DesignVariant,
+    DuplicateRespondent,
+    FormatError,
+    Outcome,
+    ProtocolDesign,
+    QuantumUnpolarized,
+    QuestionTriple,
+    ResponseDataset,
+    ResponseRecord,
+    VariableIndex,
+    run_protocol,
+)
+from belltest.dataio import CSV_HEADER, _parse_bytes, format_dataset, parse_dataset
+from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
+
+TAILS = [",".join(("", b.value, q1.token(), a1.token(), q2.token(), a2.token())) + "\n"
+         for b, q1, a1, q2, a2 in CELL_FIELDS]
+CELL_OF_FIELDS = {TAILS[cell][1:-1]: cell for cell in CONSISTENT_CELLS}
+CELLS_OF_DESIGN = {
+    variant: sorted(cell for cell in CONSISTENT_CELLS
+                    if CELL_FIELDS[cell][0].value in branches)
+    for variant, branches in ((DesignVariant.THREE_ENSEMBLE, ("BA", "BC", "CA")),
+                              (DesignVariant.TWO_ENSEMBLE, ("S1", "S2")))
+}
+H = CSV_HEADER + "\n"
+
+
+def reference_parse(text):
+    lines = text.splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise FormatError(1, f"header must be exactly {CSV_HEADER!r}")
+    rows = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line == "":
+            continue
+        rid, _, fields = line.partition(",")
+        cell = CELL_OF_FIELDS.get(fields)
+        if cell is None or rid == "" or rid in rows:
+            cell = reference_checked_cell(lineno, line, rows)
+        rows[rid] = cell
+    return list(rows.values()), list(rows)
+
+
+def reference_checked_cell(lineno, line, seen):
+    fields = line.split(",")
+    if len(fields) != 6:
+        raise FormatError(lineno, f"expected 6 fields, got {len(fields)}")
+    rid, branch_tok, q1_tok, a1_tok, q2_tok, a2_tok = fields
+    if rid == "":
+        raise FormatError(lineno, "empty respondent id")
+    if rid in seen:
+        raise DuplicateRespondent(rid, lineno)
+    try:
+        rec = ResponseRecord(rid, Branch(branch_tok), VariableIndex.from_token(q1_tok),
+                             Outcome.from_token(a1_tok), VariableIndex.from_token(q2_tok),
+                             Outcome.from_token(a2_tok))
+    except ValueError as exc:
+        raise FormatError(lineno, str(exc)) from None
+    tokens = (branch_tok, rec.first_question.token(), a1_tok, rec.second_question.token(), a2_tok)
+    cell = CELL_OF_FIELDS.get(",".join(tokens))
+    if cell is None:
+        raise FormatError(
+            lineno,
+            f"branch {branch_tok} does not ask {q1_tok}, then {q2_tok} after {a1_tok}",
+        )
+    return cell
+
+
+def reference_format(cells, ids):
+    return "".join([H, *(rid + TAILS[cell] for rid, cell in zip(ids, cells))])
+
+
+def outcome(parse, text):
+    """(cells, ids) on success; (exception class, line, message) on failure."""
+    try:
+        result = parse(text)
+    except (FormatError, DuplicateRespondent) as exc:
+        return type(exc), exc.line, str(exc)
+    if isinstance(result, ResponseDataset):
+        return result.cells.tolist(), result.respondent_ids
+    return result
+
+
+def assert_parity(text):
+    assert outcome(parse_dataset, text) == outcome(reference_parse, text)
+
+
+ROWS = ["r0,BA,b,+1,a,+1", "r1,BC,b,-1,c,+1", "r2,CA,c,+1,a,-1",
+        "x,S1,b,-1,c,-1", "y,S2,c,-1,a,+1"]
+BODY = "\n".join(ROWS) + "\n"
+INPUTS = {
+    "valid": H + BODY,
+    "crlf rows": (H + BODY).replace("\n", "\r\n"),
+    "one crlf row": H + ROWS[0] + "\r\n" + "\n".join(ROWS[1:]) + "\n",
+    "lone cr between rows": H + ROWS[0] + "\r" + ROWS[1] + "\n",
+    "cr inside an id": H + "r\r0,BA,b,+1,a,+1\n",
+    "form feed inside a row": H + "r0,BA,b,+1\x0c,a,+1\n",
+    "form feed inside an id": H + "r\x0c0,BA,b,+1,a,+1\n",
+    "vertical tab inside an id": H + "r\x0b0,BA,b,+1,a,+1\n",
+    "file separators inside ids": H + "a\x1c1,BA,b,+1,a,+1\nb\x1d2,BA,b,+1,a,+1\n"
+                                      "c\x1e3,BA,b,+1,a,+1\n",
+    "tab and nul inside ids": H + "r\t0,BA,b,+1,a,+1\nr\x000,BA,b,+1,a,+1\n",
+    "no trailing newline": H + BODY[:-1],
+    "fragment after the last newline": H + BODY + "x",
+    "header only": H,
+    "header without newline": CSV_HEADER,
+    "empty text": "",
+    "blank lines": H + "\n" + ROWS[0] + "\n\n\n" + ROWS[1] + "\n",
+    "trailing blank lines": H + BODY + "\n\n",
+    "whitespace line": H + ROWS[0] + "\n   \n",
+    "upper-case question tokens": H + "r0,BA,B,-1,A,+1\n",
+    "upper-case branch": H + "r0,ba,b,+1,a,+1\n",
+    "non-ASCII id": H + "ré,BA,b,+1,a,+1\n",
+    "next-line character in an id": H + "r\x850,BA,b,+1,a,+1\n",
+    "line separator in an id": H + "r\u20280,BA,b,+1,a,+1\n",
+    "id containing a comma": H + "r,0,BA,b,+1,a,+1\n",
+    "empty id": H + ",BA,b,+1,a,+1\n",
+    "row shorter than 13 bytes": H + "r0,BA,b\n",
+    "row of exactly 13 bytes": H + ",BA,b,+1,a,+1\n",
+    "one-byte row": H + ROWS[0] + "\nx\n",
+    "seven fields": H + "r0,BA,b,+1,a,+1,x\n",
+    "five fields": H + "r0,BA,b,+1,a\n",
+    "duplicate of the first data row": H + ROWS[0] + "\nr0,BA,b,-1,a,-1\n" + BODY[16:],
+    "duplicate on the last row": H + BODY + "x,BA,b,+1,a,+1\n",
+    "duplicate with another tail and row between": H + "q,BA,b,+1,a,+1\n" + BODY
+                                                   + "q,S2,c,-1,a,+1\n",
+    "wrong header": "id,branch\nr0,BA\n",
+    "header with trailing space": CSV_HEADER + " \n" + BODY,
+    "header with crlf": CSV_HEADER + "\r\n" + BODY,
+    "inconsistent branch order": H + "r9,BA,b,+1,a,+1\nr0,BA,c,+1,a,+1\n",
+    "two-ensemble route after yes": H + "r0,S1,b,+1,c,+1\n",
+    "unsigned answer": H + "r0,BA,b,1,a,+1\n",
+    "unknown branch": H + "r0,XX,b,+1,a,+1\n",
+    "space after a comma": H + "r0, BA,b,+1,a,+1\n",
+    "spaces around an id": H + " r0 ,BA,b,+1,a,+1\n",
+    "ids across word boundaries": H + "".join(
+        f"{'k' * length}{last},BA,b,+1,a,+1\n"
+        for length in (7, 8, 15, 16, 63) for last in "01"),
+    "ids equal but for a trailing nul": H + "ab,BA,b,+1,a,+1\nab\x00,BA,b,+1,a,+1\n",
+    "id of 65 bytes": H + "z" * 65 + ",BA,b,+1,a,+1\n" + BODY,
+    "duplicate id of 65 bytes": H + ("z" * 65 + ",BA,b,+1,a,+1\n") * 2,
+    "duplicate ids of 20 bytes": H + BODY + ("subject-000000000001,BA,b,+1,a,+1\n" * 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_parse_matches_reference(name):
+    assert_parity(INPUTS[name])
+
+
+def test_byte_path_takes_every_clean_file():
+    # Ids equal but for the byte at one offset, at every offset up to 64.
+    near = ["k" * 64] + ["k" * at + "j" + "k" * (63 - at) for at in range(64)]
+    text = H + BODY + "\n" + "".join(rid + ",S2,c,+1,a,-1\n" for rid in near)
+    data = _parse_bytes(text)
+    assert data is not None
+    assert (data.cells.tolist(), data.respondent_ids) == reference_parse(text)
+
+
+def test_byte_path_declines_what_splitlines_breaks_at():
+    breaks = {chr(b) for b in range(128) if len(f"a{chr(b)}a".splitlines()) > 1}
+    for b in range(128):
+        text = H + f"r{chr(b)},BA,b,+1,a,+1\n"
+        taken = _parse_bytes(text) is not None
+        assert taken == (chr(b) not in breaks | {",", "\n"}), repr(chr(b))
+
+
+def test_simulated_dataset_parses_on_byte_path_with_lazy_ids():
+    pop = QuantumUnpolarized(QuestionTriple.from_floats(0.0, 2.1, 1.0))
+    data = run_protocol(pop, ProtocolDesign(DesignVariant.TWO_ENSEMBLE, 400), seed=3)
+    text = format_dataset(data)
+    parsed = _parse_bytes(text)
+    assert parsed is not None and callable(parsed._ids)
+    assert (parsed.cells.tolist(), parsed.respondent_ids) == reference_parse(text)
+    assert not callable(parsed._ids)
+    assert parsed == data
+
+
+ID_CHARS = string.ascii_letters + string.digits + "_-.:/ \t"
+BYTES = st.integers(0, 255).map(chr)
+
+
+@st.composite
+def corrupted_datasets(draw):
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=30), max_size=40, unique=True))
+    cells = draw(st.lists(st.sampled_from(sorted(CONSISTENT_CELLS)),
+                          min_size=len(ids), max_size=len(ids)))
+    text = reference_format(cells, ids)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + draw(BYTES) + text[at + 1:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_datasets())
+def test_parse_matches_reference_on_corrupted_datasets(text):
+    assert_parity(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["r0", "r1", "x", "subject-0000000017"]),
+                          st.sampled_from(sorted(CONSISTENT_CELLS))), max_size=6))
+def test_parse_matches_reference_with_repeated_ids(rows):
+    assert_parity(reference_format([cell for _, cell in rows], [rid for rid, _ in rows]))
+
+
+@pytest.mark.parametrize("variant", list(DesignVariant))
+@pytest.mark.parametrize("rows", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+def test_format_matches_reference_join(variant, rows):
+    rng = np.random.default_rng(rows)
+    cells = rng.choice(CELLS_OF_DESIGN[variant], size=rows).astype(np.uint8)
+    data = ResponseDataset.from_cells(cells)
+    width = len(str(rows))
+    expected = reference_format(cells.tolist(), [f"r%0{width}d" % k for k in range(rows)])
+    assert format_dataset(data) == expected
+    assert outcome(parse_dataset, expected) == (cells.tolist(), data.respondent_ids)
+
+
+def test_explicit_ids_round_trip():
+    ids = ["b", "a", "r000", "ré", "x y", "k" * 70, "\t"]
+    cells = sorted(CONSISTENT_CELLS)[:len(ids)]
+    data = ResponseDataset(records=[ResponseRecord(rid, *CELL_FIELDS[cell])
+                                    for rid, cell in zip(ids, cells)])
+    text = format_dataset(data)
+    assert text == reference_format(cells, ids)
+    assert parse_dataset(text) == data
+    assert parse_dataset(format_dataset(ResponseDataset.from_cells(cells, ids))) == data

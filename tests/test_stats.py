@@ -111,6 +111,10 @@ class TestViolationTest:
         with pytest.raises(ValueError):
             violation_test(table((1, 2), (1, 2), (1, 2)), alpha=0.0)
 
+    def test_rejects_alpha_whose_confidence_rounds_to_one(self):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            violation_test(table((1, 2), (1, 2), (1, 2)), alpha=1e-17)
+
     def test_type_one_error_rate_controlled(self):
         # Simulated proportions at a strictly positive margin should almost
         # never be declared significant violations.
