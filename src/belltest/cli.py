@@ -140,9 +140,9 @@ def _cmd_test(args) -> int:
     validate_alpha(args.alpha)
     validate_tolerance(args.symmetry_tolerance)
     data = parse_dataset(args.dataset.read_text())
+    design = _infer_design(data.counts)
     symmetry = check_symmetry(data, tolerance=args.symmetry_tolerance)
-    context = ReportContext(seed=args.seed, design=_infer_design(data.counts),
-                            alpha=args.alpha)
+    context = ReportContext(seed=args.seed, design=design, alpha=args.alpha)
     try:
         table = estimate_frequencies(data)
     except EmptyConditioningBranch as exc:
@@ -164,12 +164,13 @@ def _cmd_test(args) -> int:
 
 def _infer_design(counts: np.ndarray) -> str:
     totals = counts.sum(axis=(1, 2, 3, 4))
-    branches = {branch.value for branch, n in zip(Branch, totals) if n}
-    if branches <= {"BA", "BC", "CA"}:
+    branches = [branch.value for branch, n in zip(Branch, totals) if n]
+    if set(branches) <= {"BA", "BC", "CA"}:
         return "three"
-    if branches <= {"S1", "S2"}:
+    if set(branches) <= {"S1", "S2"}:
         return "two"
-    return "mixed"
+    raise ValueError("dataset mixes the three-ensemble and two-ensemble designs"
+                     f" (branches {', '.join(branches)}); test each design on its own")
 
 
 def _cmd_search(args) -> int:

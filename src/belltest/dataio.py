@@ -8,20 +8,22 @@ Answers are spelled "+1"/"-1" and questions "a"/"b"/"c", asked in the
 branch's order.  The JSON report has a fixed key order so identical runs
 serialize to identical bytes.
 
-Both directions work on the CSV's bytes as numpy arrays where they can.
-``format_dataset`` builds the rows of a dataset with implicit ids (``r``
-and the zero-padded row number, as ``run_protocol`` makes) as one uint8
-array; explicit ids are joined as strings.  ``parse_dataset`` takes the
-byte path for ASCII text that starts with the exact header line, ends in
-a newline, has no line break but ``\n`` and no id longer than
-``_LONGEST_BYTE_ID`` bytes.  That path confirms every row's 13-byte tail,
-that ids are non-empty and hold no comma, and that no two ids share a
-64-bit key, as equal ids always do.  Any other text (CRLF rows, upper-case
-tokens, non-ASCII ids, a bad row), and any text that fails one of those
-checks, goes whole to the per-line loop.  That loop accepts exactly the
-same files and is the only code that raises, so each error keeps its
-exception, line and message.  Ids found on the byte path are decoded only
-when first needed.
+Both directions work on the CSV's bytes as numpy arrays where they can,
+in pieces of about ``_PIECE`` bytes cut just after a newline.
+``format_dataset`` fills the rows of a dataset with implicit ids (``r`` and
+the zero-padded row number, as ``run_protocol`` makes) into one uint8
+array a block at a time; explicit ids are joined as strings.
+``parse_dataset`` takes the byte path for ASCII text that starts with the
+exact header line, ends in a newline, has no line break but ``\n`` and no
+id longer than ``_LONGEST_BYTE_ID`` bytes.  Per piece, that path confirms
+every row's 13-byte tail and that ids are non-empty and hold no comma; at
+the end, that no two ids share a 64-bit key, as equal ids always do.  It
+holds the text plus 9 bytes per row (a cell and an id key); the dataset
+keeps 1 byte per row and decodes ids from the text only when first needed.
+Any other text (CRLF rows, upper-case tokens, non-ASCII ids, a bad row),
+and any text that fails a check in any piece, goes whole to the per-line
+loop.  That loop accepts exactly the same files and is the only code that
+raises, so each error keeps its exception, line and message.
 """
 
 from __future__ import annotations
@@ -64,11 +66,13 @@ _HEADER_LINE = CSV_HEADER + "\n"
 _TAIL_BYTES = np.frombuffer("".join(_ROW_TAILS).encode("ascii"), np.uint8).reshape(
     len(_ROW_TAILS), -1)
 _TAIL = _TAIL_BYTES.shape[1] - 1
+_PIECE = 1 << 20  # bytes per piece on the byte paths
 # Odd multiplier of the wrapping uint64 fold that keys tails and ids.
 _FOLD = np.uint64(0x9E3779B97F4A7C15)
 # Ids on the byte path cost one array pass per 8 bytes of the longest, so a
 # file with a longer id takes the per-line loop.
 _LONGEST_BYTE_ID = 64
+_WORD_FOLDS = np.cumprod(np.full(_LONGEST_BYTE_ID // 8, _FOLD))  # _FOLD ** (k + 1) for word k
 # The ASCII characters other than "\n" at which str.splitlines breaks.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 # _BYTE_MASKS[k] keeps the first k bytes of a little-endian word.
@@ -77,7 +81,7 @@ _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 
 def _words(buf: np.ndarray) -> np.ndarray:
     """Every 8-byte little-endian word of ``buf``: word i is ``buf[i:i + 8]``."""
-    return np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    return np.ndarray((max(len(buf) - 7, 0),), "<u8", buf, strides=(1,))
 
 
 def _tail_words(words: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,11 +109,13 @@ def format_dataset(data: ResponseDataset) -> str:
     out[:head] = np.frombuffer(_HEADER_LINE.encode("ascii"), np.uint8)
     rows = out[head:].reshape(n, row)
     rows[:, 0] = ord("r")
-    number = np.arange(n)
-    for column in range(width, 0, -1):
-        number, digit = np.divmod(number, 10)
-        rows[:, column] = digit + ord("0")
-    rows[:, 1 + width:] = _TAIL_BYTES[data.cells]
+    step = max(_PIECE // row, 1)
+    for first in range(0, n, step):
+        block, number = rows[first:first + step], np.arange(first, min(first + step, n))
+        for column in range(width, 0, -1):
+            number, digit = np.divmod(number, 10)
+            block[:, column] = digit + ord("0")
+        block[:, 1 + width:] = _TAIL_BYTES[data.cells[first:first + step]]
     return str(out, "ascii")
 
 
@@ -120,47 +126,60 @@ def parse_dataset(text: str) -> ResponseDataset:
 
 
 def _parse_bytes(text: str) -> ResponseDataset | None:
-    """The dataset in ``text`` by array operations on its bytes, or None
-    when any row needs the per-line loop."""
+    """The dataset in ``text`` by array operations on its bytes, one piece at
+    a time, or None when any row needs the per-line loop."""
     if not (text.isascii() and text.startswith(_HEADER_LINE) and text.endswith("\n")) \
             or any(c in text for c in _OTHER_BREAKS):
         return None
-    buf = np.frombuffer(text.encode("ascii"), np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    starts, ends = newlines[:-1] + 1, newlines[1:]
-    filled = ends > starts
-    starts, ends = starts[filled], ends[filled]
-    id_lengths = ends - starts - _TAIL
-    n = len(ends)
-    if n and not 1 <= id_lengths.min() <= id_lengths.max() <= _LONGEST_BYTE_ID:
+    cells = np.empty(text.count("\n") - 1, np.uint8)
+    keys = np.empty(len(cells), np.uint64)
+    n, at = 0, len(_HEADER_LINE) - 1
+    while at < len(text) - 1:
+        # Cut at the last newline in _PIECE bytes, or at the next if none.
+        cut = max(text.rfind("\n", at + 1, at + _PIECE), text.find("\n", at + 1))
+        rows = _piece_rows(np.frombuffer(text[at:cut + 1].encode("ascii"), np.uint8))
+        if rows is None:
+            return None
+        end = n + len(rows[0])
+        cells[n:end], keys[n:end] = rows
+        n, at = end, cut
+    keys[:n].sort()
+    if (keys[1:n] == keys[:n - 1]).any():
         return None
-    # The header and each tail hold five commas, so an id with one shows here.
-    if np.count_nonzero(buf == ord(",")) != 5 * (n + 1):
+    return ResponseDataset.from_cells(
+        cells[:n], lambda: [line[:-_TAIL] for line in text.splitlines()[1:] if line])
+
+
+def _piece_rows(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cells and id keys of the rows in ``buf``, which starts and ends
+    with a newline, or None when a row fails a check."""
+    newlines = np.flatnonzero(buf == ord("\n"))
+    filled = np.diff(newlines) > 1
+    starts, ends = newlines[:-1][filled] + 1, newlines[1:][filled]
+    id_lengths = ends - starts - _TAIL
+    if len(ends) and not 1 <= id_lengths.min() <= id_lengths.max() <= _LONGEST_BYTE_ID:
+        return None
+    # Each tail holds five commas, so an id with one shows here.
+    if np.count_nonzero(buf == ord(",")) != 5 * len(ends):
         return None
     words = _words(buf)
+    keys = _id_keys(words, starts, id_lengths)
     lo, hi = _tail_words(words, ends)
     slot = np.searchsorted(_SORTED_KEYS, lo * _FOLD + hi)
     cells = _KEY_CELLS[slot.clip(max=len(_SORTED_KEYS) - 1)]
-    if not (np.array_equal(lo, _CELL_LO[cells]) and np.array_equal(hi, _CELL_HI[cells])) \
-            or _may_repeat(words, starts, id_lengths):
+    if not (np.array_equal(lo, _CELL_LO[cells]) and np.array_equal(hi, _CELL_HI[cells])):
         return None
-
-    def ids() -> list[str]:
-        return list(map(text.__getitem__, map(slice, starts.tolist(),
-                                              (starts + id_lengths).tolist())))
-
-    return ResponseDataset.from_cells(cells, ids)
+    return cells, keys
 
 
-def _may_repeat(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
-    """Whether two of the ids at ``starts`` share a 64-bit key, as every two
-    equal ids do.  An id of up to 8 bytes is its own key, with its length."""
+def _id_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A 64-bit key for each id at ``starts``, the same in any piece: equal ids
+    have equal keys, and an id of up to 8 bytes is its own key, with its length."""
     key = lengths.astype(np.uint64)
-    for offset in range(0, lengths.max(initial=0), 8):
+    for offset, fold in zip(range(0, lengths.max(initial=0), 8), _WORD_FOLDS):
         at = np.minimum(starts + offset, len(words) - 1)
-        key = key * _FOLD + (words[at] & _BYTE_MASKS[(lengths - offset).clip(0, 8)])
-    key.sort()
-    return bool((key[1:] == key[:-1]).any())
+        key += (words[at] & _BYTE_MASKS[(lengths - offset).clip(0, 8)]) * fold
+    return key
 
 
 def _parse_lines(text: str) -> ResponseDataset:

@@ -9,6 +9,7 @@ from belltest import (
     ProtocolDesign,
     QuantumUnpolarized,
     QuestionTriple,
+    ResponseDataset,
     check_symmetry,
     estimate_frequencies,
     run_protocol,
@@ -179,6 +180,27 @@ class TestCli:
             "--n", "10", "--seed", "0", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    def test_mixed_designs_exit_2_before_estimating(self, tmp_path, capsys, monkeypatch):
+        pop = QuantumUnpolarized(QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3))
+        three = run_protocol(pop, ProtocolDesign(DesignVariant.THREE_ENSEMBLE, 300), seed=1)
+        two = run_protocol(pop, ProtocolDesign(DesignVariant.TWO_ENSEMBLE, 300), seed=2)
+        two = ResponseDataset.from_cells(two.cells, [f"s{k}" for k in range(len(two))])
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(format_dataset(three) + format_dataset(two).split("\n", 1)[1])
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated a mixed-design dataset")
+
+        for name in ("check_symmetry", "estimate_frequencies", "violation_test"):
+            monkeypatch.setattr(f"belltest.cli.{name}", no_estimate)
+        report = tmp_path / "report.json"
+        assert main(["test", str(mixed), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("test: dataset mixes")
+        assert "three-ensemble" in err and "two-ensemble" in err
+        assert "BA, BC, CA, S1, S2" in err
+        assert not report.exists()
 
     def test_malformed_dataset_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

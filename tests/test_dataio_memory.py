@@ -1,0 +1,54 @@
+"""Traced allocation of the CSV byte paths on the 3 x 200 000-agent witness survey.
+
+Parsing works through the text in pieces and keeps a cell byte and an 8-byte
+id key per row, so its peak stays below the length of the text.  Formatting
+holds the uint8 rows and the output string, plus one block of row numbers
+and tails, so its peak stays just above twice the length of the output.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from belltest import (
+    DesignVariant,
+    ProtocolDesign,
+    QuantumUnpolarized,
+    QuestionTriple,
+    run_protocol,
+)
+from belltest.dataio import format_dataset, parse_dataset
+
+WITNESS = QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3)
+
+
+@pytest.fixture(scope="module")
+def survey():
+    design = ProtocolDesign(DesignVariant.THREE_ENSEMBLE, 200_000)
+    data = run_protocol(QuantumUnpolarized(WITNESS), design, seed=1)
+    return data, format_dataset(data)
+
+
+def traced_peak(function, argument):
+    """``function(argument)`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return function(argument), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_peak_is_below_the_text_length(survey):
+    data, text = survey
+    parsed, peak = traced_peak(parse_dataset, text)
+    assert np.array_equal(parsed.counts, data.counts)
+    assert peak <= 1.0 * len(text)
+
+
+def test_format_peak_is_near_twice_the_output_length(survey):
+    data, text = survey
+    formatted, peak = traced_peak(format_dataset, data)
+    assert formatted == text
+    assert peak <= 2.1 * len(formatted)

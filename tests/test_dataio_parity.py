@@ -3,7 +3,9 @@
 ``reference_parse`` is the per-line ``parse_dataset`` loop as it stood before
 parsing went through numpy, and ``reference_format`` the ``"r%0wd"`` string
 join.  ``parse_dataset`` must give the same cells and ids, or raise the same
-exception class with the same line and message, on every input below.
+exception class with the same line and message, on every input below.  The
+byte paths work in pieces cut at newlines; ``assert_parity`` checks at the
+default piece size and at a few dozen bytes, so most inputs span many pieces.
 """
 
 import string
@@ -27,6 +29,7 @@ from belltest import (
     VariableIndex,
     run_protocol,
 )
+from belltest import dataio
 from belltest.dataio import CSV_HEADER, _parse_bytes, format_dataset, parse_dataset
 from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
 
@@ -98,13 +101,24 @@ def outcome(parse, text):
     return result
 
 
-def assert_parity(text):
-    assert outcome(parse_dataset, text) == outcome(reference_parse, text)
+# Piece sizes in bytes: the default, and sizes that cut rows of 16 bytes or
+# more into pieces of one to three rows.
+PIECES = (dataio._PIECE, 20, 48)
+
+
+def assert_parity(text, pieces=PIECES):
+    expected = outcome(reference_parse, text)
+    for piece in pieces:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_PIECE", piece)
+            assert outcome(parse_dataset, text) == expected, f"piece of {piece} bytes"
 
 
 ROWS = ["r0,BA,b,+1,a,+1", "r1,BC,b,-1,c,+1", "r2,CA,c,+1,a,-1",
         "x,S1,b,-1,c,-1", "y,S2,c,-1,a,+1"]
 BODY = "\n".join(ROWS) + "\n"
+# Twelve clean rows of 16 or 17 bytes, to put a fault in a later piece.
+LONG = "".join(f"k{k},BC,b,-1,c,+1\n" for k in range(12))
 INPUTS = {
     "valid": H + BODY,
     "crlf rows": (H + BODY).replace("\n", "\r\n"),
@@ -157,6 +171,20 @@ INPUTS = {
     "id of 65 bytes": H + "z" * 65 + ",BA,b,+1,a,+1\n" + BODY,
     "duplicate id of 65 bytes": H + ("z" * 65 + ",BA,b,+1,a,+1\n") * 2,
     "duplicate ids of 20 bytes": H + BODY + ("subject-000000000001,BA,b,+1,a,+1\n" * 2),
+    "bad row in a later piece": H + LONG + "k99,BA,b,1,a,+1\n",
+    "id containing a comma in a later piece": H + LONG + "k,99,BA,b,+1,a,+1\n",
+    "empty id in a later piece": H + LONG + ",BA,b,+1,a,+1\n",
+    "cr in a later piece": H + LONG + "k99,BA,b,+1,a,+1\r\n",
+    "duplicate ids in the first and a later piece": H + "k5,CA,c,+1,a,-1\n" + LONG,
+    "duplicate ids of 16 bytes in different pieces": H + "subject-00000017,BA,b,+1,a,+1\n"
+                                                     + LONG + "subject-00000017,BA,b,+1,a,+1\n",
+    "duplicate short id, one copy beside a longer id": H + "x,BA,b,+1,a,+1\n"
+                                                       + "subject-0000000017,BA,b,+1,a,+1\n"
+                                                       + LONG + "x,CA,c,+1,a,-1\n",
+    "blank lines between every row": H + "\n" + LONG.replace("\n", "\n\n\n"),
+    "only blank lines after the rows": H + LONG + "\n" * 100,
+    "rows longer than a piece": H + LONG + "".join(
+        f"{'q' * 60}{k},BA,b,+1,a,+1\n" for k in range(3)) + LONG.replace("k", "m"),
 }
 
 
@@ -165,9 +193,40 @@ def test_parse_matches_reference(name):
     assert_parity(INPUTS[name])
 
 
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_parse_matches_reference_at_every_cut(name):
+    assert_parity(INPUTS[name], range(1, 81))
+
+
+@pytest.mark.parametrize("piece", [1, 17, 32, 33, 48, 80, 1 << 20])
+def test_pieces_tile_the_rows_cut_after_newlines(monkeypatch, piece):
+    text = INPUTS["rows longer than a piece"] + "\n\n" + LONG.replace("k", "p")
+    pieces = []
+
+    def record(buf):
+        pieces.append(buf.tobytes().decode("ascii"))
+        return real(buf)
+
+    real = dataio._piece_rows
+    monkeypatch.setattr(dataio, "_PIECE", piece)
+    monkeypatch.setattr(dataio, "_piece_rows", record)
+    data = _parse_bytes(text)
+    assert data is not None
+    assert (data.cells.tolist(), data.respondent_ids) == reference_parse(text)
+    assert "".join(p[1:] for p in pieces) == text[len(H):]
+    for p in pieces:
+        assert p[0] == p[-1] == "\n"
+        assert len(p) <= piece or p.count("\n") == 2
+    if piece < 33:  # two rows of 16 bytes or more and their newlines take 33
+        assert len([p for p in pieces if p.strip()]) == len(data)
+    assert (len(pieces) > 1) == (piece < len(text))
+
+
 def test_byte_path_takes_every_clean_file():
-    # Ids equal but for the byte at one offset, at every offset up to 64.
+    # Ids equal but for the byte at one offset, at every offset up to 64, or
+    # but for trailing nul bytes.
     near = ["k" * 64] + ["k" * at + "j" + "k" * (63 - at) for at in range(64)]
+    near += ["kk" + "\x00" * nuls for nuls in range(10)]
     text = H + BODY + "\n" + "".join(rid + ",S2,c,+1,a,-1\n" for rid in near)
     data = _parse_bytes(text)
     assert data is not None
@@ -232,6 +291,16 @@ def test_format_matches_reference_join(variant, rows):
     expected = reference_format(cells.tolist(), [f"r%0{width}d" % k for k in range(rows)])
     assert format_dataset(data) == expected
     assert outcome(parse_dataset, expected) == (cells.tolist(), data.respondent_ids)
+
+
+@pytest.mark.parametrize("piece", [1, 20, 48, 100, 1000])
+@pytest.mark.parametrize("rows", [1, 9, 10, 11, 99, 100, 101, 1001])
+def test_format_in_blocks_matches_reference_join(monkeypatch, piece, rows):
+    monkeypatch.setattr(dataio, "_PIECE", piece)
+    cells = np.random.default_rng(rows).choice(sorted(CONSISTENT_CELLS), size=rows)
+    width = len(str(rows))
+    expected = reference_format(cells.tolist(), [f"r%0{width}d" % k for k in range(rows)])
+    assert format_dataset(ResponseDataset.from_cells(cells)) == expected
 
 
 def test_explicit_ids_round_trip():
