@@ -18,8 +18,8 @@ exact header line, ends in a newline, has no line break but ``\n`` and no
 id longer than ``_LONGEST_BYTE_ID`` bytes.  Per piece, that path confirms
 every row's 13-byte tail and that ids are non-empty and hold no comma; at
 the end, that no two ids share a 64-bit key, as equal ids always do.  It
-holds the text plus 9 bytes per row (a cell and an id key); the dataset
-keeps 1 byte per row and decodes ids from the text only when first needed.
+holds the text plus 9 bytes per line (a cell and an id key); the dataset
+keeps the text, to decode ids from when first needed, and 1 byte per line.
 Any other text (CRLF rows, upper-case tokens, non-ASCII ids, a bad row),
 and any text that fails a check in any piece, goes whole to the per-line
 loop.  That loop accepts exactly the same files and is the only code that
@@ -143,8 +143,8 @@ def _parse_bytes(text: str) -> ResponseDataset | None:
         end = n + len(rows[0])
         cells[n:end], keys[n:end] = rows
         n, at = end, cut
-    keys[:n].sort()
-    if (keys[1:n] == keys[:n - 1]).any():
+    (keys := keys[:n]).sort()
+    if (keys[1:] == keys[:-1]).any():
         return None
     return ResponseDataset.from_cells(
         cells[:n], lambda: [line[:-_TAIL] for line in text.splitlines()[1:] if line])

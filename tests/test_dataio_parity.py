@@ -4,8 +4,9 @@
 parsing went through numpy, and ``reference_format`` the ``"r%0wd"`` string
 join.  ``parse_dataset`` must give the same cells and ids, or raise the same
 exception class with the same line and message, on every input below.  The
-byte paths work in pieces cut at newlines; ``assert_parity`` checks at the
-default piece size and at a few dozen bytes, so most inputs span many pieces.
+byte paths work in pieces cut at newlines, so each fixed input is checked at
+the default piece size and at every size from 1 to 80 bytes, and the
+``hypothesis`` inputs at the default size and at a few dozen bytes.
 """
 
 import string
@@ -101,8 +102,8 @@ def outcome(parse, text):
     return result
 
 
-# Piece sizes in bytes: the default, and sizes that cut rows of 16 bytes or
-# more into pieces of one to three rows.
+# Piece sizes in bytes for the hypothesis inputs: the default, and sizes that
+# cut rows of 16 bytes or more into pieces of one to three rows.
 PIECES = (dataio._PIECE, 20, 48)
 
 
@@ -138,6 +139,7 @@ INPUTS = {
     "empty text": "",
     "blank lines": H + "\n" + ROWS[0] + "\n\n\n" + ROWS[1] + "\n",
     "trailing blank lines": H + BODY + "\n\n",
+    "only blank lines": H + "\n" * 5,
     "whitespace line": H + ROWS[0] + "\n   \n",
     "upper-case question tokens": H + "r0,BA,B,-1,A,+1\n",
     "upper-case branch": H + "r0,ba,b,+1,a,+1\n",
@@ -190,12 +192,7 @@ INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_parse_matches_reference(name):
-    assert_parity(INPUTS[name])
-
-
-@pytest.mark.parametrize("name", sorted(INPUTS))
-def test_parse_matches_reference_at_every_cut(name):
-    assert_parity(INPUTS[name], range(1, 81))
+    assert_parity(INPUTS[name], (dataio._PIECE, *range(1, 81)))
 
 
 @pytest.mark.parametrize("piece", [1, 17, 32, 33, 48, 80, 1 << 20])
