@@ -5,132 +5,51 @@ The library covers the full pipeline: finite probability machinery for
 three +/-1 variables, the classical-bound checks, a minimal collapse model
 of contextual agents, the two-question survey designs with their frequency
 estimators, a significance layer, and violation-maximizing searches.
+
+Public names load lazily (PEP 562): ``import belltest`` imports no submodule
+and no numpy, and a name's module is imported the first time it is used.
 """
 
-from .errors import (
-    BellTestError,
-    DegenerateAlternatives,
-    DegenerateVariance,
-    DuplicateRespondent,
-    EmptyConditioningBranch,
-    FormatError,
-    ZeroConditioningEvent,
-)
-from .inequalities import (
-    CondTriple,
-    InequalityKind,
-    InequalityReport,
-    InterferenceRegime,
-    InterferenceResult,
-    bell_covariance_check,
-    interference_coefficient,
-    wigner_conditional_check,
-    wigner_joint_check,
-)
-from .probability import (
-    ATOMS,
-    JointDistribution3,
-    Outcome,
-    VariableIndex,
-    conditional,
-    covariance,
-    joint_plus_pair,
-    marginal_plus,
-    random_joint,
-    symmetrize,
-)
-from .protocol import (
-    Branch,
-    ClassicalHiddenVariable,
-    DesignVariant,
-    FrequencyTable,
-    PopulationModel,
-    ProtocolDesign,
-    QuantumUnpolarized,
-    ResponseDataset,
-    ResponseRecord,
-    SymmetryReport,
-    check_perfect_correlation,
-    check_symmetry,
-    estimate_frequencies,
-    run_protocol,
-    sample_entangled_pairs,
-)
-from .qubit import (
-    UNPOLARIZED,
-    BlochAngle,
-    QuestionTriple,
-    RealQubitState,
-    predicted_conditional_triple,
-    sample_sequential,
-    sequential_joint_probability,
-    transition_probability,
-)
-from .search import (
-    FloorCertificate,
-    SearchResult,
-    classical_margin_floor,
-    maximize_quantum_violation,
-)
-from .stats import TestResult, violation_test, wilson_interval
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOMS",
-    "BellTestError",
-    "BlochAngle",
-    "Branch",
-    "ClassicalHiddenVariable",
-    "CondTriple",
-    "DegenerateAlternatives",
-    "DegenerateVariance",
-    "DesignVariant",
-    "DuplicateRespondent",
-    "EmptyConditioningBranch",
-    "FloorCertificate",
-    "FormatError",
-    "FrequencyTable",
-    "InequalityKind",
-    "InequalityReport",
-    "InterferenceRegime",
-    "InterferenceResult",
-    "JointDistribution3",
-    "Outcome",
-    "PopulationModel",
-    "ProtocolDesign",
-    "QuantumUnpolarized",
-    "QuestionTriple",
-    "RealQubitState",
-    "ResponseDataset",
-    "ResponseRecord",
-    "SearchResult",
-    "SymmetryReport",
-    "TestResult",
-    "UNPOLARIZED",
-    "VariableIndex",
-    "ZeroConditioningEvent",
-    "bell_covariance_check",
-    "check_perfect_correlation",
-    "check_symmetry",
-    "classical_margin_floor",
-    "conditional",
-    "covariance",
-    "estimate_frequencies",
-    "interference_coefficient",
-    "joint_plus_pair",
-    "marginal_plus",
-    "maximize_quantum_violation",
-    "predicted_conditional_triple",
-    "random_joint",
-    "run_protocol",
-    "sample_entangled_pairs",
-    "sample_sequential",
-    "sequential_joint_probability",
-    "symmetrize",
-    "transition_probability",
-    "violation_test",
-    "wigner_conditional_check",
-    "wigner_joint_check",
-    "wilson_interval",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": "BellTestError DegenerateAlternatives DegenerateVariance"
+                  " DuplicateRespondent EmptyConditioningBranch FormatError"
+                  " ZeroConditioningEvent",
+        "inequalities": "CondTriple InequalityKind InequalityReport InterferenceRegime"
+                        " InterferenceResult bell_covariance_check interference_coefficient"
+                        " wigner_conditional_check wigner_joint_check",
+        "probability": "ATOMS JointDistribution3 Outcome VariableIndex conditional covariance"
+                       " joint_plus_pair marginal_plus random_joint symmetrize",
+        "protocol": "Branch ClassicalHiddenVariable DesignVariant FrequencyTable"
+                    " PopulationModel ProtocolDesign QuantumUnpolarized ResponseDataset"
+                    " ResponseRecord SymmetryReport check_perfect_correlation check_symmetry"
+                    " estimate_frequencies run_protocol sample_entangled_pairs",
+        "qubit": "UNPOLARIZED BlochAngle QuestionTriple RealQubitState"
+                 " predicted_conditional_triple sample_sequential"
+                 " sequential_joint_probability transition_probability",
+        "search": "FloorCertificate SearchResult classical_margin_floor"
+                  " maximize_quantum_violation",
+        "stats": "TestResult violation_test wilson_interval",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,8 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# belltest makes no BLAS calls, so numpy's OpenBLAS need not start a thread
+# pool as it loads (about 60 ms of each run).  A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -45,7 +50,6 @@ from .protocol import (
     validate_tolerance,
 )
 from .qubit import QuestionTriple
-from .search import classical_margin_floor, maximize_quantum_violation
 from .stats import validate_alpha, violation_test
 
 EXIT_OK = 0
@@ -174,6 +178,8 @@ def _infer_design(counts: np.ndarray) -> str:
 
 
 def _cmd_search(args) -> int:
+    from .search import classical_margin_floor, maximize_quantum_violation
+
     if args.floor_samples < 0:
         raise ValueError(f"--floor-samples must be >= 0, got {args.floor_samples}")
     result = maximize_quantum_violation(grid_steps=args.grid, refine_tol=args.refine_tol)

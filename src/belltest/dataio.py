@@ -16,14 +16,15 @@ array a block at a time; explicit ids are joined as strings.
 ``parse_dataset`` takes the byte path for ASCII text that starts with the
 exact header line, ends in a newline, has no line break but ``\n`` and no
 id longer than ``_LONGEST_BYTE_ID`` bytes.  Per piece, that path confirms
-every row's 13-byte tail and that ids are non-empty and hold no comma; at
-the end, that no two ids share a 64-bit key, as equal ids always do.  It
-holds the text plus 9 bytes per line (a cell and an id key); the dataset
-keeps the text, to decode ids from when first needed, and 1 byte per line.
-Any other text (CRLF rows, upper-case tokens, non-ASCII ids, a bad row),
-and any text that fails a check in any piece, goes whole to the per-line
-loop.  That loop accepts exactly the same files and is the only code that
-raises, so each error keeps its exception, line and message.
+every row's 13-byte tail, with question tokens in either case, and that
+ids are non-empty and hold no comma; at the end, that no two ids share a
+64-bit key, as equal ids always do.  It holds the text plus 9 bytes per
+line (a cell and an id key); the dataset keeps the text, to decode ids
+from when first needed, and 1 byte per line.  Any other text (CRLF rows,
+non-ASCII ids, a bad row), and any text that fails a check in any piece,
+goes whole to the per-line loop.  That loop accepts exactly the same files
+and is the only code that raises, so each error keeps its exception, line
+and message.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ _WORD_FOLDS = np.cumprod(np.full(_LONGEST_BYTE_ID // 8, _FOLD))  # _FOLD ** (k +
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 # _BYTE_MASKS[k] keeps the first k bytes of a little-endian word.
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+# Byte 4 of both tail words is a question token.  ORing 0x20 into it maps
+# "A"/"B"/"C" to "a"/"b"/"c", as the per-line loop reads them, and no other
+# ASCII byte to a question token.
+_LOWER_Q = np.uint64(0x20 << 32)
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -164,7 +169,7 @@ def _piece_rows(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     words = _words(buf)
     keys = _id_keys(words, starts, id_lengths)
-    lo, hi = _tail_words(words, ends)
+    lo, hi = (word | _LOWER_Q for word in _tail_words(words, ends))
     slot = np.searchsorted(_SORTED_KEYS, lo * _FOLD + hi)
     cells = _KEY_CELLS[slot.clip(max=len(_SORTED_KEYS) - 1)]
     if not (np.array_equal(lo, _CELL_LO[cells]) and np.array_equal(hi, _CELL_HI[cells])):

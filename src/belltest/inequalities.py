@@ -153,10 +153,13 @@ def interference_coefficient(
 
     |coefficient| <= 1 can be realized as cos(theta) (trigonometric regime);
     larger magnitudes fall outside that parameterization (hyperbolic).
+    Each probability must lie in [0, 1] (ValueError, which NaN fails too);
+    p1 or p2 exactly 0 raises DegenerateAlternatives.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0, 1], got {p!r}")
-    if p1 <= 0.0 or p2 <= 0.0:
+    for label, value in (("p", p), ("p1", p1), ("p2", p2)):
+        if not (0.0 <= value <= 1.0):
+            raise ValueError(f"{label} must be in [0, 1], got {value!r}")
+    if p1 == 0.0 or p2 == 0.0:
         raise DegenerateAlternatives(
             f"alternative probabilities must be positive, got p1={p1!r}, p2={p2!r}"
         )

@@ -224,6 +224,14 @@ class TestCli:
     def test_interference_degenerate_exit_3(self):
         assert main(["interference", "--p", "0.5", "--p1", "0", "--p2", "0.5"]) == 3
 
+    @pytest.mark.parametrize("p1, p2", [("nan", "0.3"), ("inf", "0.3"), ("1.5", "0.3"),
+                                        ("0.3", "-0.2"), ("0.3", "-inf")])
+    def test_interference_alternative_outside_unit_interval_exit_2(self, capsys, p1, p2):
+        assert main(["interference", "--p", "0.5", f"--p1={p1}", f"--p2={p2}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("interference: p") and "must be in [0, 1]" in err
+
     @pytest.mark.parametrize("seed", [str(2**64), "-1"])
     def test_seed_outside_64_bits_exit_2(self, tmp_path, capsys, seed):
         out = tmp_path / "data.csv"

@@ -1,9 +1,10 @@
 """Traced allocation of the CSV byte paths on the 3 x 200 000-agent witness survey.
 
 Parsing works through the text in pieces and keeps a cell byte and an 8-byte
-id key per row, so its peak stays below the length of the text.  Formatting
-holds the uint8 rows and the output string, plus one block of row numbers
-and tails, so its peak stays just above twice the length of the output.
+id key per row, so its peak stays below the length of the text, with question
+tokens in either case.  Formatting holds the uint8 rows and the output string,
+plus one block of row numbers and tails, so its peak stays just above twice
+the length of the output.
 """
 
 import math
@@ -19,7 +20,7 @@ from belltest import (
     QuestionTriple,
     run_protocol,
 )
-from belltest.dataio import format_dataset, parse_dataset
+from belltest.dataio import CSV_HEADER, format_dataset, parse_dataset
 
 WITNESS = QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3)
 
@@ -44,6 +45,15 @@ def test_parse_peak_is_below_the_text_length(survey):
     data, text = survey
     parsed, peak = traced_peak(parse_dataset, text)
     assert np.array_equal(parsed.counts, data.counts)
+    assert peak <= 1.0 * len(text)
+
+
+def test_parse_peak_with_upper_case_tokens_is_below_the_text_length(survey):
+    data, text = survey
+    text = CSV_HEADER + text[len(CSV_HEADER):].upper()  # ids and question tokens
+    parsed, peak = traced_peak(parse_dataset, text)
+    assert np.array_equal(parsed.counts, data.counts)
+    assert parsed.respondent_ids[-1] == data.respondent_ids[-1].upper()
     assert peak <= 1.0 * len(text)
 
 

@@ -225,6 +225,12 @@ def test_byte_path_takes_every_clean_file():
     near = ["k" * 64] + ["k" * at + "j" + "k" * (63 - at) for at in range(64)]
     near += ["kk" + "\x00" * nuls for nuls in range(10)]
     text = H + BODY + "\n" + "".join(rid + ",S2,c,+1,a,-1\n" for rid in near)
+    # Each consistent row under new ids, with its first, its second or both
+    # question tokens in upper case.
+    text += "".join(f"{case}{cell}{tail}" for cell in sorted(CONSISTENT_CELLS)
+                    for case, tail in (("f", TAILS[cell][:5].upper() + TAILS[cell][5:]),
+                                       ("s", TAILS[cell][:5] + TAILS[cell][5:].upper()),
+                                       ("u", TAILS[cell].upper())))
     data = _parse_bytes(text)
     assert data is not None
     assert (data.cells.tolist(), data.respondent_ids) == reference_parse(text)

@@ -1,8 +1,14 @@
-"""Which SciPy modules each entry point loads, checked in a fresh interpreter.
+"""What each entry point loads and sets, checked in a fresh interpreter.
 
 No command needs SciPy: `stats` computes the normal tail and quantile itself.
+`import belltest` loads no submodule and no numpy, since the package resolves
+its public names on first use, and leaves the environment alone.  Importing
+`belltest.cli` defaults `OPENBLAS_NUM_THREADS` to 1 before numpy loads, so the
+CLI runs without the OpenBLAS thread pool, and keeps a value already set.
+Only the `search` command loads `belltest.search`.
 """
 
+import importlib
 import json
 import math
 import os
@@ -12,22 +18,43 @@ from pathlib import Path
 
 import pytest
 
+import belltest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 WITNESS_ARGS = f"0,{2 * math.pi / 3},{math.pi / 3}"
+LOADED = "sorted(sys.modules)"
+
+PUBLIC_NAMES = [
+    "ATOMS", "BellTestError", "BlochAngle", "Branch", "ClassicalHiddenVariable",
+    "CondTriple", "DegenerateAlternatives", "DegenerateVariance", "DesignVariant",
+    "DuplicateRespondent", "EmptyConditioningBranch", "FloorCertificate", "FormatError",
+    "FrequencyTable", "InequalityKind", "InequalityReport", "InterferenceRegime",
+    "InterferenceResult", "JointDistribution3", "Outcome", "PopulationModel",
+    "ProtocolDesign", "QuantumUnpolarized", "QuestionTriple", "RealQubitState",
+    "ResponseDataset", "ResponseRecord", "SearchResult", "SymmetryReport", "TestResult",
+    "UNPOLARIZED", "VariableIndex", "ZeroConditioningEvent", "bell_covariance_check",
+    "check_perfect_correlation", "check_symmetry", "classical_margin_floor", "conditional",
+    "covariance", "estimate_frequencies", "interference_coefficient", "joint_plus_pair",
+    "marginal_plus", "maximize_quantum_violation", "predicted_conditional_triple",
+    "random_joint", "run_protocol", "sample_entangled_pairs", "sample_sequential",
+    "sequential_joint_probability", "symmetrize", "transition_probability",
+    "violation_test", "wigner_conditional_check", "wigner_joint_check", "wilson_interval",
+]
 
 
-def scipy_modules_after(code: str) -> set[str]:
-    """Run `code` in a new interpreter and return the scipy modules it loaded."""
-    script = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps([m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.')]))\n"
-    )
+def run_fresh(code: str, report: str = LOADED, openblas_threads: str | None = None):
+    """Run `code` in a new interpreter whose `OPENBLAS_NUM_THREADS` is
+    `openblas_threads` (None: unset), and return the JSON value of the
+    expression `report` evaluated there afterwards."""
+    script = code + f"\nimport json, os, sys\nprint(json.dumps({report}))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def simulate_code(out: Path) -> str:
@@ -36,9 +63,8 @@ def simulate_code(out: Path) -> str:
             f" '--n', '10', '--seed', '1', '--out', {str(out)!r}]) == 0\n")
 
 
-@pytest.mark.parametrize("entry", ["import", "simulate", "search", "test"])
-def test_entry_points_load_no_scipy(tmp_path, entry):
-    code = {
+def command_code(tmp_path: Path, entry: str) -> str:
+    return {
         "import": "import belltest.cli\n",
         "simulate": simulate_code(tmp_path / "data.csv"),
         "search": ("from belltest.cli import main\n"
@@ -48,5 +74,49 @@ def test_entry_points_load_no_scipy(tmp_path, entry):
             f"assert main(['test', {str(tmp_path / 'data.csv')!r},"
             f" '--report', {str(tmp_path / 'r.json')!r}]) == 0\n"),
     }[entry]
-    assert scipy_modules_after(code) == set()
 
+
+@pytest.mark.parametrize("entry", ["import", "simulate", "search", "test"])
+def test_entry_points_load_no_scipy(tmp_path, entry):
+    loaded = run_fresh(command_code(tmp_path, entry))
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+@pytest.mark.parametrize("entry", ["simulate", "test"])
+def test_data_commands_do_not_load_search(tmp_path, entry):
+    loaded = run_fresh(command_code(tmp_path, entry))
+    assert "belltest.dataio" in loaded
+    assert "belltest.search" not in loaded
+
+
+def test_package_import_loads_no_submodule_or_numpy():
+    code = "import os\nbefore = dict(os.environ)\nimport belltest\n"
+    loaded, environ_kept = run_fresh(code, f"[{LOADED}, dict(os.environ) == before]")
+    assert "belltest" in loaded
+    assert [m for m in loaded if m.startswith("belltest.") or m == "numpy"] == []
+    assert environ_kept
+
+
+def test_cli_defaults_openblas_to_one_thread():
+    threads = "len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1"
+    setting, tasks = run_fresh("import belltest.cli\n",
+                               f"[os.environ.get('OPENBLAS_NUM_THREADS'), {threads}]")
+    assert setting == "1"
+    assert tasks == 1
+
+
+def test_cli_keeps_a_preset_openblas_thread_count():
+    setting = run_fresh("import belltest.cli\n", "os.environ['OPENBLAS_NUM_THREADS']",
+                        openblas_threads="3")
+    assert setting == "3"
+
+
+def test_lazy_exports_match_their_modules():
+    assert belltest.__all__ == PUBLIC_NAMES
+    assert belltest.__version__ == "0.1.0"
+    assert set(PUBLIC_NAMES) <= set(dir(belltest))
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"belltest.{belltest._EXPORTS[name]}")
+        assert getattr(belltest, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        belltest.not_a_name

@@ -138,6 +138,19 @@ class TestInterferenceCoefficient:
         with pytest.raises(DegenerateAlternatives):
             interference_coefficient(0.5, 0.0, 0.5)
 
+    @pytest.mark.parametrize("p1, p2", [
+        (math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3), (0.3, -math.inf),
+        (1.5, 0.3), (0.3, 1.0 + 1e-12), (-0.1, 0.3), (0.3, -1e-300),
+    ])
+    def test_rejects_alternatives_outside_unit_interval(self, p1, p2):
+        with pytest.raises(ValueError, match=r"p[12] must be in \[0, 1\]"):
+            interference_coefficient(0.5, p1, p2)
+
+    def test_accepts_alternatives_at_one(self):
+        result = interference_coefficient(1.0, 1.0, 1.0)
+        assert result.coefficient == pytest.approx(-0.5, abs=1e-15)
+        assert result.regime is InterferenceRegime.TRIGONOMETRIC
+
     def test_inverts_interference_rule(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
