@@ -182,6 +182,8 @@ def _cmd_search(args) -> int:
 
     if args.floor_samples < 0:
         raise ValueError(f"--floor-samples must be >= 0, got {args.floor_samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     result = maximize_quantum_violation(grid_steps=args.grid, refine_tol=args.refine_tol)
     payload = {
         "best_angles": {

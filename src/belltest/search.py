@@ -33,7 +33,7 @@ from .qubit import QuestionTriple, predicted_conditional_triple
 logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
-_BLOCK_CELLS = 1 << 20  # grid cells evaluated at once, so memory stays bounded
+_BLOCK_CELLS = 1 << 16  # grid cells or floor weights per block, so memory stays bounded
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,14 @@ def maximize_quantum_violation(
     """
     if grid_steps < 8:
         raise ValueError("grid_steps must be at least 8")
-    if not refine_tol > 0.0:
-        raise ValueError("refine_tol must be positive")
+    if not 0.0 < refine_tol < np.inf:
+        raise ValueError(f"refine_tol must be positive and finite, got {refine_tol!r}")
 
     gaps = np.arange(grid_steps) * (TWO_PI / grid_steps)
     rows = max(1, _BLOCK_CELLS // grid_steps)
     best_margin, flat = np.inf, 0
     for start in range(0, grid_steps, rows):
-        beta, gamma = np.meshgrid(gaps[start:start + rows], gaps, indexing="ij")
-        margins = _margin_grid(beta, gamma)
+        margins = _margin_grid(gaps[start:start + rows, None], gaps)
         k = int(np.argmin(margins))  # row-major: first hit is lexicographic min
         if margins.flat[k] < best_margin:  # strict: earlier blocks win ties
             best_margin, flat = float(margins.flat[k]), start * grid_steps + k
@@ -150,8 +149,9 @@ def classical_margin_floor(
         except ZeroConditioningEvent:
             skipped += 1
 
-    if samples > 0:
-        weights = rng.dirichlet(np.ones(8), size=samples)
+    rows = _BLOCK_CELLS // 8  # alpha = 1 draws row by row: blocks keep rows and rng state
+    for start in range(0, samples, rows):
+        weights = rng.dirichlet(np.ones(8), size=min(rows, samples - start))
         weights = 0.5 * (weights + weights[:, ::-1])  # global sign flip = reverse
         # Marginals are exactly 1/2 after symmetrization, so the conditionals
         # reduce to doubled pair probabilities.
@@ -159,7 +159,7 @@ def classical_margin_floor(
         p2 = 2.0 * weights[:, [2, 6]].sum(axis=1)  # P(c+, b-) / (1/2)
         p3 = 2.0 * weights[:, [0, 2]].sum(axis=1)  # P(a+, c+) / (1/2)
         margins.append(float(np.min(p1 + p2 - p3)))
-        evaluated += samples
+    evaluated += samples
 
     if skipped:
         logger.warning("skipped %d laws with zero conditioning probability", skipped)

@@ -15,6 +15,7 @@ from belltest import (
     run_protocol,
     violation_test,
 )
+from belltest import search
 from belltest.cli import main
 from belltest.dataio import (
     CSV_HEADER,
@@ -326,6 +327,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("search: --floor-samples must be >= 0")
+
+    def test_negative_seed_exit_2_before_search(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran before --seed was checked")
+
+        monkeypatch.setattr(search, "maximize_quantum_violation", no_search)
+        assert main(["search", "--floor-samples", "10", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "search: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_refine_tol_not_finite_exit_2(self, capsys, tol):
+        assert main(["search", "--grid", "36", f"--refine-tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("search: refine_tol must be positive and finite")
 
     def test_zero_floor_samples_means_no_floor(self, capsys):
         assert main(["search", "--grid", "36", "--refine-tol", "1e-3",

@@ -1,7 +1,8 @@
-"""Golden SHA-256 digests of `simulate` CSVs and `test` reports.
+"""Golden SHA-256 digests of `simulate` CSVs, `test` reports and `search` output.
 
-The digests were recorded before the dataset became columnar; any change to
-the CSV or report bytes for a fixed seed shows up here.
+The CSV and report digests were recorded before the dataset became columnar,
+and the `search` digest before the floor and the grid were evaluated in
+blocks; any change to these bytes for a fixed seed shows up here.
 """
 
 import hashlib
@@ -54,3 +55,13 @@ def test_simulate_and_test_bytes_match_golden(tmp_path, model, seed):
     assert main(["test", str(csv), "--seed", str(seed), "--report", str(report)]) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv, report))
     assert digests == GOLDEN[model, seed]
+
+
+SEARCH_ARGS = ["search", "--grid", "360", "--refine-tol", "1e-9",
+               "--floor-samples", "100000", "--seed", "7"]
+SEARCH_GOLDEN = "3083153c3b2d44b850680ac56e60a1b8dd1a709d0aa398057bcdf1da36d3a890"
+
+
+def test_search_stdout_matches_golden(capsys):
+    assert main(SEARCH_ARGS) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SEARCH_GOLDEN

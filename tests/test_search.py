@@ -52,8 +52,9 @@ class TestMaximizeQuantumViolation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             maximize_quantum_violation(grid_steps=4)
-        with pytest.raises(ValueError):
-            maximize_quantum_violation(refine_tol=0.0)
+        for refine_tol in (0.0, -1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
+                maximize_quantum_violation(grid_steps=8, refine_tol=refine_tol)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(0)
@@ -105,6 +106,41 @@ class TestBlockedGrid:
         expected = whole_grid_reference(36, 1e-6)
         monkeypatch.setattr(search, "_BLOCK_CELLS", block_cells)
         assert maximize_quantum_violation(36, 1e-6) == expected
+
+
+def sampled_floor_reference(samples, rng):
+    """The sampled part of the floor with all samples x 8 weights drawn at once."""
+    weights = rng.dirichlet(np.ones(8), size=samples)
+    weights = 0.5 * (weights + weights[:, ::-1])
+    p1 = 2.0 * weights[:, [0, 1]].sum(axis=1)
+    p2 = 2.0 * weights[:, [2, 6]].sum(axis=1)
+    p3 = 2.0 * weights[:, [0, 2]].sum(axis=1)
+    return float(np.min(p1 + p2 - p3))
+
+
+class TestBlockedFloor:
+    # Without the vertices, whose margin of exactly 0 is the minimum of nearly
+    # every run, min_margin is the minimum over the sampled laws alone.
+    @pytest.fixture(autouse=True)
+    def samples_only(self, monkeypatch):
+        monkeypatch.setattr(search, "ATOMS", ())
+
+    def assert_matches_whole_array(self, samples, seed=11):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        cert = classical_margin_floor(samples, rng)
+        assert cert.min_margin == sampled_floor_reference(samples, reference_rng)
+        assert cert.samples_evaluated == samples
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+    def test_matches_whole_array_around_block_edges(self, blocks, extra):
+        self.assert_matches_whole_array(blocks * (_BLOCK_CELLS // 8) + extra)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("samples", [1, 6, 7, 8, 26])
+    def test_block_size_does_not_change_result(self, monkeypatch, rows, samples):
+        monkeypatch.setattr(search, "_BLOCK_CELLS", 8 * rows)
+        self.assert_matches_whole_array(samples, seed=samples)
 
 
 class TestClassicalMarginFloor:
