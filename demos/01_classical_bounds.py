@@ -7,20 +7,33 @@ fuzzes the whole simplex to show the margins stay non-negative.
 import numpy as np
 
 from belltest import (
+    CondTriple,
     JointDistribution3,
+    Outcome,
+    VariableIndex,
     bell_covariance_check,
+    conditional,
     random_joint,
     symmetrize,
     wigner_conditional_check,
     wigner_joint_check,
 )
-from belltest.search import _conditional_triple
+
+A_PLUS, B_PLUS = (VariableIndex.A, Outcome.PLUS), (VariableIndex.B, Outcome.PLUS)
+C_PLUS, B_MINUS = (VariableIndex.C, Outcome.PLUS), (VariableIndex.B, Outcome.MINUS)
+
+
+def conditional_triple(joint):
+    """The three conditionals of the conditional form, read off the law."""
+    return CondTriple(conditional(joint, A_PLUS, B_PLUS),
+                      conditional(joint, C_PLUS, B_MINUS),
+                      conditional(joint, A_PLUS, C_PLUS))
 
 
 def show(name, joint):
     bell = bell_covariance_check(joint)
     joint_form = wigner_joint_check(joint)
-    cond = wigner_conditional_check(_conditional_triple(symmetrize(joint)))
+    cond = wigner_conditional_check(conditional_triple(symmetrize(joint)))
     print(f"{name:32s} covariance {bell.margin:+.4f}   "
           f"joint {joint_form.margin:+.4f}   conditional(sym) {cond.margin:+.4f}")
 
@@ -36,7 +49,7 @@ worst = min(
     min(
         bell_covariance_check(j := random_joint(rng)).margin,
         wigner_joint_check(j).margin,
-        wigner_conditional_check(_conditional_triple(symmetrize(j))).margin,
+        wigner_conditional_check(conditional_triple(symmetrize(j))).margin,
     )
     for _ in range(n)
 )

@@ -252,15 +252,16 @@ def _nu_entry(counts: tuple[int, int], interval: tuple[float, float] | None) -> 
     return entry
 
 
-def build_report(
+def emit_report(
     test: TestResult | None,
     table: FrequencyTable,
     context: ReportContext,
     symmetry: SymmetryReport | None = None,
     degenerate_margin: float | None = None,
-) -> dict:
-    """Assemble the report object; pass test=None with degenerate_margin for
-    runs where the asymptotic test is undefined."""
+) -> str:
+    """The report as JSON, with a stable key order and trailing newline; pass
+    test=None with degenerate_margin for runs where the asymptotic test is
+    undefined."""
     intervals = test.term_intervals if test is not None else (None, None, None)
     if test is not None:
         verdict = VERDICT_QUANTUM if test.significant_violation else VERDICT_CLASSICAL
@@ -280,7 +281,7 @@ def build_report(
                 for e in symmetry.entries
             },
         }
-    return {
+    report = {
         "nu": {
             "a_given_b_plus": _nu_entry(table.nu_a_given_b_plus, intervals[0]),
             "c_given_b_minus": _nu_entry(table.nu_c_given_b_minus, intervals[1]),
@@ -296,15 +297,4 @@ def build_report(
         "seed": context.seed,
         "design": context.design,
     }
-
-
-def emit_report(
-    test: TestResult | None,
-    table: FrequencyTable,
-    context: ReportContext,
-    symmetry: SymmetryReport | None = None,
-    degenerate_margin: float | None = None,
-) -> str:
-    """Serialize the report with a stable key order and trailing newline."""
-    report = build_report(test, table, context, symmetry, degenerate_margin)
     return json.dumps(report, indent=2, sort_keys=False) + "\n"

@@ -82,25 +82,40 @@ class InterferenceResult:
     regime: InterferenceRegime
 
 
-def bell_covariance_check(
-    joint: JointDistribution3, tolerance: float = DEFAULT_TOLERANCE
+def validate_tolerance(tolerance: float) -> None:
+    """Raise ValueError unless ``tolerance`` is finite and non-negative."""
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+
+
+def _report(
+    kind: InequalityKind,
+    lhs_terms: tuple[float, ...],
+    rhs: float,
+    margin: float,
+    tolerance: float,
 ) -> InequalityReport:
-    """Covariance-form check; margin = (1 - <ac>) - |<ab> - <cb>|."""
-    if tolerance < 0.0:
-        raise ValueError("tolerance must be non-negative")
-    cov_ab = covariance(joint, VariableIndex.A, VariableIndex.B)
-    cov_cb = covariance(joint, VariableIndex.C, VariableIndex.B)
-    cov_ac = covariance(joint, VariableIndex.A, VariableIndex.C)
-    rhs = 1.0 - cov_ac
-    margin = rhs - abs(cov_ab - cov_cb)
+    validate_tolerance(tolerance)
     return InequalityReport(
-        kind=InequalityKind.BELL_COVARIANCE,
-        lhs_terms=(cov_ab, cov_cb),
+        kind=kind,
+        lhs_terms=lhs_terms,
         rhs=rhs,
         margin=margin,
         violated=margin < -tolerance,
         tolerance=tolerance,
     )
+
+
+def bell_covariance_check(
+    joint: JointDistribution3, tolerance: float = DEFAULT_TOLERANCE
+) -> InequalityReport:
+    """Covariance-form check; margin = (1 - <ac>) - |<ab> - <cb>|."""
+    cov_ab = covariance(joint, VariableIndex.A, VariableIndex.B)
+    cov_cb = covariance(joint, VariableIndex.C, VariableIndex.B)
+    cov_ac = covariance(joint, VariableIndex.A, VariableIndex.C)
+    rhs = 1.0 - cov_ac
+    margin = rhs - abs(cov_ab - cov_cb)
+    return _report(InequalityKind.BELL_COVARIANCE, (cov_ab, cov_cb), rhs, margin, tolerance)
 
 
 def wigner_joint_check(
@@ -120,14 +135,7 @@ def wigner_joint_check(
         joint, (VariableIndex.A, Outcome.PLUS), (VariableIndex.C, Outcome.PLUS)
     )
     margin = math.fsum((p_ab, p_bc, -p_ac))
-    return InequalityReport(
-        kind=InequalityKind.WIGNER_JOINT,
-        lhs_terms=(p_ab, p_bc),
-        rhs=p_ac,
-        margin=margin,
-        violated=margin < -tolerance,
-        tolerance=tolerance,
-    )
+    return _report(InequalityKind.WIGNER_JOINT, (p_ab, p_bc), p_ac, margin, tolerance)
 
 
 def wigner_conditional_check(
@@ -135,15 +143,7 @@ def wigner_conditional_check(
 ) -> InequalityReport:
     """Conditional-probability form; margin = p(a+|b+) + p(c+|b-) - p(a+|c+)."""
     p1, p2, p3 = triple.as_tuple()
-    margin = p1 + p2 - p3
-    return InequalityReport(
-        kind=InequalityKind.WIGNER_CONDITIONAL,
-        lhs_terms=(p1, p2),
-        rhs=p3,
-        margin=margin,
-        violated=margin < -tolerance,
-        tolerance=tolerance,
-    )
+    return _report(InequalityKind.WIGNER_CONDITIONAL, (p1, p2), p3, p1 + p2 - p3, tolerance)
 
 
 def interference_coefficient(
@@ -156,6 +156,7 @@ def interference_coefficient(
     Each probability must lie in [0, 1] (ValueError, which NaN fails too);
     p1 or p2 exactly 0 raises DegenerateAlternatives.
     """
+    validate_tolerance(tolerance)
     for label, value in (("p", p), ("p1", p1), ("p2", p2)):
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"{label} must be in [0, 1], got {value!r}")

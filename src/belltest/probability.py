@@ -29,14 +29,6 @@ class Outcome(IntEnum):
     MINUS = -1
 
     @classmethod
-    def from_sign(cls, value: int) -> "Outcome":
-        if value == 1:
-            return cls.PLUS
-        if value == -1:
-            return cls.MINUS
-        raise ValueError(f"outcome must be +1 or -1, got {value!r}")
-
-    @classmethod
     def from_token(cls, token: str) -> "Outcome":
         # Parse boundary: only the two explicit-sign spellings are accepted.
         if token == "+1":
@@ -76,6 +68,11 @@ ATOMS: tuple[tuple[int, int, int], ...] = tuple(
 SIGNS: tuple[tuple[int, ...], ...] = tuple(
     tuple(ATOMS[k][v] for k in range(8)) for v in range(3)
 )
+
+#: _EVENT_ATOMS[(v, s)] = the atoms in which variable v has sign s.
+_EVENT_ATOMS = {
+    (v, s): frozenset(k for k in range(8) if SIGNS[v][k] == s) for v in range(3) for s in (1, -1)
+}
 
 
 @dataclass(frozen=True)
@@ -139,10 +136,15 @@ def covariance(joint: JointDistribution3, i: VariableIndex, j: VariableIndex) ->
     return math.fsum(si[k] * sj[k] * w[k] for k in range(8))
 
 
+def _probability(joint: JointDistribution3, *events: tuple[VariableIndex, Outcome]) -> float:
+    """P(every event holds), exactly rounded."""
+    atoms = frozenset.intersection(*(_EVENT_ATOMS[e] for e in events))
+    return math.fsum(joint.weights[k] for k in atoms)
+
+
 def marginal_plus(joint: JointDistribution3, i: VariableIndex) -> float:
     """P(xi_i = +1)."""
-    si, w = SIGNS[i], joint.weights
-    return math.fsum(w[k] for k in range(8) if si[k] > 0)
+    return _probability(joint, (i, Outcome.PLUS))
 
 
 def joint_plus_pair(
@@ -151,9 +153,7 @@ def joint_plus_pair(
     second: tuple[VariableIndex, Outcome],
 ) -> float:
     """P(xi_i = s_i and xi_j = s_j) for two distinct variables."""
-    (i, oi), (j, oj) = first, second
-    si, sj, w = SIGNS[i], SIGNS[j], joint.weights
-    return math.fsum(w[k] for k in range(8) if si[k] == int(oi) and sj[k] == int(oj))
+    return _probability(joint, first, second)
 
 
 def conditional(
@@ -162,16 +162,13 @@ def conditional(
     given: tuple[VariableIndex, Outcome],
 ) -> float:
     """P(target | given); raises ZeroConditioningEvent when P(given) = 0."""
-    j, oj = given
-    p_given = math.fsum(
-        w for k, w in enumerate(joint.weights) if SIGNS[j][k] == int(oj)
-    )
+    p_given = _probability(joint, given)
     if p_given == 0.0:
+        j, oj = given
         raise ZeroConditioningEvent(
             f"P(xi_{j.token()} = {int(oj):+d}) = 0; conditional undefined"
         )
-    p_both = joint_plus_pair(joint, target, given)
-    return min(p_both / p_given, 1.0)
+    return min(_probability(joint, target, given) / p_given, 1.0)
 
 
 def random_joint(rng: np.random.Generator, concentration: float = 1.0) -> JointDistribution3:

@@ -30,8 +30,9 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import EmptyConditioningBranch
-from .probability import ATOMS, SIGNS, JointDistribution3, Outcome, VariableIndex
-from .qubit import TWO_PI, BlochAngle, QuestionTriple
+from .inequalities import validate_tolerance
+from .probability import ATOMS, JointDistribution3, Outcome, VariableIndex
+from .qubit import TWO_PI, QuestionTriple, born
 from .streams import counter_uniforms
 
 
@@ -225,6 +226,12 @@ class SymmetryReport:
 # --- simulation -------------------------------------------------------------
 
 
+def _draw_atoms(joint: JointDistribution3, u: np.ndarray) -> np.ndarray:
+    """The atom index that each uniform in ``u`` selects under ``joint``
+    (inverse CDF over the canonical atom order)."""
+    return np.searchsorted(np.cumsum(joint.as_array()), u, side="right").clip(max=7)
+
+
 def _simulate_chunk(
     pop: PopulationModel,
     branch: Branch,
@@ -238,9 +245,7 @@ def _simulate_chunk(
     first_q, after_yes, after_no = _BRANCH_QUESTIONS[branch]
 
     if isinstance(pop, ClassicalHiddenVariable):
-        cum = np.cumsum(pop.joint.as_array())
-        atom = np.searchsorted(cum, u_first, side="right").clip(max=7)
-        signs = np.asarray(ATOMS)[atom]  # (n, 3)
+        signs = np.asarray(ATOMS)[_draw_atoms(pop.joint, u_first)]  # (n, 3)
         first_plus = signs[:, first_q] > 0
         second_code = np.where(first_plus, after_yes, after_no)
         second_plus = np.take_along_axis(
@@ -251,14 +256,14 @@ def _simulate_chunk(
         angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
         if pop.draw_initial_angle:
             phi0 = TWO_PI * counter_uniforms(seed, stream, indices, _DRAW_ANGLE)
-            p_first = np.cos(0.5 * (phi0 - angles[first_q])) ** 2
+            p_first = born(phi0, angles[first_q])
         else:
             p_first = 0.5
         first_plus = u_first < p_first
         second_code = np.where(first_plus, after_yes, after_no)
         # State after the first answer: q1 for "yes", q1 + pi for "no".
         state = np.where(first_plus, angles[first_q], angles[first_q] + np.pi)
-        p_second = np.cos(0.5 * (state - angles[second_code])) ** 2
+        p_second = born(state, angles[second_code])
         u_second = counter_uniforms(seed, stream, indices, _DRAW_SECOND)
         second_plus = u_second < p_second
     fields = (code, first_q, ~first_plus, second_code, ~second_plus)
@@ -355,12 +360,6 @@ def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
     return FrequencyTable(*ratios, first_answer_counts=first_counts)
 
 
-def validate_tolerance(tolerance: float) -> None:
-    """Raise ValueError unless ``tolerance`` is a usable symmetry tolerance."""
-    if not 0.0 <= tolerance < float("inf"):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-
-
 def check_symmetry(data: ResponseDataset, tolerance: float) -> SymmetryReport:
     """Flag questions whose first-answer "yes" fraction strays from 1/2."""
     validate_tolerance(tolerance)
@@ -386,9 +385,7 @@ def sample_entangled_pairs(
 ) -> list[tuple[Triple, Triple]]:
     """Draw n sign triples and emit each one twice, mimicking perfectly
     correlated pair preparation."""
-    cum = np.cumsum(joint.as_array())
-    atoms = np.searchsorted(cum, rng.random(n), side="right").clip(max=7)
-    return [(ATOMS[k], ATOMS[k]) for k in atoms]
+    return [(ATOMS[k], ATOMS[k]) for k in _draw_atoms(joint, rng.random(n))]
 
 
 def check_perfect_correlation(pairs: Sequence[tuple[Triple, Triple]]) -> bool:

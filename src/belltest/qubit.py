@@ -67,23 +67,29 @@ class RealQubitState:
 UNPOLARIZED = RealQubitState(None)
 
 
+def born(x, y):
+    """Born rule on the real circle: cos^2((x - y) / 2), on radians or arrays."""
+    return np.cos(0.5 * (x - y)) ** 2
+
+
+def predicted_conditionals(a, b, c):
+    """p(a+|b+), p(c+|b-), p(a+|c+) for questions at angles a, b, c (or arrays).
+
+    After a "yes" to b the state sits at b, so p(a+|b+) = cos^2((a-b)/2);
+    after a "no" it sits at b + pi, so p(c+|b-) = sin^2((c-b)/2), kept in
+    that form because born(b + pi, c) would round b + pi.
+    """
+    return born(a, b), np.sin(0.5 * (c - b)) ** 2, born(a, c)
+
+
 def transition_probability(from_angle: BlochAngle, to_angle: BlochAngle) -> float:
-    """Born rule on the real circle: cos^2((from - to) / 2)."""
-    return math.cos(0.5 * (from_angle.phi - to_angle.phi)) ** 2
+    """Born rule between two directions; see ``born``."""
+    return float(born(from_angle.phi, to_angle.phi))
 
 
 def predicted_conditional_triple(q: QuestionTriple) -> CondTriple:
-    """Analytic conditional probabilities for the two-question protocol.
-
-    After a "yes" to b the state sits at b, so p(a+|b+) = cos^2((a-b)/2);
-    after a "no" to b it sits at b + pi, giving p(c+|b-) = sin^2((c-b)/2).
-    """
-    a, b, c = q.a.phi, q.b.phi, q.c.phi
-    return CondTriple(
-        p_a_given_b_plus=math.cos(0.5 * (a - b)) ** 2,
-        p_c_given_b_minus=math.sin(0.5 * (c - b)) ** 2,
-        p_a_given_c_plus=math.cos(0.5 * (a - c)) ** 2,
-    )
+    """Analytic conditional probabilities for the two-question protocol."""
+    return CondTriple(*map(float, predicted_conditionals(q.a.phi, q.b.phi, q.c.phi)))
 
 
 def sample_sequential(

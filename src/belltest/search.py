@@ -12,28 +12,17 @@ simplex vertices, never drops measurably below zero.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ZeroConditioningEvent
-from .inequalities import CondTriple, wigner_conditional_check
-from .probability import (
-    ATOMS,
-    JointDistribution3,
-    Outcome,
-    VariableIndex,
-    conditional,
-    symmetrize,
-)
-from .qubit import QuestionTriple, predicted_conditional_triple
+from .inequalities import wigner_conditional_check
+from .qubit import TWO_PI, QuestionTriple, predicted_conditional_triple, predicted_conditionals
 
-logger = logging.getLogger(__name__)
-
-TWO_PI = 2.0 * np.pi
 _BLOCK_CELLS = 1 << 16  # grid cells or floor weights per block, so memory stays bounded
+#: The 8 deterministic laws (simplex vertices), one per row, in atom order.
+_VERTICES = np.eye(8)
 
 
 @dataclass(frozen=True)
@@ -42,14 +31,6 @@ class SearchResult:
     best_margin: float
     evaluations: int
     refinement_tolerance: float
-
-
-def _margin_grid(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Conditional-form margin at angles (0, beta, gamma), vectorized."""
-    p1 = np.cos(0.5 * beta) ** 2          # p(a+ | b+)
-    p2 = np.sin(0.5 * (gamma - beta)) ** 2  # p(c+ | b-)
-    p3 = np.cos(0.5 * gamma) ** 2         # p(a+ | c+)
-    return p1 + p2 - p3
 
 
 def _margin_point(beta: float, gamma: float) -> float:
@@ -75,7 +56,8 @@ def maximize_quantum_violation(
     rows = max(1, _BLOCK_CELLS // grid_steps)
     best_margin, flat = np.inf, 0
     for start in range(0, grid_steps, rows):
-        margins = _margin_grid(gaps[start:start + rows, None], gaps)
+        p1, p2, p3 = predicted_conditionals(0.0, gaps[start:start + rows, None], gaps)
+        margins = p1 + p2 - p3
         k = int(np.argmin(margins))  # row-major: first hit is lexicographic min
         if margins.flat[k] < best_margin:  # strict: earlier blocks win ties
             best_margin, flat = float(margins.flat[k]), start * grid_steps + k
@@ -113,15 +95,16 @@ class FloorCertificate(NamedTuple):
     skipped: int
 
 
-def _conditional_triple(joint: JointDistribution3) -> CondTriple:
-    a_plus = (VariableIndex.A, Outcome.PLUS)
-    return CondTriple(
-        p_a_given_b_plus=conditional(joint, a_plus, (VariableIndex.B, Outcome.PLUS)),
-        p_c_given_b_minus=conditional(
-            joint, (VariableIndex.C, Outcome.PLUS), (VariableIndex.B, Outcome.MINUS)
-        ),
-        p_a_given_c_plus=conditional(joint, a_plus, (VariableIndex.C, Outcome.PLUS)),
-    )
+def _symmetrized_margins(weights: np.ndarray) -> np.ndarray:
+    """Conditional-form margin of the symmetrization of each law (row) in
+    ``weights``, whose columns are the 8 atoms in canonical order."""
+    weights = 0.5 * (weights + weights[:, ::-1])  # global sign flip = reverse
+    # Marginals are exactly 1/2 after symmetrization, so the conditionals
+    # reduce to doubled pair probabilities.
+    p1 = 2.0 * weights[:, [0, 1]].sum(axis=1)  # P(a+, b+) / (1/2)
+    p2 = 2.0 * weights[:, [2, 6]].sum(axis=1)  # P(c+, b-) / (1/2)
+    p3 = 2.0 * weights[:, [0, 2]].sum(axis=1)  # P(a+, c+) / (1/2)
+    return p1 + p2 - p3
 
 
 def classical_margin_floor(
@@ -129,40 +112,19 @@ def classical_margin_floor(
 ) -> FloorCertificate:
     """Minimum conditional-form margin over symmetrized classical laws.
 
-    Evaluates `samples` symmetrized Dirichlet draws plus the symmetrizations
-    of all 8 deterministic triples (the simplex vertices).  Laws with a
-    zero-probability conditioning event are skipped and counted.
+    Evaluates the symmetrizations of all 8 deterministic triples (the simplex
+    vertices) plus `samples` symmetrized Dirichlet draws.  A symmetrized law
+    gives every conditioning event probability 1/2, so none is skipped and
+    ``skipped`` is always 0.
     """
     if samples < 0:
         raise ValueError("samples must be non-negative")
     if samples > 0 and rng is None:
         raise ValueError("a random generator is required when samples > 0")
 
-    margins: list[float] = []
-    skipped = 0
-    evaluated = 0
-    for triple in ATOMS:
-        sym = symmetrize(JointDistribution3.point_mass(triple))
-        try:
-            margins.append(wigner_conditional_check(_conditional_triple(sym)).margin)
-            evaluated += 1
-        except ZeroConditioningEvent:
-            skipped += 1
-
+    min_margin = float(np.min(_symmetrized_margins(_VERTICES)))
     rows = _BLOCK_CELLS // 8  # alpha = 1 draws row by row: blocks keep rows and rng state
     for start in range(0, samples, rows):
         weights = rng.dirichlet(np.ones(8), size=min(rows, samples - start))
-        weights = 0.5 * (weights + weights[:, ::-1])  # global sign flip = reverse
-        # Marginals are exactly 1/2 after symmetrization, so the conditionals
-        # reduce to doubled pair probabilities.
-        p1 = 2.0 * weights[:, [0, 1]].sum(axis=1)  # P(a+, b+) / (1/2)
-        p2 = 2.0 * weights[:, [2, 6]].sum(axis=1)  # P(c+, b-) / (1/2)
-        p3 = 2.0 * weights[:, [0, 2]].sum(axis=1)  # P(a+, c+) / (1/2)
-        margins.append(float(np.min(p1 + p2 - p3)))
-    evaluated += samples
-
-    if skipped:
-        logger.warning("skipped %d laws with zero conditioning probability", skipped)
-    return FloorCertificate(
-        min_margin=min(margins), samples_evaluated=evaluated, skipped=skipped
-    )
+        min_margin = min(min_margin, float(np.min(_symmetrized_margins(weights))))
+    return FloorCertificate(min_margin=min_margin, samples_evaluated=samples + 8, skipped=0)

@@ -159,3 +159,18 @@ class TestInterferenceCoefficient:
             coef = interference_coefficient(p, p1, p2).coefficient
             recovered = p1 + p2 + 2.0 * coef * math.sqrt(p1 * p2)
             assert recovered == pytest.approx(p, abs=1e-14)
+
+
+@pytest.mark.parametrize("tolerance", [-0.6, math.nan, math.inf])
+@pytest.mark.parametrize("check", [
+    lambda tol: bell_covariance_check(UNIFORM, tolerance=tol),
+    lambda tol: wigner_joint_check(UNIFORM, tolerance=tol),
+    lambda tol: wigner_conditional_check(conditional_triple(UNIFORM), tolerance=tol),
+    lambda tol: interference_coefficient(0.5, 0.25, 0.25, tolerance=tol),
+], ids=["bell_covariance", "wigner_joint", "wigner_conditional", "interference"])
+def test_rejects_bad_tolerance(check, tolerance):
+    # A negative tolerance turned the uniform law's margin of +0.25 into a
+    # violation, and an interference coefficient of exactly 0 into the
+    # trigonometric regime.
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        check(tolerance)

@@ -4,18 +4,36 @@ import numpy as np
 import pytest
 
 from belltest import (
+    ATOMS,
+    CondTriple,
     JointDistribution3,
+    Outcome,
+    VariableIndex,
     classical_margin_floor,
+    conditional,
     maximize_quantum_violation,
     predicted_conditional_triple,
     symmetrize,
     wigner_conditional_check,
 )
 from belltest import search
-from belltest.qubit import QuestionTriple
-from belltest.search import _BLOCK_CELLS, SearchResult, _conditional_triple, _margin_grid
+from belltest.qubit import QuestionTriple, predicted_conditionals
+from belltest.search import _BLOCK_CELLS, SearchResult, _symmetrized_margins
 
 TWO_PI = 2 * math.pi
+
+
+def margin_grid(beta, gamma):
+    p1, p2, p3 = predicted_conditionals(0.0, beta, gamma)
+    return p1 + p2 - p3
+
+
+def conditional_triple(joint):
+    a_plus, b_plus = (VariableIndex.A, Outcome.PLUS), (VariableIndex.B, Outcome.PLUS)
+    c_plus, b_minus = (VariableIndex.C, Outcome.PLUS), (VariableIndex.B, Outcome.MINUS)
+    return CondTriple(conditional(joint, a_plus, b_plus),
+                      conditional(joint, c_plus, b_minus),
+                      conditional(joint, a_plus, c_plus))
 
 
 def margin_at(a, b, c):
@@ -46,7 +64,7 @@ class TestMaximizeQuantumViolation:
     def test_degenerate_line_has_no_violation(self):
         # With b = a the first term is 1, so the margin cannot go negative.
         gammas = np.linspace(0.0, TWO_PI, 2000, endpoint=False)
-        margins = _margin_grid(np.zeros_like(gammas), gammas)
+        margins = margin_grid(np.zeros_like(gammas), gammas)
         assert margins.min() >= -1e-12
 
     def test_rejects_bad_parameters(self):
@@ -76,7 +94,7 @@ class TestMaximizeQuantumViolation:
 def whole_grid_reference(grid_steps, refine_tol):
     """The search with the full grid_steps**2 grid evaluated at once."""
     gaps = np.arange(grid_steps) * (TWO_PI / grid_steps)
-    margins = _margin_grid(*np.meshgrid(gaps, gaps, indexing="ij"))
+    margins = margin_grid(*np.meshgrid(gaps, gaps, indexing="ij"))
     flat = int(np.argmin(margins))
     best = (gaps[flat // grid_steps], gaps[flat % grid_steps])
     best_margin, evaluations = float(margins.flat[flat]), margins.size
@@ -119,17 +137,18 @@ def sampled_floor_reference(samples, rng):
 
 
 class TestBlockedFloor:
-    # Without the vertices, whose margin of exactly 0 is the minimum of nearly
-    # every run, min_margin is the minimum over the sampled laws alone.
+    # The vertices' margin of exactly 0 is the minimum of nearly every run, so
+    # the vertex block is cut to the one vertex of margin 2, the largest
+    # possible margin; min_margin is then the minimum over the sampled laws.
     @pytest.fixture(autouse=True)
     def samples_only(self, monkeypatch):
-        monkeypatch.setattr(search, "ATOMS", ())
+        monkeypatch.setattr(search, "_VERTICES", np.eye(8)[[1]])
 
     def assert_matches_whole_array(self, samples, seed=11):
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         cert = classical_margin_floor(samples, rng)
         assert cert.min_margin == sampled_floor_reference(samples, reference_rng)
-        assert cert.samples_evaluated == samples
+        assert cert.samples_evaluated == samples + 8
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
@@ -152,15 +171,26 @@ class TestClassicalMarginFloor:
 
     def test_symmetrized_all_plus_vertex_margin_zero(self):
         sym = symmetrize(JointDistribution3.point_mass((1, 1, 1)))
-        margin = wigner_conditional_check(_conditional_triple(sym)).margin
+        margin = wigner_conditional_check(conditional_triple(sym)).margin
         assert margin == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetrized_plus_plus_minus_vertex_margin_two(self):
         # This vertex maximizes (not minimizes) the margin: both conditioning
         # events line up with "yes" answers.
         sym = symmetrize(JointDistribution3.point_mass((1, 1, -1)))
-        margin = wigner_conditional_check(_conditional_triple(sym)).margin
+        margin = wigner_conditional_check(conditional_triple(sym)).margin
         assert margin == pytest.approx(2.0, abs=1e-15)
+
+    def test_vertex_block_matches_scalar_path(self):
+        # The floor's array formula, on the 8 vertices, against the public
+        # scalar path through `conditional`, bit for bit.
+        scalar = [
+            wigner_conditional_check(
+                conditional_triple(symmetrize(JointDistribution3.point_mass(atom)))
+            ).margin
+            for atom in ATOMS
+        ]
+        assert _symmetrized_margins(np.eye(8)).tolist() == scalar == [0, 2, 0, 0, 0, 0, 2, 0]
 
     def test_sampled_floor_non_negative(self):
         cert = classical_margin_floor(20_000, np.random.default_rng(3))
