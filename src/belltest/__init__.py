@@ -28,7 +28,7 @@ _EXPORTS = {
                        " joint_plus_pair marginal_plus random_joint symmetrize",
         "protocol": "Branch ClassicalHiddenVariable DesignVariant FrequencyTable"
                     " PopulationModel ProtocolDesign QuantumUnpolarized ResponseDataset"
-                    " ResponseRecord SymmetryReport check_perfect_correlation check_symmetry"
+                    " SymmetryReport check_perfect_correlation check_symmetry"
                     " estimate_frequencies run_protocol sample_entangled_pairs",
         "qubit": "UNPOLARIZED BlochAngle QuestionTriple RealQubitState"
                  " predicted_conditional_triple sample_sequential"

@@ -39,13 +39,13 @@ from .errors import (
 from .inequalities import interference_coefficient
 from .probability import JointDistribution3, symmetrize
 from .protocol import (
-    Branch,
     ClassicalHiddenVariable,
     DesignVariant,
     ProtocolDesign,
     QuantumUnpolarized,
     check_symmetry,
     estimate_frequencies,
+    infer_design,
     run_protocol,
     validate_tolerance,
 )
@@ -144,7 +144,7 @@ def _cmd_test(args) -> int:
     validate_alpha(args.alpha)
     validate_tolerance(args.symmetry_tolerance)
     data = parse_dataset(args.dataset.read_text())
-    design = _infer_design(data.counts)
+    design = infer_design(data).value
     symmetry = check_symmetry(data, tolerance=args.symmetry_tolerance)
     context = ReportContext(seed=args.seed, design=design, alpha=args.alpha)
     try:
@@ -164,17 +164,6 @@ def _cmd_test(args) -> int:
     else:
         sys.stdout.write(text)
     return exit_code
-
-
-def _infer_design(counts: np.ndarray) -> str:
-    totals = counts.sum(axis=(1, 2, 3, 4))
-    branches = [branch.value for branch, n in zip(Branch, totals) if n]
-    if set(branches) <= {"BA", "BC", "CA"}:
-        return "three"
-    if set(branches) <= {"S1", "S2"}:
-        return "two"
-    raise ValueError("dataset mixes the three-ensemble and two-ensemble designs"
-                     f" (branches {', '.join(branches)}); test each design on its own")
 
 
 def _cmd_search(args) -> int:

@@ -41,7 +41,6 @@ from .protocol import (
     Branch,
     FrequencyTable,
     ResponseDataset,
-    ResponseRecord,
     SymmetryReport,
 )
 from .probability import Outcome, VariableIndex
@@ -151,7 +150,7 @@ def _parse_bytes(text: str) -> ResponseDataset | None:
     (keys := keys[:n]).sort()
     if (keys[1:] == keys[:-1]).any():
         return None
-    return ResponseDataset.from_cells(
+    return ResponseDataset(
         cells[:n], lambda: [line[:-_TAIL] for line in text.splitlines()[1:] if line])
 
 
@@ -201,7 +200,7 @@ def _parse_lines(text: str) -> ResponseDataset:
         if cell is None or rid == "" or rid in rows:
             cell = _checked_cell(lineno, line, rows)
         rows[rid] = cell
-    return ResponseDataset.from_cells(list(rows.values()), list(rows))
+    return ResponseDataset(list(rows.values()), list(rows))
 
 
 def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
@@ -216,12 +215,15 @@ def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
     if rid in seen:
         raise DuplicateRespondent(rid, lineno)
     try:
-        rec = ResponseRecord(rid, Branch(branch_tok), VariableIndex.from_token(q1_tok),
-                             Outcome.from_token(a1_tok), VariableIndex.from_token(q2_tok),
-                             Outcome.from_token(a2_tok))
+        # Left to right, so the first bad field names the error.
+        _, q1, _, q2, _ = (Branch(branch_tok), VariableIndex.from_token(q1_tok),
+                           Outcome.from_token(a1_tok), VariableIndex.from_token(q2_tok),
+                           Outcome.from_token(a2_tok))
     except ValueError as exc:
         raise FormatError(lineno, str(exc)) from None
-    tokens = (branch_tok, rec.first_question.token(), a1_tok, rec.second_question.token(), a2_tok)
+    if q1 == q2:
+        raise FormatError(lineno, "an agent is never asked the same question twice")
+    tokens = (branch_tok, q1.token(), a1_tok, q2.token(), a2_tok)
     cell = _CELL_OF_FIELDS.get(",".join(tokens))
     if cell is None:
         raise FormatError(

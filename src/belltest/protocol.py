@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -61,6 +61,10 @@ class ProtocolDesign:
     n_per_branch: int
 
     def __post_init__(self):
+        if not isinstance(self.variant, DesignVariant):
+            raise ValueError(f"variant must be a DesignVariant, got {self.variant!r}")
+        if not isinstance(self.n_per_branch, int):
+            raise ValueError(f"n_per_branch must be an int, got {self.n_per_branch!r}")
         if self.n_per_branch < 1:
             raise ValueError("n_per_branch must be at least 1")
 
@@ -88,20 +92,6 @@ class QuantumUnpolarized:
 PopulationModel = Union[ClassicalHiddenVariable, QuantumUnpolarized]
 
 
-@dataclass(frozen=True)
-class ResponseRecord:
-    respondent_id: str
-    branch: Branch
-    first_question: VariableIndex
-    first_answer: Outcome
-    second_question: VariableIndex
-    second_answer: Outcome
-
-    def __post_init__(self):
-        if self.first_question == self.second_question:
-            raise ValueError("an agent is never asked the same question twice")
-
-
 #: Count tensor axes: branch, first question, first answer, second question,
 #: second answer.  Branches and questions keep their enum order; answer
 #: code 0 is +1 and code 1 is -1.
@@ -112,36 +102,18 @@ CELL_FIELDS: tuple[tuple[Branch, VariableIndex, Outcome, VariableIndex, Outcome]
     product(Branch, VariableIndex, (Outcome.PLUS, Outcome.MINUS),
             VariableIndex, (Outcome.PLUS, Outcome.MINUS))
 )
-_CELL_OF = {fields: cell for cell, fields in enumerate(CELL_FIELDS)}
 
 
 class ResponseDataset:
     """Survey responses stored column-wise: ``cells`` holds one uint8 cell
     index (see ``COUNT_SHAPE``) per response.  Respondent ids are a list,
     a function that builds that list when the ids are first needed, or
-    implicit (``r`` and the zero-padded row number) for simulated data.
-    Iteration and ``records`` rebuild ``ResponseRecord``s on request.
+    ``None``: implicit (``r`` and the zero-padded row number), as simulated
+    data has them.
     """
 
-    def __init__(self, records: Iterable[ResponseRecord] = (), metadata: dict | None = None):
-        records = tuple(records)
-        self.cells = np.array([_CELL_OF[(r.branch, r.first_question, r.first_answer,
-                                         r.second_question, r.second_answer)]
-                               for r in records], dtype=np.uint8)
-        self._ids: list[str] | None = [r.respondent_id for r in records]
-        self.metadata = {} if metadata is None else metadata
-
-    @classmethod
-    def from_cells(
-        cls,
-        cells: np.ndarray,
-        ids: list[str] | Callable[[], list[str]] | None = None,
-        metadata: dict | None = None,
-    ) -> "ResponseDataset":
-        """A dataset over ``cells``; ``ids=None`` keeps the ids implicit."""
-        data = cls(metadata=metadata)
-        data.cells, data._ids = np.asarray(cells, dtype=np.uint8), ids
-        return data
+    def __init__(self, cells, ids: list[str] | Callable[[], list[str]] | None = None):
+        self.cells, self._ids = np.asarray(cells, dtype=np.uint8), ids
 
     @property
     def implicit_ids(self) -> bool:
@@ -161,32 +133,18 @@ class ResponseDataset:
         """Responses per cell, as an array of shape ``COUNT_SHAPE``."""
         return np.bincount(self.cells, minlength=len(CELL_FIELDS)).reshape(COUNT_SHAPE)
 
-    @property
-    def records(self) -> tuple[ResponseRecord, ...]:
-        return tuple(self)
-
     def __len__(self) -> int:
         return len(self.cells)
-
-    def __iter__(self) -> Iterator[ResponseRecord]:
-        for rid, cell in zip(self.respondent_ids, self.cells.tolist()):
-            yield ResponseRecord(rid, *CELL_FIELDS[cell])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResponseDataset):
-            return NotImplemented
-        return self.records == other.records
 
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Count-ratio estimates of the three conditionals, plus first-answer
-    marginal counts per question (numerator, denominator)."""
+    """Count-ratio estimates of the three conditionals, each as
+    (numerator, denominator)."""
 
     nu_a_given_b_plus: tuple[int, int]
     nu_c_given_b_minus: tuple[int, int]
     nu_a_given_c_plus: tuple[int, int]
-    first_answer_counts: dict[VariableIndex, tuple[int, int]]
 
     def __post_init__(self):
         for num, den in (
@@ -281,11 +239,13 @@ _BRANCH_QUESTIONS = {
 }
 
 
-def _branch_plan(design: ProtocolDesign) -> list[tuple[Branch, int]]:
-    n = design.n_per_branch
-    if design.variant is DesignVariant.THREE_ENSEMBLE:
-        return [(Branch.BA, n), (Branch.BC, n), (Branch.CA, n)]
-    return [(Branch.S1, 2 * n), (Branch.S2, n)]
+# Per design: its branches, each with its agents per ``n_per_branch``.  S1
+# holds twice as many so its routed sub-ensembles are comparable in size to
+# the dedicated branches.
+_DESIGN_BRANCHES = {
+    DesignVariant.THREE_ENSEMBLE: {Branch.BA: 1, Branch.BC: 1, Branch.CA: 1},
+    DesignVariant.TWO_ENSEMBLE: {Branch.S1: 2, Branch.S2: 1},
+}
 
 
 #: The cells a survey can produce: each branch's own question order.
@@ -309,41 +269,30 @@ def run_protocol(
         raise ValueError("workers must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    cells = np.concatenate([
-        _simulate_chunk(pop, branch, seed, np.arange(n, dtype=np.uint64))
-        for branch, n in _branch_plan(design)
-    ])
-    metadata = {
-        "seed": seed,
-        "design": design.variant.value,
-        "n_per_branch": design.n_per_branch,
-        # S1 holds 2x n_per_branch agents so its routed sub-ensembles are
-        # comparable in size to the dedicated branches.
-        "s1_size": 2 * design.n_per_branch
-        if design.variant is DesignVariant.TWO_ENSEMBLE
-        else None,
-    }
-    return ResponseDataset.from_cells(cells, metadata=metadata)
+    return ResponseDataset(np.concatenate([
+        _simulate_chunk(pop, branch, seed, np.arange(k * design.n_per_branch, dtype=np.uint64))
+        for branch, k in _DESIGN_BRANCHES[design.variant].items()
+    ]))
+
+
+def infer_design(data: ResponseDataset) -> DesignVariant:
+    """The design whose branches hold every response; three-ensemble for a
+    dataset with none.  Raises ValueError when the branches mix designs."""
+    used = [branch for branch, n in zip(Branch, data.counts.sum(axis=(1, 2, 3, 4))) if n]
+    for variant, branches in _DESIGN_BRANCHES.items():
+        if branches.keys() >= set(used):
+            return variant
+    raise ValueError("dataset mixes the three-ensemble and two-ensemble designs (branches"
+                     f" {', '.join(b.value for b in used)}); test each design on its own")
 
 
 # --- estimation -------------------------------------------------------------
 
 
-def _first_answer_counts(data: ResponseDataset) -> dict[VariableIndex, tuple[int, int]]:
-    """(yes answers, respondents) per question asked first, in question order."""
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
-    by_answer = data.counts.sum(axis=(0, 3, 4)).tolist()  # (first q, first answer)
-    return {
-        VariableIndex(q): (plus, plus + minus)
-        for q, (plus, minus) in enumerate(by_answer)
-        if plus + minus
-    }
-
-
 def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
     """The count-ratio estimators of the three conditional probabilities."""
-    first_counts = _first_answer_counts(data)
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
     pooled = data.counts.sum(axis=0)  # over branches
     ratios = []
     for q1, a1, q2, label in (
@@ -357,12 +306,15 @@ def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
                 f"no respondent reached the {label} conditioning event"
             )
         ratios.append((plus, plus + minus))
-    return FrequencyTable(*ratios, first_answer_counts=first_counts)
+    return FrequencyTable(*ratios)
 
 
 def check_symmetry(data: ResponseDataset, tolerance: float) -> SymmetryReport:
     """Flag questions whose first-answer "yes" fraction strays from 1/2."""
     validate_tolerance(tolerance)
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
+    by_answer = data.counts.sum(axis=(0, 3, 4))  # (first q, first answer)
     entries = tuple(
         SymmetryEntry(
             question=q,
@@ -370,7 +322,9 @@ def check_symmetry(data: ResponseDataset, tolerance: float) -> SymmetryReport:
             n_first_asked=n,
             flagged=abs(plus / n - 0.5) > tolerance,
         )
-        for q, (plus, n) in _first_answer_counts(data).items()
+        for q, plus, n in zip(VariableIndex, by_answer[:, 0].tolist(),
+                              by_answer.sum(axis=1).tolist())
+        if n
     )
     return SymmetryReport(entries=entries, tolerance=tolerance)
 

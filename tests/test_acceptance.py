@@ -9,11 +9,9 @@ also where the exhaustive search lands.  The suite certifies those exact
 values at that witness.
 """
 
-import json
 import math
 
 import numpy as np
-import pytest
 
 from belltest import (
     CondTriple,
@@ -42,7 +40,6 @@ from belltest import (
     wigner_joint_check,
 )
 from belltest.cli import main
-from belltest.dataio import CSV_HEADER
 from belltest.protocol import DesignVariant
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C

@@ -39,7 +39,7 @@ class TestParseDataset:
     def test_two_valid_rows(self):
         data = parse_dataset(VALID_CSV)
         assert len(data) == 2
-        assert data.records[0].respondent_id == "r0"
+        assert data.respondent_ids == ["r0", "r1"]
 
     def test_rejects_wrong_header(self):
         with pytest.raises(FormatError) as excinfo:
@@ -186,7 +186,7 @@ class TestCli:
         pop = QuantumUnpolarized(QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3))
         three = run_protocol(pop, ProtocolDesign(DesignVariant.THREE_ENSEMBLE, 300), seed=1)
         two = run_protocol(pop, ProtocolDesign(DesignVariant.TWO_ENSEMBLE, 300), seed=2)
-        two = ResponseDataset.from_cells(two.cells, [f"s{k}" for k in range(len(two))])
+        two = ResponseDataset(two.cells, [f"s{k}" for k in range(len(two))])
         mixed = tmp_path / "mixed.csv"
         mixed.write_text(format_dataset(three) + format_dataset(two).split("\n", 1)[1])
 
@@ -207,6 +207,12 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text(CSV_HEADER + "\nr0,BA,b,1,a,+1\n")
         assert main(["test", str(bad)]) == 2
+
+    def test_header_only_dataset_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(CSV_HEADER + "\n")
+        assert main(["test", str(empty)]) == 2
+        assert capsys.readouterr().err == "test: dataset is empty\n"
 
     def test_search_command(self, capsys):
         assert main(["search", "--grid", "90", "--refine-tol", "1e-6",

@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
     "FrequencyTable", "InequalityKind", "InequalityReport", "InterferenceRegime",
     "InterferenceResult", "JointDistribution3", "Outcome", "PopulationModel",
     "ProtocolDesign", "QuantumUnpolarized", "QuestionTriple", "RealQubitState",
-    "ResponseDataset", "ResponseRecord", "SearchResult", "SymmetryReport", "TestResult",
+    "ResponseDataset", "SearchResult", "SymmetryReport", "TestResult",
     "UNPOLARIZED", "VariableIndex", "ZeroConditioningEvent", "bell_covariance_check",
     "check_perfect_correlation", "check_symmetry", "classical_margin_floor", "conditional",
     "covariance", "estimate_frequencies", "interference_coefficient", "joint_plus_pair",

@@ -14,7 +14,6 @@ from belltest import (
     QuantumUnpolarized,
     QuestionTriple,
     ResponseDataset,
-    ResponseRecord,
     VariableIndex,
     check_perfect_correlation,
     check_symmetry,
@@ -24,6 +23,7 @@ from belltest import (
     sample_entangled_pairs,
 )
 from belltest.dataio import format_dataset
+from belltest.protocol import CELL_FIELDS
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -34,21 +34,28 @@ THREE = DesignVariant.THREE_ENSEMBLE
 TWO = DesignVariant.TWO_ENSEMBLE
 
 
-def make_record(rid, branch, q1, a1, q2, a2):
-    return ResponseRecord(
-        respondent_id=rid,
-        branch=branch,
-        first_question=q1,
-        first_answer=a1,
-        second_question=q2,
-        second_answer=a2,
-    )
+def dataset(*rows):
+    """A dataset of responses given as (branch, q1, a1, q2, a2) tuples."""
+    return ResponseDataset([CELL_FIELDS.index(row) for row in rows])
 
 
-class TestResponseRecord:
-    def test_rejects_repeated_question(self):
-        with pytest.raises(ValueError):
-            make_record("r0", Branch.BA, B, PLUS, B, PLUS)
+def fields(data):
+    """Each response's (branch, q1, a1, q2, a2), in row order."""
+    return [CELL_FIELDS[cell] for cell in data.cells.tolist()]
+
+
+class TestProtocolDesign:
+    def test_rejects_variant_token(self):
+        with pytest.raises(ValueError, match="DesignVariant"):
+            ProtocolDesign("three", 10)
+
+    def test_rejects_fractional_size(self):
+        with pytest.raises(ValueError, match="int"):
+            ProtocolDesign(THREE, 2.5)
+
+    def test_rejects_empty_branches(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            ProtocolDesign(TWO, 0)
 
 
 class TestRunProtocol:
@@ -57,26 +64,23 @@ class TestRunProtocol:
         data = run_protocol(QuantumUnpolarized(WITNESS), design, seed=0)
         assert len(data) == 30
         by_branch = {}
-        for rec in data:
-            by_branch.setdefault(rec.branch, []).append(rec)
-        assert set(by_branch) == {Branch.BA, Branch.BC, Branch.CA}
-        assert all(r.first_question is B and r.second_question is A for r in by_branch[Branch.BA])
-        assert all(r.first_question is B and r.second_question is C for r in by_branch[Branch.BC])
-        assert all(r.first_question is C and r.second_question is A for r in by_branch[Branch.CA])
+        for branch, q1, _, q2, _ in fields(data):
+            by_branch.setdefault(branch, set()).add((q1, q2))
+        assert by_branch == {Branch.BA: {(B, A)}, Branch.BC: {(B, C)}, Branch.CA: {(C, A)}}
 
     def test_two_ensemble_routing(self):
         design = ProtocolDesign(TWO, 50)
         data = run_protocol(QuantumUnpolarized(WITNESS), design, seed=0)
         assert len(data) == 150
-        for rec in data:
-            if rec.branch is Branch.S1:
-                assert rec.first_question is B
-                expected = A if rec.first_answer is PLUS else C
-                assert rec.second_question is expected
+        for branch, q1, a1, q2, _ in fields(data):
+            if branch is Branch.S1:
+                assert q1 is B
+                assert q2 is (A if a1 is PLUS else C)
             else:
-                assert rec.branch is Branch.S2
-                assert (rec.first_question, rec.second_question) == (C, A)
-        assert data.metadata["s1_size"] == 100
+                assert branch is Branch.S2
+                assert (q1, q2) == (C, A)
+        per_branch = dict(zip(Branch, data.counts.sum(axis=(1, 2, 3, 4)).tolist()))
+        assert (per_branch[Branch.S1], per_branch[Branch.S2]) == (100, 50)
 
     def test_deterministic_agents_give_exact_frequencies(self):
         design = ProtocolDesign(THREE, 200)
@@ -92,21 +96,23 @@ class TestRunProtocol:
         for workers in (4, 8):
             assert format_dataset(run_protocol(pop, design, seed=9, workers=workers)) == base
 
-    def test_dataset_rebuilt_from_records_is_identical(self):
+    def test_dataset_rebuilt_with_explicit_ids_is_identical(self):
         design = ProtocolDesign(TWO, 200)
         data = run_protocol(QuantumUnpolarized(WITNESS), design, seed=12)
-        rebuilt = ResponseDataset(records=data.records)
-        assert rebuilt == data
-        assert rebuilt != run_protocol(QuantumUnpolarized(WITNESS), design, seed=13)
+        rebuilt = ResponseDataset(data.cells, data.respondent_ids)
+        assert data.implicit_ids and not rebuilt.implicit_ids
         assert format_dataset(rebuilt) == format_dataset(data)
         assert (rebuilt.counts == data.counts).all()
+        other = run_protocol(QuantumUnpolarized(WITNESS), design, seed=13)
+        assert not np.array_equal(other.cells, data.cells)
 
     def test_same_seed_same_dataset(self):
         design = ProtocolDesign(TWO, 300)
         pop = ClassicalHiddenVariable(random_joint(np.random.default_rng(5)))
         d1 = run_protocol(pop, design, seed=11)
         d2 = run_protocol(pop, design, seed=11)
-        assert d1.records == d2.records
+        assert np.array_equal(d1.cells, d2.cells)
+        assert d1.respondent_ids == d2.respondent_ids
 
     def test_quantum_frequencies_near_prediction(self):
         design = ProtocolDesign(THREE, 100_000)
@@ -136,10 +142,10 @@ class TestRunProtocol:
         design = ProtocolDesign(THREE, 50_000)
         data = run_protocol(ClassicalHiddenVariable(joint), design, seed=4)
         n = pairs = 0
-        for rec in data:
-            if rec.branch is Branch.BA:
+        for branch, _, a1, _, a2 in fields(data):
+            if branch is Branch.BA:
                 n += 1
-                if rec.first_answer is PLUS and rec.second_answer is PLUS:
+                if a1 is PLUS and a2 is PLUS:
                     pairs += 1
         expected = joint.atom((1, 1, 1)) + joint.atom((1, 1, -1))
         assert abs(pairs / n - expected) < 0.01
@@ -149,19 +155,21 @@ class TestEstimateFrequencies:
     def test_hand_counted_example(self):
         # 4 respondents in BA: b answers (+, +, -, +); among the b = +1
         # answerers the a answers are (+, -, +), so nu(a|b+) = 2/3.
-        records = [
-            make_record("r0", Branch.BA, B, PLUS, A, PLUS),
-            make_record("r1", Branch.BA, B, PLUS, A, MINUS),
-            make_record("r2", Branch.BA, B, MINUS, A, MINUS),
-            make_record("r3", Branch.BA, B, PLUS, A, PLUS),
-            make_record("r4", Branch.BC, B, MINUS, C, PLUS),
-            make_record("r5", Branch.CA, C, PLUS, A, MINUS),
-        ]
-        table = estimate_frequencies(ResponseDataset(records=tuple(records)))
+        data = dataset(
+            (Branch.BA, B, PLUS, A, PLUS),
+            (Branch.BA, B, PLUS, A, MINUS),
+            (Branch.BA, B, MINUS, A, MINUS),
+            (Branch.BA, B, PLUS, A, PLUS),
+            (Branch.BC, B, MINUS, C, PLUS),
+            (Branch.CA, C, PLUS, A, MINUS),
+        )
+        table = estimate_frequencies(data)
         assert table.nu_a_given_b_plus == (2, 3)
         assert table.nu_c_given_b_minus == (1, 1)
         assert table.nu_a_given_c_plus == (0, 1)
-        assert table.first_answer_counts[B] == (3, 5)
+        entries = check_symmetry(data, tolerance=0.05).entries
+        assert [(e.question, e.plus_fraction, e.n_first_asked) for e in entries] == [
+            (B, 3 / 5, 5), (C, 1.0, 1)]
 
     def test_matches_record_loop(self):
         # Reference: count records one by one, as the estimator once did.
@@ -172,31 +180,34 @@ class TestEstimateFrequencies:
         )
         pairs = {(B, PLUS, A): [0, 0], (B, MINUS, C): [0, 0], (C, PLUS, A): [0, 0]}
         first = {}
-        for rec in data:
-            fc = first.setdefault(rec.first_question, [0, 0])
-            fc[0] += rec.first_answer is PLUS
+        for _, q1, a1, q2, a2 in fields(data):
+            fc = first.setdefault(q1, [0, 0])
+            fc[0] += a1 is PLUS
             fc[1] += 1
-            key = (rec.first_question, rec.first_answer, rec.second_question)
-            if key in pairs:
-                pairs[key][0] += rec.second_answer is PLUS
-                pairs[key][1] += 1
+            if (q1, a1, q2) in pairs:
+                pairs[q1, a1, q2][0] += a2 is PLUS
+                pairs[q1, a1, q2][1] += 1
         table = estimate_frequencies(data)
         assert [table.nu_a_given_b_plus, table.nu_c_given_b_minus,
                 table.nu_a_given_c_plus] == [tuple(v) for v in pairs.values()]
-        assert table.first_answer_counts == {q: tuple(v) for q, v in sorted(first.items())}
+        entries = check_symmetry(data, tolerance=0.05).entries
+        assert [(e.question, e.plus_fraction, e.n_first_asked) for e in entries] == [
+            (q, plus / n, n) for q, (plus, n) in sorted(first.items())]
 
     def test_empty_conditioning_branch(self):
-        records = [
-            make_record("r0", Branch.BA, B, MINUS, A, PLUS),
-            make_record("r1", Branch.BC, B, MINUS, C, PLUS),
-            make_record("r2", Branch.CA, C, PLUS, A, PLUS),
-        ]
+        data = dataset(
+            (Branch.BA, B, MINUS, A, PLUS),
+            (Branch.BC, B, MINUS, C, PLUS),
+            (Branch.CA, C, PLUS, A, PLUS),
+        )
         with pytest.raises(EmptyConditioningBranch):
-            estimate_frequencies(ResponseDataset(records=tuple(records)))
+            estimate_frequencies(data)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_frequencies(ResponseDataset(records=()))
+        with pytest.raises(ValueError, match="dataset is empty"):
+            estimate_frequencies(ResponseDataset([]))
+        with pytest.raises(ValueError, match="dataset is empty"):
+            check_symmetry(ResponseDataset([]), tolerance=0.05)
 
 
 class TestCheckSymmetry:
@@ -221,8 +232,7 @@ class TestCheckSymmetry:
             assert entry.flagged
 
     def test_unasked_question_omitted(self):
-        records = [make_record("r0", Branch.BA, B, PLUS, A, PLUS)]
-        report = check_symmetry(ResponseDataset(records=tuple(records)), tolerance=0.05)
+        report = check_symmetry(dataset((Branch.BA, B, PLUS, A, PLUS)), tolerance=0.05)
         assert [e.question for e in report.entries] == [B]
 
 

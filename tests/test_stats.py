@@ -15,12 +15,11 @@ from belltest.stats import _ndtr, _ndtri
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 
 
-def table(nu1, nu2, nu3, counts=None):
+def table(nu1, nu2, nu3):
     return FrequencyTable(
         nu_a_given_b_plus=nu1,
         nu_c_given_b_minus=nu2,
         nu_a_given_c_plus=nu3,
-        first_answer_counts=counts or {},
     )
 
 
