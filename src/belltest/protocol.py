@@ -11,7 +11,9 @@ Two designs are supported:
 
 Classical agents carry one predetermined sign triple drawn from a joint
 law, so their answers do not depend on question order.  Quantum agents
-start unpolarized and collapse after each answer.
+start unpolarized and collapse after each answer.  ``run_protocol`` makes
+one pass over a survey's agents in file order, in fixed blocks of agents;
+counter-based random streams make the result independent of the blocks.
 
 A dataset is columnar: each response is one cell index into the count
 tensor over (branch, first question, first answer, second question, second
@@ -21,10 +23,12 @@ one ``np.bincount`` builds once per dataset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
+from numbers import Integral
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -33,7 +37,7 @@ from .errors import EmptyConditioningBranch
 from .inequalities import validate_tolerance
 from .probability import ATOMS, JointDistribution3, Outcome, VariableIndex
 from .qubit import TWO_PI, QuestionTriple, born
-from .streams import counter_uniforms
+from .streams import keyed_uniforms, stream_keys
 
 
 class Branch(Enum):
@@ -44,15 +48,15 @@ class Branch(Enum):
     S2 = "S2"
 
 
-# Draw slots within an agent's stream.
-_DRAW_FIRST = 0
-_DRAW_SECOND = 1
-_DRAW_ANGLE = 2
-
-
 class DesignVariant(Enum):
     THREE_ENSEMBLE = "three"
     TWO_ENSEMBLE = "two"
+
+
+def _require_int(name: str, value, low: int, high: float, bounds: str) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, in [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < high:
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +67,7 @@ class ProtocolDesign:
     def __post_init__(self):
         if not isinstance(self.variant, DesignVariant):
             raise ValueError(f"variant must be a DesignVariant, got {self.variant!r}")
-        if not isinstance(self.n_per_branch, int):
-            raise ValueError(f"n_per_branch must be an int, got {self.n_per_branch!r}")
-        if self.n_per_branch < 1:
-            raise ValueError("n_per_branch must be at least 1")
+        _require_int("n_per_branch", self.n_per_branch, 1, math.inf, "an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -187,103 +188,96 @@ class SymmetryReport:
 def _draw_atoms(joint: JointDistribution3, u: np.ndarray) -> np.ndarray:
     """The atom index that each uniform in ``u`` selects under ``joint``
     (inverse CDF over the canonical atom order)."""
-    return np.searchsorted(np.cumsum(joint.as_array()), u, side="right").clip(max=7)
+    return np.searchsorted(np.cumsum(joint.weights), u, side="right").clip(max=7)
 
 
-def _simulate_chunk(
-    pop: PopulationModel,
-    branch: Branch,
-    seed: int,
-    indices: np.ndarray,
-) -> np.ndarray:
-    """Cells (see ``COUNT_SHAPE``) of the agents at ``indices`` in one branch."""
-    code = list(Branch).index(branch)
-    stream = code + 1  # counter-RNG stream ids are 1 to 5 in branch order
-    u_first = counter_uniforms(seed, stream, indices, _DRAW_FIRST)
-    first_q, after_yes, after_no = _BRANCH_QUESTIONS[branch]
+# Per branch code (BA, BC, CA, S1, S2): the first question, then the second
+# after a "yes" and after a "no" (VariableIndex values); only S1 routes by the
+# answer.  Per route, 2 * branch code + first answer code: the second question
+# and the cell of a second "yes" (a second "no" is the next cell).
+_QUESTIONS = np.array([(1, 0, 0), (1, 2, 2), (2, 0, 0), (1, 0, 2), (2, 0, 0)], dtype=np.uint8)
+_FIRST_Q, _SECOND_Q = _QUESTIONS[:, 0], _QUESTIONS[:, 1:].ravel()
+_CODES = np.arange(len(Branch), dtype=np.uint8)
+_ROUTE_CELL = np.ravel_multi_index((_CODES.repeat(2), _FIRST_Q.repeat(2), np.tile([0, 1], 5),
+                                    _SECOND_Q, 0), COUNT_SHAPE).astype(np.uint8)
 
+#: Agents per kernel call; bounds the simulation's working memory.
+_BLOCK = 1 << 16
+
+# Draw slots in an agent's stream: first answer, second answer, initial angle.
+_DRAWS = np.arange(3, dtype=np.uint64).reshape(3, 1)  # a column: one row per slot
+
+
+def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
+                    indices: np.ndarray) -> np.ndarray:
+    """Cells of the agents with branch ``codes`` (uint8) at within-branch
+    ``indices`` (uint64); ``keys`` holds each branch code's stream key."""
+    agent_keys = keys[codes]
     if isinstance(pop, ClassicalHiddenVariable):
-        signs = np.asarray(ATOMS)[_draw_atoms(pop.joint, u_first)]  # (n, 3)
-        first_plus = signs[:, first_q] > 0
-        second_code = np.where(first_plus, after_yes, after_no)
-        second_plus = np.take_along_axis(
-            signs, second_code.reshape(-1, 1), axis=1
-        ).ravel() > 0
+        u_first = keyed_uniforms(agent_keys, indices, _DRAWS[0])
+        atoms = _draw_atoms(pop.joint, u_first).astype(np.uint8)
+        # Bit 2 - q of an atom index is set where question q's sign is -1.
+        route = 2 * codes + ((atoms >> (2 - _FIRST_Q[codes])) & 1)
+        second_no = (atoms >> (2 - _SECOND_Q[route])) & 1
     else:
         q = pop.questions
         angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
         if pop.draw_initial_angle:
-            phi0 = TWO_PI * counter_uniforms(seed, stream, indices, _DRAW_ANGLE)
-            p_first = born(phi0, angles[first_q])
+            # Born weight of the first "yes" from each agent's drawn pure state.
+            p_first = born(TWO_PI * keyed_uniforms(agent_keys, indices, _DRAWS[2]),
+                           angles[_FIRST_Q[codes]])
         else:
             p_first = 0.5
-        first_plus = u_first < p_first
-        second_code = np.where(first_plus, after_yes, after_no)
+        u_first, u_second = keyed_uniforms(agent_keys, indices, _DRAWS[:2])
+        first_no = u_first >= p_first
+        route = 2 * codes + first_no
         # State after the first answer: q1 for "yes", q1 + pi for "no".
-        state = np.where(first_plus, angles[first_q], angles[first_q] + np.pi)
-        p_second = born(state, angles[second_code])
-        u_second = counter_uniforms(seed, stream, indices, _DRAW_SECOND)
-        second_plus = u_second < p_second
-    fields = (code, first_q, ~first_plus, second_code, ~second_plus)
-    return np.ravel_multi_index(fields, COUNT_SHAPE).astype(np.uint8)
+        state = np.add.outer(angles[_FIRST_Q], (0.0, np.pi)).ravel()  # per route
+        second_no = u_second >= born(state, angles[_SECOND_Q])[route]
+    return _ROUTE_CELL[route] + second_no
 
 
-# Per branch: the first question, then the second after a "yes" and after a
-# "no".  Only S1 routes by the answer.
-_BRANCH_QUESTIONS = {
-    Branch.BA: (VariableIndex.B, VariableIndex.A, VariableIndex.A),
-    Branch.BC: (VariableIndex.B, VariableIndex.C, VariableIndex.C),
-    Branch.CA: (VariableIndex.C, VariableIndex.A, VariableIndex.A),
-    Branch.S1: (VariableIndex.B, VariableIndex.A, VariableIndex.C),
-    Branch.S2: (VariableIndex.C, VariableIndex.A, VariableIndex.A),
-}
-
-
-# Per design: its branches, each with its agents per ``n_per_branch``.  S1
-# holds twice as many so its routed sub-ensembles are comparable in size to
-# the dedicated branches.
-_DESIGN_BRANCHES = {
-    DesignVariant.THREE_ENSEMBLE: {Branch.BA: 1, Branch.BC: 1, Branch.CA: 1},
-    DesignVariant.TWO_ENSEMBLE: {Branch.S1: 2, Branch.S2: 1},
-}
+# Per design: agents per ``n_per_branch`` in each branch code; its branches
+# are those with agents.  S1 holds twice as many so its routed sub-ensembles
+# are comparable in size to the dedicated branches.
+_DESIGN_SIZES = {DesignVariant.THREE_ENSEMBLE: np.array([1, 1, 1, 0, 0]),
+                 DesignVariant.TWO_ENSEMBLE: np.array([0, 0, 0, 2, 1])}
 
 
 #: The cells a survey can produce: each branch's own question order.
-CONSISTENT_CELLS = frozenset(
-    cell for cell, (b, q1, a1, q2, _) in enumerate(CELL_FIELDS)
-    if q1 is _BRANCH_QUESTIONS[b][0] and q2 is _BRANCH_QUESTIONS[b][1 + (a1 is Outcome.MINUS)]
-)
+CONSISTENT_CELLS = frozenset(_ROUTE_CELL.tolist() + (_ROUTE_CELL + 1).tolist())
 
 
-def run_protocol(
-    pop: PopulationModel,
-    design: ProtocolDesign,
-    seed: int,
-    workers: int = 1,
-) -> ResponseDataset:
-    """Simulate the full survey, one vectorised kernel call per branch.
-
-    ``workers`` must be at least 1 and has no effect on the result.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return ResponseDataset(np.concatenate([
-        _simulate_chunk(pop, branch, seed, np.arange(k * design.n_per_branch, dtype=np.uint64))
-        for branch, k in _DESIGN_BRANCHES[design.variant].items()
-    ]))
+def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int,
+                 workers: int = 1) -> ResponseDataset:
+    """Simulate the survey in one pass over its agents in file order, in blocks
+    of ``_BLOCK`` agents that may span branches.  ``seed`` must be an integer
+    in [0, 2**64); ``workers``, an integer of at least 1, has no effect."""
+    _require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
+    _require_int("workers", workers, 1, math.inf, "an integer of at least 1")
+    sizes = _DESIGN_SIZES[design.variant] * int(design.n_per_branch)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes  # branch code c holds rows [starts[c], ends[c])
+    keys = stream_keys(seed, _CODES + np.uint64(1))  # stream ids 1 to 5 by branch code
+    cells = np.empty(int(ends[-1]), dtype=np.uint8)
+    for start in range(0, len(cells), _BLOCK):
+        stop = min(start + _BLOCK, len(cells))
+        in_block = (np.minimum(ends, stop) - np.maximum(starts, start)).clip(min=0)
+        indices = (np.arange(start, stop) - starts.repeat(in_block)).view(np.uint64)
+        cells[start:stop] = _simulate_block(pop, keys, _CODES.repeat(in_block), indices)
+    return ResponseDataset(cells)
 
 
 def infer_design(data: ResponseDataset) -> DesignVariant:
     """The design whose branches hold every response; three-ensemble for a
     dataset with none.  Raises ValueError when the branches mix designs."""
-    used = [branch for branch, n in zip(Branch, data.counts.sum(axis=(1, 2, 3, 4))) if n]
-    for variant, branches in _DESIGN_BRANCHES.items():
-        if branches.keys() >= set(used):
+    per_branch = data.counts.sum(axis=(1, 2, 3, 4))
+    for variant, sizes in _DESIGN_SIZES.items():
+        if not per_branch[sizes == 0].any():
             return variant
+    used = ", ".join(b.value for b, n in zip(Branch, per_branch) if n)
     raise ValueError("dataset mixes the three-ensemble and two-ensemble designs (branches"
-                     f" {', '.join(b.value for b in used)}); test each design on its own")
+                     f" {used}); test each design on its own")
 
 
 # --- estimation -------------------------------------------------------------

@@ -14,32 +14,38 @@ import numpy as np
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _INV_2_53 = float(2.0**-53)
 
 
-_MASK = (1 << 64) - 1
+def _mix(z: np.ndarray) -> np.ndarray:
+    """Apply the splitmix64 finalizer to the uint64 array ``z`` in place; returns ``z``."""
+    z += _GAMMA
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    z = x + _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
+    """The key word of each stream id in the uint64 array ``streams`` under ``seed``."""
+    return _mix(_mix(np.array([seed], dtype=np.uint64)) ^ streams)
 
 
-def _mix_int(x: int) -> int:
-    # Same finalizer on Python ints, for the per-run scalar key.
-    z = (x + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+def keyed_uniforms(keys: np.ndarray, indices: np.ndarray, draws) -> np.ndarray:
+    """Uniform [0, 1) variates of the agents at uint64 ``indices``, in the streams
+    with ``keys`` (one for all agents, or one each) and the uint64 draw slots
+    ``draws`` (one slot, or a column of slots for one row of variates each)."""
+    word = indices * _GAMMA + draws
+    word ^= keys
+    _mix(word)
+    word >>= _S11
+    return word.astype(np.float64) * _INV_2_53
 
 
-def counter_uniforms(
-    seed: int, stream: int, indices: np.ndarray, draw: int
-) -> np.ndarray:
+def counter_uniforms(seed: int, stream: int, indices: np.ndarray, draw: int) -> np.ndarray:
     """Uniform [0, 1) variates addressed by (seed, stream, index, draw)."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    base = _mix_int(_mix_int(seed & _MASK) ^ (stream & _MASK))
-    word = _mix(np.uint64(base) ^ (idx * _GAMMA + np.uint64(draw)))
-    return (word >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    keys = stream_keys(seed, np.array([stream], dtype=np.uint64))
+    return keyed_uniforms(keys, np.asarray(indices, dtype=np.uint64), np.uint64(draw))

@@ -22,8 +22,12 @@ from belltest import (
     run_protocol,
     sample_entangled_pairs,
 )
+from belltest import protocol
 from belltest.dataio import format_dataset
-from belltest.protocol import CELL_FIELDS
+from belltest.probability import ATOMS
+from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
+from belltest.qubit import TWO_PI, born
+from belltest.streams import counter_uniforms, keyed_uniforms
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -44,6 +48,53 @@ def fields(data):
     return [CELL_FIELDS[cell] for cell in data.cells.tolist()]
 
 
+# Per design: its branches in file order, each with its agents per n_per_branch.
+DESIGN_BRANCHES = {
+    THREE: ((Branch.BA, 1), (Branch.BC, 1), (Branch.CA, 1)),
+    TWO: ((Branch.S1, 2), (Branch.S2, 1)),
+}
+# Per branch: the first question, then the second after a "yes" and after a "no".
+BRANCH_QUESTIONS = {
+    Branch.BA: (B, A, A), Branch.BC: (B, C, C), Branch.CA: (C, A, A),
+    Branch.S1: (B, A, C), Branch.S2: (C, A, A),
+}
+POPULATIONS = {
+    "classical": ClassicalHiddenVariable(random_joint(np.random.default_rng(21))),
+    "quantum": QuantumUnpolarized(WITNESS),
+    "quantum-angle": QuantumUnpolarized(WITNESS, draw_initial_angle=True),
+}
+
+
+def reference_cells(pop, design, seed):
+    """The survey simulated one branch at a time, straight from the model:
+    branch code c draws from counter stream c + 1, slot 0 for the first
+    answer, 1 for the second and 2 for the initial angle."""
+    cells = []
+    for branch, k in DESIGN_BRANCHES[design.variant]:
+        index = np.arange(k * design.n_per_branch, dtype=np.uint64)
+        stream = list(Branch).index(branch) + 1
+        u_first, u_second, u_angle = (counter_uniforms(seed, stream, index, d) for d in range(3))
+        first_q, after_yes, after_no = BRANCH_QUESTIONS[branch]
+        if isinstance(pop, ClassicalHiddenVariable):
+            cdf = np.cumsum(pop.joint.weights)
+            signs = np.asarray(ATOMS)[np.searchsorted(cdf, u_first, side="right").clip(max=7)]
+            first_plus = signs[:, first_q] > 0
+            second_q = np.where(first_plus, after_yes, after_no)
+            second_plus = signs[np.arange(len(index)), second_q] > 0
+        else:
+            q = pop.questions
+            angles = np.array([q.a.phi, q.b.phi, q.c.phi])
+            p_first = born(TWO_PI * u_angle, angles[first_q]) if pop.draw_initial_angle else 0.5
+            first_plus = u_first < p_first
+            second_q = np.where(first_plus, after_yes, after_no)
+            state = np.where(first_plus, angles[first_q], angles[first_q] + np.pi)
+            second_plus = u_second < born(state, angles[second_q])
+        cells += [CELL_FIELDS.index((branch, first_q, PLUS if f else MINUS, VariableIndex(q2),
+                                     PLUS if s else MINUS))
+                  for f, q2, s in zip(first_plus, second_q, second_plus)]
+    return np.array(cells, dtype=np.uint8)
+
+
 class TestProtocolDesign:
     def test_rejects_variant_token(self):
         with pytest.raises(ValueError, match="DesignVariant"):
@@ -56,6 +107,77 @@ class TestProtocolDesign:
     def test_rejects_empty_branches(self):
         with pytest.raises(ValueError, match="at least 1"):
             ProtocolDesign(TWO, 0)
+
+    def test_rejects_bool_size(self):
+        with pytest.raises(ValueError, match="int"):
+            ProtocolDesign(THREE, True)
+
+
+class TestSimulationKernel:
+    """The blocked kernel against a per-branch reference and the public
+    counter streams; blocks of 1, 7 and 64 agents cross branch boundaries."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    @pytest.mark.parametrize("kind", sorted(POPULATIONS))
+    def test_cells_do_not_depend_on_block_size(self, monkeypatch, block, variant, kind):
+        design = ProtocolDesign(variant, 50)
+        monkeypatch.setattr(protocol, "_BLOCK", block)
+        for seed in (0, 2**64 - 1):
+            data = run_protocol(POPULATIONS[kind], design, seed=seed)
+            assert np.array_equal(data.cells, reference_cells(POPULATIONS[kind], design, seed))
+
+    @pytest.mark.filterwarnings("error")  # the uint64 mixes must not overflow-warn
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    @pytest.mark.parametrize("kind", ["classical", "quantum-angle"])
+    def test_kernel_uniforms_equal_counter_uniforms(self, monkeypatch, variant, kind):
+        drawn = {}  # draw slot -> rows of uniforms, in call order
+
+        def recording(keys, indices, draws):
+            u = keyed_uniforms(keys, indices, draws)
+            for slot, row in zip(np.ravel(draws).tolist(), u.reshape(-1, len(indices))):
+                drawn.setdefault(slot, []).append(row)
+            return u
+
+        monkeypatch.setattr(protocol, "keyed_uniforms", recording)
+        monkeypatch.setattr(protocol, "_BLOCK", 64)
+        seed, design = 2**64 - 1, ProtocolDesign(variant, 50)
+        run_protocol(POPULATIONS[kind], design, seed=seed)
+        assert sorted(drawn) == ([0] if kind == "classical" else [0, 1, 2])
+        for slot, rows in drawn.items():
+            expected = [counter_uniforms(seed, list(Branch).index(branch) + 1,
+                                         np.arange(k * 50, dtype=np.uint64), slot)
+                        for branch, k in DESIGN_BRANCHES[variant]]
+            assert np.array_equal(np.concatenate(rows), np.concatenate(expected))
+
+    def test_consistent_cells_are_the_simulated_cells(self):
+        seen = set()
+        for variant in (THREE, TWO):
+            seen.update(run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(variant, 500),
+                                     seed=5).cells.tolist())
+        assert seen == CONSISTENT_CELLS
+
+
+class TestRejectsBadArguments:
+    """Invalid sizes, seeds and worker counts fail before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew before validating")
+        monkeypatch.setattr(protocol, "stream_keys", draw)
+        monkeypatch.setattr(protocol, "keyed_uniforms", draw)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1", -1, 2**64])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(THREE, 10), seed=seed)
+
+    @pytest.mark.parametrize("workers", [1.5, True, "2", 0])
+    def test_bad_workers(self, workers):
+        with pytest.raises(ValueError, match="workers must be an int"):
+            run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(THREE, 10), seed=1,
+                         workers=workers)
 
 
 class TestRunProtocol:
@@ -105,6 +227,12 @@ class TestRunProtocol:
         assert (rebuilt.counts == data.counts).all()
         other = run_protocol(QuantumUnpolarized(WITNESS), design, seed=13)
         assert not np.array_equal(other.cells, data.cells)
+
+    def test_numpy_integer_arguments_accepted(self):
+        pop, design = QuantumUnpolarized(WITNESS), ProtocolDesign(TWO, 40)
+        data = run_protocol(pop, ProtocolDesign(TWO, np.int64(40)), seed=np.uint64(9),
+                            workers=np.int32(2))
+        assert np.array_equal(data.cells, run_protocol(pop, design, seed=9).cells)
 
     def test_same_seed_same_dataset(self):
         design = ProtocolDesign(TWO, 300)
