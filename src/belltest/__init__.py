@@ -30,9 +30,7 @@ _EXPORTS = {
                     " PopulationModel ProtocolDesign QuantumUnpolarized ResponseDataset"
                     " SymmetryReport check_perfect_correlation check_symmetry"
                     " estimate_frequencies run_protocol sample_entangled_pairs",
-        "qubit": "UNPOLARIZED BlochAngle QuestionTriple RealQubitState"
-                 " predicted_conditional_triple sample_sequential"
-                 " sequential_joint_probability transition_probability",
+        "qubit": "BlochAngle QuestionTriple predicted_conditional_triple",
         "search": "FloorCertificate SearchResult classical_margin_floor"
                   " maximize_quantum_violation",
         "stats": "TestResult violation_test wilson_interval",

@@ -118,23 +118,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags that only one --model reads; giving one with the other model is an error.
+_MODEL_FLAGS = {"quantum": ("angles",), "classical": ("atoms", "symmetrize")}
+
+
 def _cmd_simulate(args) -> int:
+    for model, flags in _MODEL_FLAGS.items():
+        for flag in flags:
+            if model != args.model and getattr(args, flag):
+                raise ValueError(f"--{flag} is only used with --model {model}")
     if args.model == "quantum":
         if args.angles is None:
-            print("simulate: --angles is required with --model quantum", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError("--angles is required with --model quantum")
         pop = QuantumUnpolarized(questions=args.angles)
     else:
         if args.atoms is None:
-            print("simulate: --atoms is required with --model classical", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError("--atoms is required with --model classical")
         joint = JointDistribution3(tuple(args.atoms))
-        if args.symmetrize:
-            joint = symmetrize(joint)
-        pop = ClassicalHiddenVariable(joint=joint)
-    design = ProtocolDesign(
-        variant=DesignVariant(args.design), n_per_branch=args.n
-    )
+        pop = ClassicalHiddenVariable(joint=symmetrize(joint) if args.symmetrize else joint)
+    design = ProtocolDesign(variant=DesignVariant(args.design), n_per_branch=args.n)
     data = run_protocol(pop, design, seed=args.seed, workers=args.workers)
     args.out.write_text(format_dataset(data))
     return EXIT_OK

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import EmptyConditioningBranch
 from .inequalities import validate_tolerance
 from .probability import ATOMS, JointDistribution3, Outcome, VariableIndex
-from .qubit import TWO_PI, QuestionTriple, born
+from .qubit import QuestionTriple, born
 from .streams import keyed_uniforms, stream_keys
 
 
@@ -59,14 +59,20 @@ def _require_int(name: str, value, low: int, high: float, bounds: str) -> None:
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
+def _require_instance(name: str, value, *kinds: type) -> None:
+    """Raise ValueError unless ``value`` is an instance of one of ``kinds``."""
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{name} must be a {names}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolDesign:
     variant: DesignVariant
     n_per_branch: int
 
     def __post_init__(self):
-        if not isinstance(self.variant, DesignVariant):
-            raise ValueError(f"variant must be a DesignVariant, got {self.variant!r}")
+        _require_instance("variant", self.variant, DesignVariant)
         _require_int("n_per_branch", self.n_per_branch, 1, math.inf, "an integer of at least 1")
 
 
@@ -76,18 +82,20 @@ class ClassicalHiddenVariable:
 
     joint: JointDistribution3
 
+    def __post_init__(self):
+        _require_instance("joint", self.joint, JointDistribution3)
+
 
 @dataclass(frozen=True)
 class QuantumUnpolarized:
-    """Unpolarized agents answering projective questions with collapse.
-
-    ``draw_initial_angle`` switches from the fair-coin shortcut to drawing
-    each agent's pure angle uniformly; the two paths are statistically
-    equivalent for these measurements.
-    """
+    """Unpolarized agents answering projective questions with collapse: the
+    first answer is "yes" with chance 1/2, and the state then sits on that
+    answer's eigenstate, which sets the Born weight of the second."""
 
     questions: QuestionTriple
-    draw_initial_angle: bool = False
+
+    def __post_init__(self):
+        _require_instance("questions", self.questions, QuestionTriple)
 
 
 PopulationModel = Union[ClassicalHiddenVariable, QuantumUnpolarized]
@@ -153,7 +161,7 @@ class FrequencyTable:
             self.nu_c_given_b_minus,
             self.nu_a_given_c_plus,
         ):
-            if not (0 <= num <= den):
+            if not (0 <= num <= den and den >= 1):
                 raise ValueError(f"invalid counts ({num}, {den})")
 
     def proportions(self) -> tuple[float, float, float]:
@@ -204,8 +212,8 @@ _ROUTE_CELL = np.ravel_multi_index((_CODES.repeat(2), _FIRST_Q.repeat(2), np.til
 #: Agents per kernel call; bounds the simulation's working memory.
 _BLOCK = 1 << 16
 
-# Draw slots in an agent's stream: first answer, second answer, initial angle.
-_DRAWS = np.arange(3, dtype=np.uint64).reshape(3, 1)  # a column: one row per slot
+# Draw slots in an agent's stream: first answer, second answer.
+_DRAWS = np.arange(2, dtype=np.uint64).reshape(2, 1)  # a column: one row per slot
 
 
 def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
@@ -222,15 +230,8 @@ def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
     else:
         q = pop.questions
         angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
-        if pop.draw_initial_angle:
-            # Born weight of the first "yes" from each agent's drawn pure state.
-            p_first = born(TWO_PI * keyed_uniforms(agent_keys, indices, _DRAWS[2]),
-                           angles[_FIRST_Q[codes]])
-        else:
-            p_first = 0.5
-        u_first, u_second = keyed_uniforms(agent_keys, indices, _DRAWS[:2])
-        first_no = u_first >= p_first
-        route = 2 * codes + first_no
+        u_first, u_second = keyed_uniforms(agent_keys, indices, _DRAWS)
+        route = 2 * codes + (u_first >= 0.5)  # unpolarized: a fair first answer
         # State after the first answer: q1 for "yes", q1 + pi for "no".
         state = np.add.outer(angles[_FIRST_Q], (0.0, np.pi)).ravel()  # per route
         second_no = u_second >= born(state, angles[_SECOND_Q])[route]
@@ -253,6 +254,8 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int,
     """Simulate the survey in one pass over its agents in file order, in blocks
     of ``_BLOCK`` agents that may span branches.  ``seed`` must be an integer
     in [0, 2**64); ``workers``, an integer of at least 1, has no effect."""
+    _require_instance("population", pop, ClassicalHiddenVariable, QuantumUnpolarized)
+    _require_instance("design", design, ProtocolDesign)
     _require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
     _require_int("workers", workers, 1, math.inf, "an integer of at least 1")
     sizes = _DESIGN_SIZES[design.variant] * int(design.n_per_branch)

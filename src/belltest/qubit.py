@@ -4,8 +4,9 @@ A question is a direction phi on the circle; its "yes" eigenstate sits at
 phi and its "no" eigenstate at phi + pi.  The chance that a state at angle
 x answers a question at angle y with "yes" is cos^2((x - y) / 2).  Answering
 collapses the state onto the eigenstate of the answer given, which is what
-makes question order matter and lets the model step outside every single
-classical joint law.
+lets the model step outside every single classical joint law.  This module
+holds the model's formulas on arrays; ``protocol.run_protocol`` is its one
+simulator of collapsing agents.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import CondTriple
-from .probability import Outcome
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,9 +32,6 @@ class BlochAngle:
             raise ValueError(f"angle must be finite, got {self.phi!r}")
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
 
-    def antipode(self) -> "BlochAngle":
-        return BlochAngle(self.phi + math.pi)
-
 
 @dataclass(frozen=True)
 class QuestionTriple:
@@ -45,26 +42,6 @@ class QuestionTriple:
     @classmethod
     def from_floats(cls, a: float, b: float, c: float) -> "QuestionTriple":
         return cls(BlochAngle(a), BlochAngle(b), BlochAngle(c))
-
-
-@dataclass(frozen=True)
-class RealQubitState:
-    """Either a pure state at a definite angle, or the unpolarized mixture."""
-
-    phi: BlochAngle | None
-
-    @classmethod
-    def pure(cls, angle: float | BlochAngle) -> "RealQubitState":
-        if not isinstance(angle, BlochAngle):
-            angle = BlochAngle(angle)
-        return cls(angle)
-
-    @property
-    def is_unpolarized(self) -> bool:
-        return self.phi is None
-
-
-UNPOLARIZED = RealQubitState(None)
 
 
 def born(x, y):
@@ -82,47 +59,6 @@ def predicted_conditionals(a, b, c):
     return born(a, b), np.sin(0.5 * (c - b)) ** 2, born(a, c)
 
 
-def transition_probability(from_angle: BlochAngle, to_angle: BlochAngle) -> float:
-    """Born rule between two directions; see ``born``."""
-    return float(born(from_angle.phi, to_angle.phi))
-
-
 def predicted_conditional_triple(q: QuestionTriple) -> CondTriple:
     """Analytic conditional probabilities for the two-question protocol."""
     return CondTriple(*map(float, predicted_conditionals(q.a.phi, q.b.phi, q.c.phi)))
-
-
-def sample_sequential(
-    state: RealQubitState,
-    questions: list[BlochAngle],
-    rng: np.random.Generator,
-) -> list[Outcome]:
-    """Ask the questions in order, collapsing the state after each answer."""
-    if not questions:
-        raise ValueError("need at least one question")
-    answers: list[Outcome] = []
-    current = state
-    for q in questions:
-        if current.is_unpolarized:
-            p_yes = 0.5
-        else:
-            p_yes = transition_probability(current.phi, q)
-        yes = rng.random() < p_yes
-        answers.append(Outcome.PLUS if yes else Outcome.MINUS)
-        current = RealQubitState(q if yes else q.antipode())
-    return answers
-
-
-def sequential_joint_probability(
-    initial: RealQubitState, first: BlochAngle, second: BlochAngle
-) -> float:
-    """P(answer "yes" to `first`, then "yes" to `second`).
-
-    Swapping the questions changes this value for pure initial states: the
-    order-dependence witness of the collapse model.
-    """
-    if initial.is_unpolarized:
-        p_first = 0.5
-    else:
-        p_first = transition_probability(initial.phi, first)
-    return p_first * transition_probability(first, second)

@@ -182,6 +182,19 @@ class TestCli:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("model_args, flag, model", [
+        (["quantum", "--angles", WITNESS_ARGS, "--atoms", *"10000000"], "--atoms", "classical"),
+        (["quantum", "--angles", WITNESS_ARGS, "--symmetrize"], "--symmetrize", "classical"),
+        (["classical", "--atoms", *"10000000", "--angles", "0,1,2"], "--angles", "quantum"),
+    ])
+    def test_other_models_flag_exit_2(self, tmp_path, capsys, model_args, flag, model):
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--model", *model_args, "--n", "10", "--seed", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"simulate: {flag} is only used with --model {model}\n"
+        assert not out.exists()
+
     def test_mixed_designs_exit_2_before_estimating(self, tmp_path, capsys, monkeypatch):
         pop = QuantumUnpolarized(QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3))
         three = run_protocol(pop, ProtocolDesign(DesignVariant.THREE_ENSEMBLE, 300), seed=1)

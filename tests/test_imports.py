@@ -30,14 +30,13 @@ PUBLIC_NAMES = [
     "DuplicateRespondent", "EmptyConditioningBranch", "FloorCertificate", "FormatError",
     "FrequencyTable", "InequalityKind", "InequalityReport", "InterferenceRegime",
     "InterferenceResult", "JointDistribution3", "Outcome", "PopulationModel",
-    "ProtocolDesign", "QuantumUnpolarized", "QuestionTriple", "RealQubitState",
+    "ProtocolDesign", "QuantumUnpolarized", "QuestionTriple",
     "ResponseDataset", "SearchResult", "SymmetryReport", "TestResult",
-    "UNPOLARIZED", "VariableIndex", "ZeroConditioningEvent", "bell_covariance_check",
+    "VariableIndex", "ZeroConditioningEvent", "bell_covariance_check",
     "check_perfect_correlation", "check_symmetry", "classical_margin_floor", "conditional",
     "covariance", "estimate_frequencies", "interference_coefficient", "joint_plus_pair",
     "marginal_plus", "maximize_quantum_violation", "predicted_conditional_triple",
-    "random_joint", "run_protocol", "sample_entangled_pairs", "sample_sequential",
-    "sequential_joint_probability", "symmetrize", "transition_probability",
+    "random_joint", "run_protocol", "sample_entangled_pairs", "symmetrize",
     "violation_test", "wigner_conditional_check", "wigner_joint_check", "wilson_interval",
 ]
 

@@ -8,6 +8,7 @@ from belltest import (
     ClassicalHiddenVariable,
     DesignVariant,
     EmptyConditioningBranch,
+    FrequencyTable,
     JointDistribution3,
     Outcome,
     ProtocolDesign,
@@ -26,7 +27,7 @@ from belltest import protocol
 from belltest.dataio import format_dataset
 from belltest.probability import ATOMS
 from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
-from belltest.qubit import TWO_PI, born
+from belltest.qubit import born
 from belltest.streams import counter_uniforms, keyed_uniforms
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
@@ -61,19 +62,18 @@ BRANCH_QUESTIONS = {
 POPULATIONS = {
     "classical": ClassicalHiddenVariable(random_joint(np.random.default_rng(21))),
     "quantum": QuantumUnpolarized(WITNESS),
-    "quantum-angle": QuantumUnpolarized(WITNESS, draw_initial_angle=True),
 }
 
 
 def reference_cells(pop, design, seed):
     """The survey simulated one branch at a time, straight from the model:
     branch code c draws from counter stream c + 1, slot 0 for the first
-    answer, 1 for the second and 2 for the initial angle."""
+    answer and 1 for the second."""
     cells = []
     for branch, k in DESIGN_BRANCHES[design.variant]:
         index = np.arange(k * design.n_per_branch, dtype=np.uint64)
         stream = list(Branch).index(branch) + 1
-        u_first, u_second, u_angle = (counter_uniforms(seed, stream, index, d) for d in range(3))
+        u_first, u_second = (counter_uniforms(seed, stream, index, d) for d in range(2))
         first_q, after_yes, after_no = BRANCH_QUESTIONS[branch]
         if isinstance(pop, ClassicalHiddenVariable):
             cdf = np.cumsum(pop.joint.weights)
@@ -84,8 +84,7 @@ def reference_cells(pop, design, seed):
         else:
             q = pop.questions
             angles = np.array([q.a.phi, q.b.phi, q.c.phi])
-            p_first = born(TWO_PI * u_angle, angles[first_q]) if pop.draw_initial_angle else 0.5
-            first_plus = u_first < p_first
+            first_plus = u_first < 0.5  # unpolarized: a fair first answer
             second_q = np.where(first_plus, after_yes, after_no)
             state = np.where(first_plus, angles[first_q], angles[first_q] + np.pi)
             second_plus = u_second < born(state, angles[second_q])
@@ -129,7 +128,7 @@ class TestSimulationKernel:
 
     @pytest.mark.filterwarnings("error")  # the uint64 mixes must not overflow-warn
     @pytest.mark.parametrize("variant", [THREE, TWO])
-    @pytest.mark.parametrize("kind", ["classical", "quantum-angle"])
+    @pytest.mark.parametrize("kind", sorted(POPULATIONS))
     def test_kernel_uniforms_equal_counter_uniforms(self, monkeypatch, variant, kind):
         drawn = {}  # draw slot -> rows of uniforms, in call order
 
@@ -143,7 +142,7 @@ class TestSimulationKernel:
         monkeypatch.setattr(protocol, "_BLOCK", 64)
         seed, design = 2**64 - 1, ProtocolDesign(variant, 50)
         run_protocol(POPULATIONS[kind], design, seed=seed)
-        assert sorted(drawn) == ([0] if kind == "classical" else [0, 1, 2])
+        assert sorted(drawn) == ([0] if kind == "classical" else [0, 1])
         for slot, rows in drawn.items():
             expected = [counter_uniforms(seed, list(Branch).index(branch) + 1,
                                          np.arange(k * 50, dtype=np.uint64), slot)
@@ -178,6 +177,23 @@ class TestRejectsBadArguments:
         with pytest.raises(ValueError, match="workers must be an int"):
             run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(THREE, 10), seed=1,
                          workers=workers)
+
+    @pytest.mark.parametrize("pop", [JointDistribution3.uniform(), WITNESS, None],
+                             ids=["joint", "questions", "none"])
+    def test_bad_population(self, pop):
+        with pytest.raises(ValueError, match="population must be a ClassicalHiddenVariable"
+                                             " or QuantumUnpolarized, got "):
+            run_protocol(pop, ProtocolDesign(THREE, 10), seed=1)
+
+    def test_bad_design(self):
+        with pytest.raises(ValueError, match="design must be a ProtocolDesign, got 'three'"):
+            run_protocol(QuantumUnpolarized(WITNESS), "three", seed=1)
+
+    def test_population_fields_checked(self):
+        with pytest.raises(ValueError, match="questions must be a QuestionTriple"):
+            QuantumUnpolarized((0.0, 1.0, 2.0))
+        with pytest.raises(ValueError, match="joint must be a JointDistribution3"):
+            ClassicalHiddenVariable(WITNESS)
 
 
 class TestRunProtocol:
@@ -248,20 +264,6 @@ class TestRunProtocol:
         nu = estimate_frequencies(data).proportions()
         assert nu == pytest.approx((0.25, 0.25, 0.75), abs=0.005)
 
-    def test_angle_draw_path_matches_fair_coin_path(self):
-        # Same statistics from the two unpolarized implementations.
-        design = ProtocolDesign(THREE, 50_000)
-        coin = estimate_frequencies(
-            run_protocol(QuantumUnpolarized(WITNESS), design, seed=2)
-        ).proportions()
-        drawn = estimate_frequencies(
-            run_protocol(
-                QuantumUnpolarized(WITNESS, draw_initial_angle=True), design, seed=3
-            )
-        ).proportions()
-        for x, y in zip(coin, drawn):
-            assert abs(x - y) < 0.01
-
     def test_classical_order_invariance(self):
         # Predetermined triples: swapping the question order within a branch
         # leaves the joint answer distribution unchanged. Compare BA-derived
@@ -277,6 +279,13 @@ class TestRunProtocol:
                     pairs += 1
         expected = joint.atom((1, 1, 1)) + joint.atom((1, 1, -1))
         assert abs(pairs / n - expected) < 0.01
+
+
+class TestFrequencyTable:
+    @pytest.mark.parametrize("bad", [(0, 0), (3, 2), (-1, 2)])
+    def test_rejects_invalid_counts(self, bad):
+        with pytest.raises(ValueError, match=rf"invalid counts \({bad[0]}, {bad[1]}\)"):
+            FrequencyTable(bad, (1, 2), (1, 2))
 
 
 class TestEstimateFrequencies:

@@ -27,7 +27,6 @@ PEAK_BOUND = 4 << 20  # bytes beyond the cells: a few arrays of 2**16 8-byte val
 POPULATIONS = {
     "classical": ClassicalHiddenVariable(random_joint(np.random.default_rng(2))),
     "quantum": QuantumUnpolarized(WITNESS),
-    "quantum-angle": QuantumUnpolarized(WITNESS, draw_initial_angle=True),
 }
 
 

@@ -1,22 +1,16 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from belltest import (
-    UNPOLARIZED,
     BlochAngle,
-    Outcome,
     QuestionTriple,
-    RealQubitState,
     predicted_conditional_triple,
-    sample_sequential,
-    sequential_joint_probability,
-    transition_probability,
     wigner_conditional_check,
 )
+from belltest.qubit import born
 
 # Witness configuration with the most negative predicted margin: the
 # conditional triple (1/4, 1/4, 3/4), margin -1/4, at gaps
@@ -35,35 +29,30 @@ class TestBlochAngle:
         with pytest.raises(ValueError):
             BlochAngle(float("nan"))
 
-    def test_antipode(self):
-        assert BlochAngle(0.25).antipode().phi == pytest.approx(0.25 + math.pi)
-
 
 class TestTransitionProbability:
+    """The Born rule ``born(x, y)``: the chance that a state at angle x
+    answers "yes" to the question at angle y."""
+
     def test_identity(self):
-        assert transition_probability(BlochAngle(1.3), BlochAngle(1.3)) == 1.0
+        assert born(1.3, 1.3) == 1.0
 
     def test_orthogonality(self):
-        x = BlochAngle(0.7)
-        assert transition_probability(x, x.antipode()) == pytest.approx(0.0, abs=1e-30)
+        assert born(0.7, BlochAngle(0.7 + math.pi).phi) == pytest.approx(0.0, abs=1e-30)
 
     def test_quarter_gap(self):
-        assert transition_probability(
-            BlochAngle(0.0), BlochAngle(math.pi / 2)
-        ) == pytest.approx(0.5, abs=1e-15)
+        assert born(0.0, math.pi / 2) == pytest.approx(0.5, abs=1e-15)
 
     @given(angles, angles)
     def test_born_normalization(self, x, y):
-        bx, by = BlochAngle(x), BlochAngle(y)
-        total = transition_probability(bx, by) + transition_probability(bx, by.antipode())
+        bx, by = BlochAngle(x).phi, BlochAngle(y).phi
+        total = born(bx, by) + born(bx, BlochAngle(by + math.pi).phi)
         assert total == pytest.approx(1.0, abs=1e-14)
 
     @given(angles, angles)
     def test_symmetry(self, x, y):
-        bx, by = BlochAngle(x), BlochAngle(y)
-        assert transition_probability(bx, by) == pytest.approx(
-            transition_probability(by, bx), abs=1e-15
-        )
+        bx, by = BlochAngle(x).phi, BlochAngle(y).phi
+        assert born(bx, by) == pytest.approx(born(by, bx), abs=1e-15)
 
 
 class TestPredictedConditionalTriple:
@@ -91,63 +80,3 @@ class TestPredictedConditionalTriple:
         assert wigner_conditional_check(triple).margin == pytest.approx(
             -0.18301270189221935, abs=1e-14
         )
-
-
-class TestSampleSequential:
-    def test_eigenstate_always_yes(self):
-        rng = np.random.default_rng(0)
-        q = BlochAngle(1.1)
-        for _ in range(100):
-            assert sample_sequential(RealQubitState.pure(q), [q], rng) == [Outcome.PLUS]
-
-    def test_requires_questions(self):
-        with pytest.raises(ValueError):
-            sample_sequential(UNPOLARIZED, [], np.random.default_rng(0))
-
-    def test_unpolarized_first_answer_fair(self):
-        rng = np.random.default_rng(1)
-        n = 100_000
-        plus = sum(
-            sample_sequential(UNPOLARIZED, [BlochAngle(0.3)], rng)[0] is Outcome.PLUS
-            for _ in range(n)
-        )
-        assert abs(plus / n - 0.5) < 0.005
-
-    def test_conditional_matches_prediction(self):
-        rng = np.random.default_rng(2)
-        b = BlochAngle(2 * math.pi / 3)
-        a = BlochAngle(0.0)
-        n = 100_000
-        n_b_plus = 0
-        n_a_plus = 0
-        for _ in range(n):
-            first, second = sample_sequential(UNPOLARIZED, [b, a], rng)
-            if first is Outcome.PLUS:
-                n_b_plus += 1
-                if second is Outcome.PLUS:
-                    n_a_plus += 1
-        # a - b = -2*pi/3, so the predicted conditional is cos^2(pi/3) = 1/4.
-        assert abs(n_a_plus / n_b_plus - 0.25) < 0.005
-
-
-class TestSequentialJointProbability:
-    def test_aligned_then_quarter(self):
-        p = sequential_joint_probability(
-            RealQubitState.pure(0.0), BlochAngle(0.0), BlochAngle(math.pi / 2)
-        )
-        assert p == pytest.approx(0.5, abs=1e-15)
-
-    def test_order_dependence(self):
-        swapped = sequential_joint_probability(
-            RealQubitState.pure(0.0), BlochAngle(math.pi / 2), BlochAngle(0.0)
-        )
-        assert swapped == pytest.approx(0.25, abs=1e-15)
-
-    @given(angles, angles)
-    def test_unpolarized_is_order_symmetric(self, x, y):
-        first, second = BlochAngle(x), BlochAngle(y)
-        forward = sequential_joint_probability(UNPOLARIZED, first, second)
-        backward = sequential_joint_probability(UNPOLARIZED, second, first)
-        assert forward == pytest.approx(backward, abs=1e-15)
-        expected = 0.5 * transition_probability(first, second)
-        assert forward == pytest.approx(expected, abs=1e-15)
