@@ -19,6 +19,7 @@ from belltest import (
     check_perfect_correlation,
     check_symmetry,
     estimate_frequencies,
+    predicted_conditional_triple,
     random_joint,
     run_protocol,
     sample_entangled_pairs,
@@ -279,6 +280,70 @@ class TestRunProtocol:
                     pairs += 1
         expected = joint.atom((1, 1, 1)) + joint.atom((1, 1, -1))
         assert abs(pairs / n - expected) < 0.01
+
+
+def answer_pairs(data, q1, q2):
+    """Counts of (first answer, second answer) codes over every branch that
+    asks q1 then q2, as a 2x2 array; code 0 is "yes" and 1 is "no"."""
+    return data.counts[:, q1, :, q2, :].sum(axis=0)
+
+
+class TestCollapse:
+    """The unpolarized collapse model as the kernel simulates it: a fair first
+    answer, then a second answer drawn by the Born rule from the eigenstate of
+    the first."""
+
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    def test_repeated_question_repeats_the_answer(self, variant):
+        # All three questions at one angle: the first answer leaves the state
+        # on that answer's eigenstate, so every second answer repeats it.
+        pop = QuantumUnpolarized(QuestionTriple.from_floats(1.1, 1.1, 1.1))
+        counts = run_protocol(pop, ProtocolDesign(variant, 2_000), seed=0).counts
+        assert counts[:, :, 0, :, 1].sum() == counts[:, :, 1, :, 0].sum() == 0
+        assert counts[:, :, 0, :, 0].sum() > 0 and counts[:, :, 1, :, 1].sum() > 0
+
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    def test_opposite_question_flips_the_answer(self, variant):
+        # a sits at b + pi: after a "yes" to b the state is a's "no" eigenstate.
+        pop = QuantumUnpolarized(QuestionTriple.from_floats(1.1 + math.pi, 1.1, 2.0))
+        pairs = answer_pairs(run_protocol(pop, ProtocolDesign(variant, 2_000), seed=1), B, A)
+        assert pairs[0, 0] == pairs[1, 1] == 0
+        assert pairs[0, 1] > 0
+
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    def test_first_answer_fair_in_every_branch(self, variant):
+        # Questions far from the witness, so no angle makes 1/2 a coincidence.
+        pop = QuantumUnpolarized(QuestionTriple.from_floats(0.3, 2.9, 4.4))
+        data = run_protocol(pop, ProtocolDesign(variant, 50_000), seed=2)
+        by_branch = data.counts.sum(axis=(1, 3, 4))  # (branch, first answer)
+        asked = by_branch.sum(axis=1) > 0
+        assert asked.sum() == (3 if variant is THREE else 2)
+        plus = by_branch[asked, 0] / by_branch[asked].sum(axis=1)
+        assert plus == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("gap", [math.pi / 3, math.pi / 2, 2 * math.pi / 3])
+    def test_unpolarized_is_order_symmetric(self, gap):
+        # a and b at x, c at x + gap: BC asks x then x + gap and CA the
+        # reverse.  Both orders have the joint law 1/2 * born(x, x + gap) for
+        # equal answers and 1/2 * (1 - born) for unequal ones.
+        x = 0.4
+        pop = QuantumUnpolarized(QuestionTriple.from_floats(x, x, x + gap))
+        data = run_protocol(pop, ProtocolDesign(THREE, 100_000), seed=3)
+        p = born(x, x + gap)
+        expected = 0.5 * np.array([[p, 1 - p], [1 - p, p]])
+        for q1, q2 in ((B, C), (C, A)):
+            pairs = answer_pairs(data, q1, q2)
+            assert pairs / pairs.sum() == pytest.approx(expected, abs=0.01)
+
+    @pytest.mark.parametrize("angles", [(0.0, 2 * math.pi / 3, math.pi / 2), (0.3, 2.9, 4.4)],
+                             ids=["intermediate", "generic"])
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    def test_conditional_matches_prediction(self, variant, angles):
+        questions = QuestionTriple.from_floats(*angles)
+        data = run_protocol(QuantumUnpolarized(questions), ProtocolDesign(variant, 100_000),
+                            seed=4)
+        nu = estimate_frequencies(data).proportions()
+        assert nu == pytest.approx(predicted_conditional_triple(questions).as_tuple(), abs=0.01)
 
 
 class TestFrequencyTable:
