@@ -47,7 +47,6 @@ from .protocol import (
     estimate_frequencies,
     infer_design,
     run_protocol,
-    validate_tolerance,
 )
 from .qubit import QuestionTriple
 from .stats import validate_alpha, violation_test
@@ -55,8 +54,6 @@ from .stats import validate_alpha, violation_test
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
-
-DEFAULT_SYMMETRY_TOLERANCE = 0.05
 
 
 def _angles(text: str) -> QuestionTriple:
@@ -95,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     tst = sub.add_parser("test", help="analyze a CSV dataset, write a JSON report")
     tst.add_argument("dataset", type=Path)
     tst.add_argument("--alpha", type=float, default=0.05)
-    tst.add_argument("--symmetry-tolerance", type=float,
-                     default=DEFAULT_SYMMETRY_TOLERANCE)
     tst.add_argument("--seed", type=int, default=None,
                      help="seed to echo into the report, if known")
     tst.add_argument("--report", type=Path, default=None,
@@ -123,6 +118,8 @@ _MODEL_FLAGS = {"quantum": ("angles",), "classical": ("atoms", "symmetrize")}
 
 
 def _cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     for model, flags in _MODEL_FLAGS.items():
         for flag in flags:
             if model != args.model and getattr(args, flag):
@@ -137,17 +134,16 @@ def _cmd_simulate(args) -> int:
         joint = JointDistribution3(tuple(args.atoms))
         pop = ClassicalHiddenVariable(joint=symmetrize(joint) if args.symmetrize else joint)
     design = ProtocolDesign(variant=DesignVariant(args.design), n_per_branch=args.n)
-    data = run_protocol(pop, design, seed=args.seed, workers=args.workers)
+    data = run_protocol(pop, design, seed=args.seed)
     args.out.write_text(format_dataset(data))
     return EXIT_OK
 
 
 def _cmd_test(args) -> int:
     validate_alpha(args.alpha)
-    validate_tolerance(args.symmetry_tolerance)
     data = parse_dataset(args.dataset.read_text())
     design = infer_design(data).value
-    symmetry = check_symmetry(data, tolerance=args.symmetry_tolerance)
+    symmetry = check_symmetry(data)
     context = ReportContext(seed=args.seed, design=design, alpha=args.alpha)
     try:
         table = estimate_frequencies(data)

@@ -13,6 +13,10 @@ The interference coefficient quantifies the departure of an observed
 probability from the additive rule p = p1 + p2, normalized so that a
 classical mixture gives 0 and any value with magnitude <= 1 can be written
 as a cosine.
+
+Every check allows a fixed rounding slack, ``TOLERANCE`` = 1e-9: a bound is
+violated only when its margin is below -1e-9, and the interference regimes'
+edges (|coefficient| 0 and 1) are widened by 1e-9.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .probability import (
     joint_plus_pair,
 )
 
-DEFAULT_TOLERANCE = 1e-9
+TOLERANCE = 1e-9
 
 
 class InequalityKind(Enum):
@@ -46,7 +50,6 @@ class InequalityReport:
     rhs: float
     margin: float
     violated: bool
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -82,45 +85,23 @@ class InterferenceResult:
     regime: InterferenceRegime
 
 
-def validate_tolerance(tolerance: float) -> None:
-    """Raise ValueError unless ``tolerance`` is finite and non-negative."""
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-
-
 def _report(
-    kind: InequalityKind,
-    lhs_terms: tuple[float, ...],
-    rhs: float,
-    margin: float,
-    tolerance: float,
+    kind: InequalityKind, lhs_terms: tuple[float, ...], rhs: float, margin: float
 ) -> InequalityReport:
-    validate_tolerance(tolerance)
-    return InequalityReport(
-        kind=kind,
-        lhs_terms=lhs_terms,
-        rhs=rhs,
-        margin=margin,
-        violated=margin < -tolerance,
-        tolerance=tolerance,
-    )
+    return InequalityReport(kind, lhs_terms, rhs, margin, violated=margin < -TOLERANCE)
 
 
-def bell_covariance_check(
-    joint: JointDistribution3, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
+def bell_covariance_check(joint: JointDistribution3) -> InequalityReport:
     """Covariance-form check; margin = (1 - <ac>) - |<ab> - <cb>|."""
     cov_ab = covariance(joint, VariableIndex.A, VariableIndex.B)
     cov_cb = covariance(joint, VariableIndex.C, VariableIndex.B)
     cov_ac = covariance(joint, VariableIndex.A, VariableIndex.C)
     rhs = 1.0 - cov_ac
     margin = rhs - abs(cov_ab - cov_cb)
-    return _report(InequalityKind.BELL_COVARIANCE, (cov_ab, cov_cb), rhs, margin, tolerance)
+    return _report(InequalityKind.BELL_COVARIANCE, (cov_ab, cov_cb), rhs, margin)
 
 
-def wigner_joint_check(
-    joint: JointDistribution3, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
+def wigner_joint_check(joint: JointDistribution3) -> InequalityReport:
     """Joint-probability form; margin = P(a+,b+) + P(b-,c+) - P(a+,c+).
 
     For any 8-atom law this margin equals w(++-) + w(--+) identically.
@@ -135,39 +116,33 @@ def wigner_joint_check(
         joint, (VariableIndex.A, Outcome.PLUS), (VariableIndex.C, Outcome.PLUS)
     )
     margin = math.fsum((p_ab, p_bc, -p_ac))
-    return _report(InequalityKind.WIGNER_JOINT, (p_ab, p_bc), p_ac, margin, tolerance)
+    return _report(InequalityKind.WIGNER_JOINT, (p_ab, p_bc), p_ac, margin)
 
 
-def wigner_conditional_check(
-    triple: CondTriple, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
+def wigner_conditional_check(triple: CondTriple) -> InequalityReport:
     """Conditional-probability form; margin = p(a+|b+) + p(c+|b-) - p(a+|c+)."""
     p1, p2, p3 = triple.as_tuple()
-    return _report(InequalityKind.WIGNER_CONDITIONAL, (p1, p2), p3, p1 + p2 - p3, tolerance)
+    return _report(InequalityKind.WIGNER_CONDITIONAL, (p1, p2), p3, p1 + p2 - p3)
 
 
-def interference_coefficient(
-    p: float, p1: float, p2: float, tolerance: float = DEFAULT_TOLERANCE
-) -> InterferenceResult:
+def interference_coefficient(p: float, p1: float, p2: float) -> InterferenceResult:
     """Normalized interference term (p - p1 - p2) / (2 sqrt(p1 p2)).
 
     |coefficient| <= 1 can be realized as cos(theta) (trigonometric regime);
     larger magnitudes fall outside that parameterization (hyperbolic).
     Each probability must lie in [0, 1] (ValueError, which NaN fails too);
-    p1 or p2 exactly 0 raises DegenerateAlternatives.
+    a product p1 * p2 that is 0, as when p1 or p2 is 0 or the product
+    underflows, raises DegenerateAlternatives.
     """
-    validate_tolerance(tolerance)
     for label, value in (("p", p), ("p1", p1), ("p2", p2)):
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"{label} must be in [0, 1], got {value!r}")
-    if p1 == 0.0 or p2 == 0.0:
-        raise DegenerateAlternatives(
-            f"alternative probabilities must be positive, got p1={p1!r}, p2={p2!r}"
-        )
+    if p1 * p2 == 0.0:
+        raise DegenerateAlternatives(f"p1 * p2 must be positive, got p1={p1!r}, p2={p2!r}")
     coefficient = (p - p1 - p2) / (2.0 * math.sqrt(p1 * p2))
-    if abs(coefficient) <= tolerance:
+    if abs(coefficient) <= TOLERANCE:
         regime = InterferenceRegime.CLASSICAL
-    elif abs(coefficient) <= 1.0 + tolerance:
+    elif abs(coefficient) <= 1.0 + TOLERANCE:
         regime = InterferenceRegime.TRIGONOMETRIC
     else:
         regime = InterferenceRegime.HYPERBOLIC

@@ -171,16 +171,10 @@ def conditional(
     return min(_probability(joint, target, given) / p_given, 1.0)
 
 
-def random_joint(rng: np.random.Generator, concentration: float = 1.0) -> JointDistribution3:
-    """Sample a joint law from a symmetric Dirichlet over the 8 atoms.
-
-    concentration = 1 is uniform on the simplex; larger values concentrate
-    near the uniform law.  Deterministic given the generator state.
-    """
-    if not concentration > 0.0:
-        raise ValueError(f"concentration must be positive, got {concentration!r}")
-    w = rng.dirichlet(np.full(8, concentration))
-    return JointDistribution3(tuple(w))
+def random_joint(rng: np.random.Generator) -> JointDistribution3:
+    """Sample a joint law uniformly on the simplex of the 8 atom weights (a
+    Dirichlet with every parameter 1).  Deterministic given the generator state."""
+    return JointDistribution3(tuple(rng.dirichlet(np.ones(8))))
 
 
 def symmetrize(joint: JointDistribution3) -> JointDistribution3:

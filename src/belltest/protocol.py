@@ -34,7 +34,6 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import EmptyConditioningBranch
-from .inequalities import validate_tolerance
 from .probability import ATOMS, JointDistribution3, Outcome, VariableIndex
 from .qubit import QuestionTriple, born
 from .streams import keyed_uniforms, stream_keys
@@ -249,15 +248,13 @@ _DESIGN_SIZES = {DesignVariant.THREE_ENSEMBLE: np.array([1, 1, 1, 0, 0]),
 CONSISTENT_CELLS = frozenset(_ROUTE_CELL.tolist() + (_ROUTE_CELL + 1).tolist())
 
 
-def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int,
-                 workers: int = 1) -> ResponseDataset:
+def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> ResponseDataset:
     """Simulate the survey in one pass over its agents in file order, in blocks
-    of ``_BLOCK`` agents that may span branches.  ``seed`` must be an integer
-    in [0, 2**64); ``workers``, an integer of at least 1, has no effect."""
+    of ``_BLOCK`` agents that may span branches, in the calling process.
+    ``seed`` must be an integer in [0, 2**64)."""
     _require_instance("population", pop, ClassicalHiddenVariable, QuantumUnpolarized)
     _require_instance("design", design, ProtocolDesign)
     _require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
-    _require_int("workers", workers, 1, math.inf, "an integer of at least 1")
     sizes = _DESIGN_SIZES[design.variant] * int(design.n_per_branch)
     ends = np.cumsum(sizes)
     starts = ends - sizes  # branch code c holds rows [starts[c], ends[c])
@@ -306,9 +303,11 @@ def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
     return FrequencyTable(*ratios)
 
 
-def check_symmetry(data: ResponseDataset, tolerance: float) -> SymmetryReport:
-    """Flag questions whose first-answer "yes" fraction strays from 1/2."""
-    validate_tolerance(tolerance)
+def check_symmetry(data: ResponseDataset, tolerance: float = 0.05) -> SymmetryReport:
+    """Flag questions whose first-answer "yes" fraction strays from 1/2 by
+    more than ``tolerance``, which must be finite and >= 0."""
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if len(data) == 0:
         raise ValueError("dataset is empty")
     by_answer = data.counts.sum(axis=(0, 3, 4))  # (first q, first answer)

@@ -39,6 +39,11 @@ class QuestionTriple:
     b: BlochAngle
     c: BlochAngle
 
+    def __post_init__(self):
+        for name, angle in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if not isinstance(angle, BlochAngle):
+                raise ValueError(f"{name} must be a BlochAngle, got {angle!r}")
+
     @classmethod
     def from_floats(cls, a: float, b: float, c: float) -> "QuestionTriple":
         return cls(BlochAngle(a), BlochAngle(b), BlochAngle(c))

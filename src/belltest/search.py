@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .inequalities import wigner_conditional_check
-from .qubit import TWO_PI, QuestionTriple, predicted_conditional_triple, predicted_conditionals
+from .qubit import TWO_PI, QuestionTriple, predicted_conditionals
 
 _BLOCK_CELLS = 1 << 16  # grid cells or floor weights per block, so memory stays bounded
 #: The 8 deterministic laws (simplex vertices), one per row, in atom order.
@@ -33,9 +32,12 @@ class SearchResult:
     refinement_tolerance: float
 
 
-def _margin_point(beta: float, gamma: float) -> float:
-    triple = predicted_conditional_triple(QuestionTriple.from_floats(0.0, beta, gamma))
-    return wigner_conditional_check(triple).margin
+def _margin(beta, gamma):
+    """Predicted conditional-form margin at a = 0, gaps ``beta`` and ``gamma``
+    (radians or arrays): the same operations as ``wigner_conditional_check``
+    of ``predicted_conditional_triple``, so the same bits."""
+    p1, p2, p3 = predicted_conditionals(0.0, beta % TWO_PI, gamma % TWO_PI)
+    return p1 + p2 - p3
 
 
 def maximize_quantum_violation(
@@ -56,8 +58,7 @@ def maximize_quantum_violation(
     rows = max(1, _BLOCK_CELLS // grid_steps)
     best_margin, flat = np.inf, 0
     for start in range(0, grid_steps, rows):
-        p1, p2, p3 = predicted_conditionals(0.0, gaps[start:start + rows, None], gaps)
-        margins = p1 + p2 - p3
+        margins = _margin(gaps[start:start + rows, None], gaps)
         k = int(np.argmin(margins))  # row-major: first hit is lexicographic min
         if margins.flat[k] < best_margin:  # strict: earlier blocks win ties
             best_margin, flat = float(margins.flat[k]), start * grid_steps + k
@@ -70,7 +71,7 @@ def maximize_quantum_violation(
         moved = False
         for db, dg in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
             cand = (best[0] + db, best[1] + dg)
-            m = _margin_point(*cand)
+            m = _margin(*cand)
             evaluations += 1
             if m < best_margin:
                 best, best_margin = cand, m
@@ -78,12 +79,9 @@ def maximize_quantum_violation(
         if not moved:
             step *= 0.5
 
-    angles = QuestionTriple.from_floats(0.0, best[0], best[1])
-    # Re-evaluate through the public path so the reported margin matches it.
-    final_margin = wigner_conditional_check(predicted_conditional_triple(angles)).margin
     return SearchResult(
-        best_angles=angles,
-        best_margin=final_margin,
+        best_angles=QuestionTriple.from_floats(0.0, best[0], best[1]),
+        best_margin=float(_margin(*best)),
         evaluations=evaluations,
         refinement_tolerance=refine_tol,
     )

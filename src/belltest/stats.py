@@ -27,7 +27,6 @@ class TestResult:
     standard_error: float
     z_statistic: float
     p_value: float
-    alpha: float
     significant_violation: bool
     term_intervals: tuple[tuple[float, float], ...]
 
@@ -230,7 +229,6 @@ def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
         standard_error=se,
         z_statistic=z,
         p_value=p_value,
-        alpha=alpha,
         significant_violation=(margin < 0.0 and p_value < alpha),
         term_intervals=intervals,
     )

@@ -244,6 +244,12 @@ class TestCli:
     def test_interference_degenerate_exit_3(self):
         assert main(["interference", "--p", "0.5", "--p1", "0", "--p2", "0.5"]) == 3
 
+    def test_interference_underflowing_product_exit_3(self, capsys):
+        assert main(["interference", "--p", "0.5", "--p1", "1e-170", "--p2", "1e-170"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "interference: p1 * p2 must be positive, got p1=1e-170, p2=1e-170\n"
+
     @pytest.mark.parametrize("p1, p2", [("nan", "0.3"), ("inf", "0.3"), ("1.5", "0.3"),
                                         ("0.3", "-0.2"), ("0.3", "-inf")])
     def test_interference_alternative_outside_unit_interval_exit_2(self, capsys, p1, p2):
@@ -280,20 +286,20 @@ class TestCli:
             out.unlink()
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-    def test_invalid_symmetry_tolerance_exit_2(self, tmp_path, capsys, tolerance):
-        out = self.simulate(tmp_path)
-        report = tmp_path / "report.json"
-        code = main(["test", str(out), f"--symmetry-tolerance={tolerance}",
-                     "--report", str(report)])
+    def test_workers_below_one_exit_2_before_simulating(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        code = main(["simulate", "--model", "quantum", "--angles", WITNESS_ARGS,
+                     "--n", "10", "--seed", "1", "--workers", "0", "--out", str(out)])
         assert code == 2
-        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
-        assert not report.exists()
+        assert capsys.readouterr().err == "simulate: --workers must be >= 1, got 0\n"
+        assert not out.exists()
 
-    def test_zero_symmetry_tolerance_accepted(self, tmp_path, capsys):
+    def test_symmetry_tolerance_flag_rejected(self, tmp_path, capsys):
         out = self.simulate(tmp_path)
-        assert main(["test", str(out), "--symmetry-tolerance=0"]) == 0
-        assert json.loads(capsys.readouterr().out)["symmetry_check"]["tolerance"] == 0.0
+        with pytest.raises(SystemExit) as exc:
+            main(["test", str(out), "--symmetry-tolerance", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --symmetry-tolerance" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["2", "0", "nan"])
     def test_invalid_alpha_exit_2_before_reading_dataset(self, tmp_path, capsys, alpha):
@@ -307,7 +313,6 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, message", [
         ("--alpha=1e-17", "test: alpha must be in (0, 1) with 1 - alpha < 1"),
-        ("--symmetry-tolerance=nan", "test: tolerance must be finite and >= 0"),
     ])
     def test_invalid_flag_exit_2_before_parsing_dataset(self, tmp_path, capsys, flag, message):
         headless = tmp_path / "headless.csv"

@@ -173,12 +173,6 @@ class TestRejectsBadArguments:
         with pytest.raises(ValueError, match="seed must be in"):
             run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(THREE, 10), seed=seed)
 
-    @pytest.mark.parametrize("workers", [1.5, True, "2", 0])
-    def test_bad_workers(self, workers):
-        with pytest.raises(ValueError, match="workers must be an int"):
-            run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(THREE, 10), seed=1,
-                         workers=workers)
-
     @pytest.mark.parametrize("pop", [JointDistribution3.uniform(), WITNESS, None],
                              ids=["joint", "questions", "none"])
     def test_bad_population(self, pop):
@@ -228,13 +222,6 @@ class TestRunProtocol:
         # b = -1 agents are the all-minus ones, so their c answer is -1.
         assert table.proportions() == (1.0, 0.0, 1.0)
 
-    def test_worker_count_does_not_change_output(self):
-        design = ProtocolDesign(THREE, 500)
-        pop = QuantumUnpolarized(WITNESS)
-        base = format_dataset(run_protocol(pop, design, seed=9, workers=1))
-        for workers in (4, 8):
-            assert format_dataset(run_protocol(pop, design, seed=9, workers=workers)) == base
-
     def test_dataset_rebuilt_with_explicit_ids_is_identical(self):
         design = ProtocolDesign(TWO, 200)
         data = run_protocol(QuantumUnpolarized(WITNESS), design, seed=12)
@@ -247,8 +234,7 @@ class TestRunProtocol:
 
     def test_numpy_integer_arguments_accepted(self):
         pop, design = QuantumUnpolarized(WITNESS), ProtocolDesign(TWO, 40)
-        data = run_protocol(pop, ProtocolDesign(TWO, np.int64(40)), seed=np.uint64(9),
-                            workers=np.int32(2))
+        data = run_protocol(pop, ProtocolDesign(TWO, np.int64(40)), seed=np.uint64(9))
         assert np.array_equal(data.cells, run_protocol(pop, design, seed=9).cells)
 
     def test_same_seed_same_dataset(self):
@@ -436,6 +422,20 @@ class TestCheckSymmetry:
     def test_unasked_question_omitted(self):
         report = check_symmetry(dataset((Branch.BA, B, PLUS, A, PLUS)), tolerance=0.05)
         assert [e.question for e in report.entries] == [B]
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tolerance):
+        data = dataset((Branch.BA, B, PLUS, A, PLUS))
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            check_symmetry(data, tolerance=tolerance)
+
+    def test_zero_tolerance_flags_any_departure(self):
+        data = dataset((Branch.BA, B, PLUS, A, PLUS), (Branch.BA, B, MINUS, A, PLUS),
+                       (Branch.CA, C, PLUS, A, PLUS))
+        report = check_symmetry(data, tolerance=0.0)
+        assert report.tolerance == 0.0
+        assert [(e.question, e.flagged) for e in report.entries] == [(B, False), (C, True)]
+        assert check_symmetry(data) == check_symmetry(data, tolerance=0.05)
 
 
 class TestPerfectCorrelation:

@@ -30,6 +30,19 @@ class TestBlochAngle:
             BlochAngle(float("nan"))
 
 
+class TestQuestionTriple:
+    @pytest.mark.parametrize("fields", [(0.0, 1.0, 2.0), (BlochAngle(0.0), BlochAngle(1.0), 2.0)])
+    def test_rejects_non_angle_fields(self, fields):
+        # A float field was accepted, and predicted_conditional_triple then
+        # failed with AttributeError on its missing .phi.
+        with pytest.raises(ValueError, match="must be a BlochAngle, got "):
+            QuestionTriple(*fields)
+
+    def test_from_floats_builds_angles(self):
+        triple = QuestionTriple.from_floats(0.0, 1.0, 2.0 + 2 * math.pi)
+        assert triple == QuestionTriple(BlochAngle(0.0), BlochAngle(1.0), BlochAngle(2.0))
+
+
 class TestTransitionProbability:
     """The Born rule ``born(x, y)``: the chance that a state at angle x
     answers "yes" to the question at angle y."""

@@ -61,6 +61,22 @@ class TestMaximizeQuantumViolation:
             result.best_margin, abs=1e-12
         )
 
+    @pytest.mark.parametrize("grid, tol", [(8, 1.0), (36, 1.0), (90, 1e-6), (97, 1e-12),
+                                           (360, 1.0), (360, 1e-9)])
+    def test_margin_is_exactly_the_public_path_at_the_best_angles(self, grid, tol):
+        # At refine_tol 1.0 the pattern search never runs, so the best cell
+        # comes straight from an array block; the reported margin must still
+        # be the bits that wigner_conditional_check gives at best_angles.
+        result = maximize_quantum_violation(grid_steps=grid, refine_tol=tol)
+        public = wigner_conditional_check(predicted_conditional_triple(result.best_angles))
+        assert result.best_margin == public.margin
+
+    @pytest.mark.parametrize("beta, gamma", [(-0.1, 7.0), (2.0 + TWO_PI, -1.0), (1.5, 0.5)])
+    def test_point_margin_wraps_gaps_as_the_public_path_does(self, beta, gamma):
+        # The pattern search can step a gap outside [0, 2*pi); QuestionTriple
+        # wraps it, so the search's own margin must wrap it the same way.
+        assert search._margin(beta, gamma) == margin_at(0.0, beta, gamma)
+
     def test_degenerate_line_has_no_violation(self):
         # With b = a the first term is 1, so the margin cannot go negative.
         gammas = np.linspace(0.0, TWO_PI, 2000, endpoint=False)
