@@ -117,6 +117,14 @@ class TestWignerConditional:
         with pytest.raises(ValueError):
             CondTriple(1.2, 0.0, 0.5)
 
+    @pytest.mark.parametrize("p3, violated", [(0.5, False), (0.5 + 5e-10, False),
+                                              (0.5 + 2e-9, True)])
+    def test_fixed_slack_of_1e_9(self, p3, violated):
+        # The tolerance is no longer settable: a margin down to -1e-9 is
+        # rounding and holds, and one below it is a violation.
+        report = wigner_conditional_check(CondTriple(0.25, 0.25, p3))
+        assert report.violated is violated
+
 
 class TestInterferenceCoefficient:
     def test_classical_additivity(self):

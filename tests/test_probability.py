@@ -144,6 +144,13 @@ class TestRandomJoint:
         j2 = random_joint(np.random.default_rng(123))
         assert j1.weights == j2.weights
 
+    def test_draws_the_flat_dirichlet(self):
+        # Every Dirichlet parameter is 1, so the draw is the same bits that
+        # the former default concentration of 1.0 gave.
+        drawn = random_joint(np.random.default_rng(7))
+        expected = JointDistribution3(tuple(np.random.default_rng(7).dirichlet(np.full(8, 1.0))))
+        assert drawn.weights == expected.weights
+
     def test_mean_weight_matches_dirichlet(self):
         rng = np.random.default_rng(42)
         mean = np.zeros(8)

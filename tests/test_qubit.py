@@ -31,7 +31,9 @@ class TestBlochAngle:
 
 
 class TestQuestionTriple:
-    @pytest.mark.parametrize("fields", [(0.0, 1.0, 2.0), (BlochAngle(0.0), BlochAngle(1.0), 2.0)])
+    @pytest.mark.parametrize("fields", [(0.0, 1.0, 2.0), (BlochAngle(0.0), BlochAngle(1.0), 2.0),
+                                        (0.0, BlochAngle(1.0), BlochAngle(2.0)),
+                                        (BlochAngle(0.0), None, BlochAngle(2.0))])
     def test_rejects_non_angle_fields(self, fields):
         # A float field was accepted, and predicted_conditional_triple then
         # failed with AttributeError on its missing .phi.
