@@ -1,4 +1,19 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and argument checks shared across the package."""
+
+from numbers import Integral
+
+
+def require_int(name: str, value, low: int, high: float, bounds: str) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, in [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < high:
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+
+
+def require_instance(name: str, value, *kinds: type) -> None:
+    """Raise ValueError unless ``value`` is an instance of one of ``kinds``."""
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{name} must be a {names}, got {value!r}")
 
 
 class BellTestError(Exception):

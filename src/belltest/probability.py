@@ -7,6 +7,9 @@ serialized weight vectors are unambiguous:
     (+++, ++-, +-+, +--, -++, -+-, --+, ---)
 
 i.e. index = 4*(s_a < 0) + 2*(s_b < 0) + (s_c < 0).
+
+Each probability or covariance is one correctly rounded ``math.fsum`` over
+the atoms (and signs) that tables built once at import pick for its events.
 """
 
 from __future__ import annotations
@@ -14,10 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import reduce
+from itertools import product
+from operator import add, mul
 
 import numpy as np
 
-from .errors import ZeroConditioningEvent
+from .errors import ZeroConditioningEvent, require_instance
 
 NORMALIZATION_TOL = 1e-12
 
@@ -65,14 +71,15 @@ ATOMS: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 #: SIGNS[v][k] = sign of variable v in atom k.
-SIGNS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(ATOMS[k][v] for k in range(8)) for v in range(3)
-)
+SIGNS: tuple[tuple[int, ...], ...] = tuple(zip(*ATOMS))
 
-#: _EVENT_ATOMS[(v, s)] = the atoms in which variable v has sign s.
-_EVENT_ATOMS = {
-    (v, s): frozenset(k for k in range(8) if SIGNS[v][k] == s) for v in range(3) for s in (1, -1)
+#: _ATOMS_WHERE[events] = the atoms in which each of one or two (v, s) events holds.
+_ATOMS_WHERE = {
+    events: tuple(k for k in range(8) if all(SIGNS[v][k] == s for v, s in events))
+    for n in (1, 2) for events in product(product(range(3), (1, -1)), repeat=n)
 }
+#: _SIGN_PRODUCTS[i][j][k] = SIGNS[i][k] * SIGNS[j][k].
+_SIGN_PRODUCTS = tuple(tuple(tuple(map(mul, si, sj)) for sj in SIGNS) for si in SIGNS)
 
 
 @dataclass(frozen=True)
@@ -89,14 +96,15 @@ class JointDistribution3:
     def __post_init__(self):
         if len(self.weights) != 8:
             raise ValueError(f"expected 8 atom weights, got {len(self.weights)}")
-        w = [float(x) for x in self.weights]
-        for k, x in enumerate(w):
-            if not math.isfinite(x) or x < 0.0:
-                raise ValueError(f"atom {k} has invalid weight {x!r}")
+        w = list(map(float, self.weights))
+        if not (min(w) >= 0.0 and sum(w) < math.inf):  # NaN fails the sum; loop names the atom
+            for k, x in enumerate(w):
+                if not 0.0 <= x < math.inf:
+                    raise ValueError(f"atom {k} has invalid weight {x!r}")
         total = math.fsum(w)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within {NORMALIZATION_TOL}")
-        object.__setattr__(self, "weights", tuple(x / total for x in w))
+        object.__setattr__(self, "weights", tuple([x / total for x in w]))
 
     @classmethod
     def uniform(cls) -> "JointDistribution3":
@@ -104,9 +112,7 @@ class JointDistribution3:
 
     @classmethod
     def point_mass(cls, triple: tuple[int, int, int]) -> "JointDistribution3":
-        w = [0.0] * 8
-        w[atom_index(triple)] = 1.0
-        return cls(tuple(w))
+        return cls.from_atoms({triple: 1.0})
 
     @classmethod
     def from_atoms(cls, atoms: dict[tuple[int, int, int], float]) -> "JointDistribution3":
@@ -124,22 +130,19 @@ class JointDistribution3:
 
 def atom_index(triple: tuple[int, int, int]) -> int:
     sa, sb, sc = triple
-    for s in (sa, sb, sc):
-        if s not in (1, -1):
-            raise ValueError(f"atom signs must be +1/-1, got {triple!r}")
+    if not all(s in (1, -1) for s in triple):
+        raise ValueError(f"atom signs must be +1/-1, got {triple!r}")
     return 4 * (sa < 0) + 2 * (sb < 0) + (sc < 0)
 
 
 def covariance(joint: JointDistribution3, i: VariableIndex, j: VariableIndex) -> float:
     """E[xi_i * xi_j] over the 8 atoms; always in [-1, 1]."""
-    si, sj, w = SIGNS[i], SIGNS[j], joint.weights
-    return math.fsum(si[k] * sj[k] * w[k] for k in range(8))
+    return math.fsum(map(mul, _SIGN_PRODUCTS[i][j], joint.weights))
 
 
 def _probability(joint: JointDistribution3, *events: tuple[VariableIndex, Outcome]) -> float:
-    """P(every event holds), exactly rounded."""
-    atoms = frozenset.intersection(*(_EVENT_ATOMS[e] for e in events))
-    return math.fsum(joint.weights[k] for k in atoms)
+    """P(each of one or two events holds), exactly rounded."""
+    return math.fsum(map(joint.weights.__getitem__, _ATOMS_WHERE[events]))
 
 
 def marginal_plus(joint: JointDistribution3, i: VariableIndex) -> float:
@@ -171,10 +174,23 @@ def conditional(
     return min(_probability(joint, target, given) / p_given, 1.0)
 
 
+def _flat_dirichlet(rng: np.random.Generator, rows: int | None = None):
+    """``rng.dirichlet(np.ones(8), rows)``, same bits and rng state: exponentials, each row
+    times 1 / its left-to-right sum.  ``rows=None`` gives one law as Python floats."""
+    if rows is None:
+        draws = rng.standard_exponential(8).tolist()
+        scale = 1.0 / reduce(add, draws)
+        return [x * scale for x in draws]
+    draws = rng.standard_exponential((rows, 8))
+    draws *= 1.0 / reduce(add, draws.T)[:, None]
+    return draws
+
+
 def random_joint(rng: np.random.Generator) -> JointDistribution3:
     """Sample a joint law uniformly on the simplex of the 8 atom weights (a
     Dirichlet with every parameter 1).  Deterministic given the generator state."""
-    return JointDistribution3(tuple(rng.dirichlet(np.ones(8))))
+    require_instance("rng", rng, np.random.Generator)
+    return JointDistribution3(tuple(_flat_dirichlet(rng)))
 
 
 def symmetrize(joint: JointDistribution3) -> JointDistribution3:
@@ -184,4 +200,4 @@ def symmetrize(joint: JointDistribution3) -> JointDistribution3:
     negating all three variables and every marginal is exactly 1/2.
     """
     w = joint.weights
-    return JointDistribution3(tuple(0.5 * (w[k] + w[7 - k]) for k in range(8)))
+    return JointDistribution3(tuple([0.5 * (w[k] + w[7 - k]) for k in range(8)]))

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
-from numbers import Integral
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyConditioningBranch
+from .errors import EmptyConditioningBranch, require_instance, require_int
 from .probability import ATOMS, JointDistribution3, Outcome, VariableIndex
 from .qubit import QuestionTriple, born
 from .streams import keyed_uniforms, stream_keys
@@ -52,27 +51,14 @@ class DesignVariant(Enum):
     TWO_ENSEMBLE = "two"
 
 
-def _require_int(name: str, value, low: int, high: float, bounds: str) -> None:
-    """Raise ValueError unless ``value`` is an integer, not a bool, in [low, high)."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < high:
-        raise ValueError(f"{name} must be {bounds}, got {value!r}")
-
-
-def _require_instance(name: str, value, *kinds: type) -> None:
-    """Raise ValueError unless ``value`` is an instance of one of ``kinds``."""
-    if not isinstance(value, kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"{name} must be a {names}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ProtocolDesign:
     variant: DesignVariant
     n_per_branch: int
 
     def __post_init__(self):
-        _require_instance("variant", self.variant, DesignVariant)
-        _require_int("n_per_branch", self.n_per_branch, 1, math.inf, "an integer of at least 1")
+        require_instance("variant", self.variant, DesignVariant)
+        require_int("n_per_branch", self.n_per_branch, 1, math.inf, "an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -82,7 +68,7 @@ class ClassicalHiddenVariable:
     joint: JointDistribution3
 
     def __post_init__(self):
-        _require_instance("joint", self.joint, JointDistribution3)
+        require_instance("joint", self.joint, JointDistribution3)
 
 
 @dataclass(frozen=True)
@@ -94,7 +80,7 @@ class QuantumUnpolarized:
     questions: QuestionTriple
 
     def __post_init__(self):
-        _require_instance("questions", self.questions, QuestionTriple)
+        require_instance("questions", self.questions, QuestionTriple)
 
 
 PopulationModel = Union[ClassicalHiddenVariable, QuantumUnpolarized]
@@ -252,9 +238,9 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
     """Simulate the survey in one pass over its agents in file order, in blocks
     of ``_BLOCK`` agents that may span branches, in the calling process.
     ``seed`` must be an integer in [0, 2**64)."""
-    _require_instance("population", pop, ClassicalHiddenVariable, QuantumUnpolarized)
-    _require_instance("design", design, ProtocolDesign)
-    _require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
+    require_instance("population", pop, ClassicalHiddenVariable, QuantumUnpolarized)
+    require_instance("design", design, ProtocolDesign)
+    require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
     sizes = _DESIGN_SIZES[design.variant] * int(design.n_per_branch)
     ends = np.cumsum(sizes)
     starts = ends - sizes  # branch code c holds rows [starts[c], ends[c])

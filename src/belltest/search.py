@@ -5,9 +5,8 @@ a common rotation of all three questions leaves every transition probability
 unchanged, so the search fixes a = 0 and exhausts a 2-D grid, then polishes
 the best cell with a deterministic pattern search.
 
-The classical side is certified empirically: the minimum conditional-form
-margin over many symmetrized random laws, together with the symmetrized
-simplex vertices, never drops measurably below zero.
+The classical floor is the conditional-form margin's minimum, 0, at the
+symmetrized simplex vertices, checked on many symmetrized random laws too.
 """
 
 from __future__ import annotations
@@ -17,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import require_instance, require_int
+from .probability import _flat_dirichlet
 from .qubit import TWO_PI, QuestionTriple, predicted_conditionals
 
 _BLOCK_CELLS = 1 << 16  # grid cells or floor weights per block, so memory stays bounded
@@ -49,8 +50,7 @@ def maximize_quantum_violation(
     the lexicographically smallest gap pair, then compass pattern search
     with step halving down to refine_tol.
     """
-    if grid_steps < 8:
-        raise ValueError("grid_steps must be at least 8")
+    require_int("grid_steps", grid_steps, 8, np.inf, "an integer of at least 8")
     if not 0.0 < refine_tol < np.inf:
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol!r}")
 
@@ -62,7 +62,7 @@ def maximize_quantum_violation(
         k = int(np.argmin(margins))  # row-major: first hit is lexicographic min
         if margins.flat[k] < best_margin:  # strict: earlier blocks win ties
             best_margin, flat = float(margins.flat[k]), start * grid_steps + k
-    evaluations = grid_steps * grid_steps
+    evaluations = int(grid_steps) ** 2
     best = (gaps[flat // grid_steps], gaps[flat % grid_steps])
 
     # Compass pattern search on the gap pair.
@@ -96,12 +96,14 @@ class FloorCertificate(NamedTuple):
 def _symmetrized_margins(weights: np.ndarray) -> np.ndarray:
     """Conditional-form margin of the symmetrization of each law (row) in
     ``weights``, whose columns are the 8 atoms in canonical order."""
-    weights = 0.5 * (weights + weights[:, ::-1])  # global sign flip = reverse
-    # Marginals are exactly 1/2 after symmetrization, so the conditionals
-    # reduce to doubled pair probabilities.
-    p1 = 2.0 * weights[:, [0, 1]].sum(axis=1)  # P(a+, b+) / (1/2)
-    p2 = 2.0 * weights[:, [2, 6]].sum(axis=1)  # P(c+, b-) / (1/2)
-    p3 = 2.0 * weights[:, [0, 2]].sum(axis=1)  # P(a+, c+) / (1/2)
+    # Symmetrized atom k is 0.5 * (w_k + w_(7-k)), so marginals are exactly 1/2
+    # and conditionals are doubled pair probabilities; only atoms 0, 1 (= 6), 2 enter.
+    w0 = 0.5 * (weights[:, 0] + weights[:, 7])
+    w1 = 0.5 * (weights[:, 1] + weights[:, 6])
+    w2 = 0.5 * (weights[:, 2] + weights[:, 5])
+    p1 = 2.0 * (w0 + w1)  # P(a+, b+) / (1/2)
+    p2 = 2.0 * (w2 + w1)  # P(c+, b-) / (1/2), atoms 2 and 6
+    p3 = 2.0 * (w0 + w2)  # P(a+, c+) / (1/2)
     return p1 + p2 - p3
 
 
@@ -111,18 +113,19 @@ def classical_margin_floor(
     """Minimum conditional-form margin over symmetrized classical laws.
 
     Evaluates the symmetrizations of all 8 deterministic triples (the simplex
-    vertices) plus `samples` symmetrized Dirichlet draws.  A symmetrized law
-    gives every conditioning event probability 1/2, so none is skipped and
-    ``skipped`` is always 0.
+    vertices) plus ``samples`` symmetrized flat-Dirichlet draws from ``rng``,
+    a ``np.random.Generator``.  The margin is linear in the 8 weights, so its
+    minimum over the simplex is at a vertex: the vertex minimum of 0 is the
+    exact floor, and a draw can fall below it only by rounding.  Symmetrized
+    laws give every conditioning event probability 1/2: ``skipped`` is 0.
     """
-    if samples < 0:
-        raise ValueError("samples must be non-negative")
-    if samples > 0 and rng is None:
-        raise ValueError("a random generator is required when samples > 0")
+    require_int("samples", samples, 0, np.inf, "a non-negative integer")
+    if samples > 0 or rng is not None:
+        require_instance("rng", rng, np.random.Generator)
 
     min_margin = float(np.min(_symmetrized_margins(_VERTICES)))
-    rows = _BLOCK_CELLS // 8  # alpha = 1 draws row by row: blocks keep rows and rng state
+    rows = _BLOCK_CELLS // 8  # draws go row by row: blocks keep the rows and rng state
     for start in range(0, samples, rows):
-        weights = rng.dirichlet(np.ones(8), size=min(rows, samples - start))
+        weights = _flat_dirichlet(rng, min(rows, samples - start))
         min_margin = min(min_margin, float(np.min(_symmetrized_margins(weights))))
-    return FloorCertificate(min_margin=min_margin, samples_evaluated=samples + 8, skipped=0)
+    return FloorCertificate(min_margin=min_margin, samples_evaluated=int(samples) + 8, skipped=0)

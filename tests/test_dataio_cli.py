@@ -369,6 +369,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("search: refine_tol must be positive and finite")
 
+    def test_floor_reports_plain_sample_count(self, capsys):
+        assert main(["search", "--grid", "36", "--refine-tol", "1e-3",
+                     "--floor-samples", "1000", "--seed", "1"]) == 0
+        floor = json.loads(capsys.readouterr().out)["classical_floor"]
+        assert floor["samples_evaluated"] == 1008 and type(floor["samples_evaluated"]) is int
+        assert 0.0 <= floor["min_margin"] < 0.05 and floor["skipped"] == 0
+
+    def test_grid_below_8_exit_2(self, capsys):
+        assert main(["search", "--grid", "4", "--floor-samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "search: grid_steps must be an integer of at least 8, got 4\n"
+
     def test_zero_floor_samples_means_no_floor(self, capsys):
         assert main(["search", "--grid", "36", "--refine-tol", "1e-3",
                      "--floor-samples", "0"]) == 0

@@ -13,10 +13,12 @@ from belltest import (
     ZeroConditioningEvent,
     conditional,
     covariance,
+    joint_plus_pair,
     marginal_plus,
     random_joint,
     symmetrize,
 )
+from belltest.probability import SIGNS, _flat_dirichlet, _probability
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -65,6 +67,24 @@ class TestJointDistribution3:
         w = (0.125 + 1e-13,) + (0.125,) * 7
         joint = JointDistribution3(w)
         assert math.fsum(joint.weights) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("weights, message", [
+        ((0.5, math.nan, -1.0, 0.5, 0, 0, 0, 0), "atom 1 has invalid weight nan"),
+        ((0.5, 0.5, 0, 0, 0, 0, 0, math.nan), "atom 7 has invalid weight nan"),
+        ((math.inf, 0, 0, 0, 0, 0, 0, 0), "atom 0 has invalid weight inf"),
+        ((1.0, 0, 0, 0, 0, -math.inf, 0, 0), "atom 5 has invalid weight -inf"),
+        ((0.25, 0.25, 0.25, 0.25, 0.25, 0, -0.25, 0), "atom 6 has invalid weight -0.25"),
+    ])
+    def test_names_the_first_invalid_atom(self, weights, message):
+        with pytest.raises(ValueError) as exc:
+            JointDistribution3(weights)
+        assert str(exc.value) == message
+
+    def test_accepts_negative_zero_and_reports_the_total(self):
+        assert JointDistribution3((1.0, -0.0, 0, 0, 0, 0, 0, 0)).weights[0] == 1.0
+        with pytest.raises(ValueError) as exc:
+            JointDistribution3((0.5,) * 8)
+        assert str(exc.value) == "weights sum to 4.0, not 1 within 1e-12"
 
     def test_point_mass_atom_lookup(self):
         joint = JointDistribution3.point_mass((1, -1, 1))
@@ -166,6 +186,111 @@ class TestRandomJoint:
         joint = random_joint(np.random.default_rng(seed))
         assert all(w >= 0.0 for w in joint.weights)
         assert math.fsum(joint.weights) == pytest.approx(1.0, abs=1e-12)
+
+
+# The events as callers pass them: (VariableIndex, Outcome) pairs.
+EVENTS = [(v, s) for v in (A, B, C) for s in (PLUS, MINUS)]
+
+
+def brute_probability(weights, *events):
+    """P(all events hold), summed over the atoms by their signs in SIGNS."""
+    return math.fsum(w for k, w in enumerate(weights) if all(SIGNS[v][k] == s for v, s in events))
+
+
+def laws_to_check():
+    """The 8 vertices, flat-Dirichlet laws, and laws with some atoms at 0."""
+    rng = np.random.default_rng(2024)
+    sparse = rng.exponential(size=(8, 8)) * (rng.random((8, 8)) < 0.5) + np.eye(8)
+    laws = [(f"vertex{k}", JointDistribution3.point_mass(atom)) for k, atom in enumerate(ATOMS)]
+    laws += [(f"dirichlet{i}", JointDistribution3(tuple(rng.dirichlet(np.ones(8)))))
+             for i in range(16)]
+    laws += [(f"sparse{i}", JointDistribution3(tuple(w / w.sum()))) for i, w in enumerate(sparse)]
+    laws += [("perfect", PERFECT), ("uniform", JointDistribution3.uniform())]
+    return [pytest.param(law, id=name) for name, law in laws]
+
+
+class TestTablesMatchBruteForce:
+    """The table-driven scalar maths equals a sum over SIGNS, bit for bit, for
+    every event and every ordered pair of events, same-variable pairs included."""
+
+    @pytest.fixture(params=laws_to_check())
+    def joint(self, request):
+        return request.param
+
+    def test_single_events(self, joint):
+        for event in EVENTS:
+            assert _probability(joint, event) == brute_probability(joint.weights, event)
+        for v in (A, B, C):
+            assert marginal_plus(joint, v) == brute_probability(joint.weights, (v, PLUS))
+
+    def test_event_pairs(self, joint):
+        for first in EVENTS:
+            for second in EVENTS:
+                expected = brute_probability(joint.weights, first, second)
+                assert _probability(joint, first, second) == expected
+                assert joint_plus_pair(joint, first, second) == expected
+
+    def test_conditionals(self, joint):
+        for target in EVENTS:
+            for given in EVENTS:
+                p_given = brute_probability(joint.weights, given)
+                if p_given == 0.0:
+                    with pytest.raises(ZeroConditioningEvent):
+                        conditional(joint, target, given)
+                    continue
+                both = brute_probability(joint.weights, target, given)
+                assert conditional(joint, target, given) == min(both / p_given, 1.0)
+
+    def test_covariances(self, joint):
+        for i in (A, B, C):
+            for j in (A, B, C):
+                expected = math.fsum(SIGNS[i][k] * SIGNS[j][k] * w
+                                     for k, w in enumerate(joint.weights))
+                assert covariance(joint, i, j) == expected
+
+    def test_same_variable_pairs(self, joint):
+        # Opposite signs of one variable never hold together; equal signs
+        # are the single event.
+        for v in (A, B, C):
+            assert _probability(joint, (v, PLUS), (v, MINUS)) == 0.0
+            assert _probability(joint, (v, MINUS), (v, MINUS)) == _probability(joint, (v, MINUS))
+
+
+class TestFlatDirichlet:
+    def test_random_joint_sequence_matches_dirichlet(self):
+        rng, reference = np.random.default_rng(99), np.random.default_rng(99)
+        for _ in range(10_000):
+            expected = reference.dirichlet(np.ones(8))
+            drawn = random_joint(rng)
+            assert drawn.weights == JointDistribution3(tuple(expected)).weights
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_single_row_is_the_raw_dirichlet_row(self):
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2_000):
+            assert _flat_dirichlet(rng) == reference.dirichlet(np.ones(8)).tolist()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 8192, 20_003])
+    def test_block_is_the_dirichlet_block(self, rows):
+        rng, reference = np.random.default_rng(rows), np.random.default_rng(rows)
+        drawn = _flat_dirichlet(rng, rows)
+        expected = reference.dirichlet(np.ones(8), size=rows)
+        assert drawn.shape == expected.shape == (rows, 8)
+        assert np.array_equal(drawn, expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("rng", [None, "x", 7, np.random.RandomState(0)],
+                             ids=["None", "str", "int", "RandomState"])
+    def test_random_joint_rejects_non_generator(self, rng):
+        with pytest.raises(ValueError, match="rng must be a Generator"):
+            random_joint(rng)
+
+    def test_random_state_is_rejected_before_a_draw(self):
+        legacy = np.random.RandomState(3)
+        with pytest.raises(ValueError):
+            random_joint(legacy)
+        assert legacy.random_sample() == np.random.RandomState(3).random_sample()
 
 
 class TestSymmetrize:

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -219,6 +220,75 @@ class TestClassicalMarginFloor:
             classical_margin_floor(10)
         with pytest.raises(ValueError):
             classical_margin_floor(-1, np.random.default_rng(0))
+
+
+def fancy_index_margins(weights):
+    """The floor's margin formula as it stood before it read single columns:
+    symmetrize all 8 columns, then sum fancy-indexed column pairs."""
+    weights = 0.5 * (weights + weights[:, ::-1])
+    p1 = 2.0 * weights[:, [0, 1]].sum(axis=1)
+    p2 = 2.0 * weights[:, [2, 6]].sum(axis=1)
+    p3 = 2.0 * weights[:, [0, 2]].sum(axis=1)
+    return p1 + p2 - p3
+
+
+def simplex_grid(steps):
+    """Every law whose 8 weights are multiples of 1 / steps (stars and bars)."""
+    bars = np.array(list(combinations(range(steps + 7), 7)))
+    edges = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), steps + 7)])
+    return np.diff(edges, axis=1) - 1
+
+
+class TestSymmetrizedMargins:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fancy_index_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.dirichlet(np.ones(8), size=50_000), rng.exponential(size=(1000, 8)),
+                  rng.dirichlet(np.full(8, 0.05), size=1000), np.eye(8)]
+        for weights in blocks:
+            assert np.array_equal(_symmetrized_margins(weights), fancy_index_margins(weights))
+
+    def test_minimum_over_simplex_grid_is_the_vertex_minimum(self):
+        # The margin is linear in the weights, so its minimum over the
+        # simplex is at a vertex.  Brute force every law on the grid of step
+        # 1/12; the vertices are on it, so the minimum of 0 is attained.
+        counts = simplex_grid(12)
+        assert counts.shape == (50_388, 8)
+        assert (counts.sum(axis=1) == 12).all() and len(np.unique(counts, axis=0)) == 50_388
+        margins = _symmetrized_margins(counts / 12.0)
+        vertex_min = float(np.min(_symmetrized_margins(np.eye(8))))
+        assert vertex_min == 0.0
+        assert float(margins.min()) == vertex_min
+        assert (margins == vertex_min).sum() > 8  # attained, and not only at the vertices
+
+
+class TestRejectsBadArguments:
+    @pytest.mark.parametrize("samples", [True, False, 2.5, 3.0, "3", None, -1, np.float64(3)])
+    def test_floor_sample_count(self, samples):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="samples must be a non-negative integer"):
+            classical_margin_floor(samples, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("rng", ["x", 7, np.random.RandomState(0)],
+                             ids=["str", "int", "RandomState"])
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_floor_rng_must_be_a_generator(self, rng, samples):
+        with pytest.raises(ValueError, match="rng must be a Generator"):
+            classical_margin_floor(samples, rng)
+
+    def test_numpy_integer_counts_give_plain_ints(self):
+        cert = classical_margin_floor(np.int64(3), np.random.default_rng(0))
+        assert cert == classical_margin_floor(3, np.random.default_rng(0))
+        assert type(cert.samples_evaluated) is int and cert.samples_evaluated == 11
+        result = maximize_quantum_violation(np.int32(36), 1e-3)
+        assert result == maximize_quantum_violation(36, 1e-3)
+        assert type(result.evaluations) is int
+
+    @pytest.mark.parametrize("grid_steps", [True, 360.0, 8.5, "360", None, 7, np.float64(36)])
+    def test_grid_steps(self, grid_steps):
+        with pytest.raises(ValueError, match="grid_steps must be an integer of at least 8"):
+            maximize_quantum_violation(grid_steps)
 
 
 def test_quantum_classical_separation():
