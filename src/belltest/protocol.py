@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -70,6 +70,11 @@ class ClassicalHiddenVariable:
     def __post_init__(self):
         require_instance("joint", self.joint, JointDistribution3)
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The joint law's CDF over the canonical atom order."""
+        return np.cumsum(self.joint.weights)
+
 
 @dataclass(frozen=True)
 class QuantumUnpolarized:
@@ -81,6 +86,15 @@ class QuantumUnpolarized:
 
     def __post_init__(self):
         require_instance("questions", self.questions, QuestionTriple)
+
+    @cached_property
+    def _second_yes(self) -> np.ndarray:
+        """Per route (see ``_ROUTE_CELL``): the Born chance of a second "yes"."""
+        q = self.questions
+        angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
+        # State after the first answer: q1 for "yes", q1 + pi for "no".
+        state = np.add.outer(angles[_FIRST_Q], (0.0, np.pi)).ravel()
+        return born(state, angles[_SECOND_Q])
 
 
 PopulationModel = Union[ClassicalHiddenVariable, QuantumUnpolarized]
@@ -178,10 +192,10 @@ class SymmetryReport:
 # --- simulation -------------------------------------------------------------
 
 
-def _draw_atoms(joint: JointDistribution3, u: np.ndarray) -> np.ndarray:
-    """The atom index that each uniform in ``u`` selects under ``joint``
-    (inverse CDF over the canonical atom order)."""
-    return np.searchsorted(np.cumsum(joint.weights), u, side="right").clip(max=7)
+def _draw_atoms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The atom index that each uniform in ``u`` selects under the law with
+    ``cdf`` over the canonical atom order (inverse CDF)."""
+    return np.minimum(cdf.searchsorted(u, side="right"), 7)
 
 
 # Per branch code (BA, BC, CA, S1, S2): the first question, then the second
@@ -191,8 +205,14 @@ def _draw_atoms(joint: JointDistribution3, u: np.ndarray) -> np.ndarray:
 _QUESTIONS = np.array([(1, 0, 0), (1, 2, 2), (2, 0, 0), (1, 0, 2), (2, 0, 0)], dtype=np.uint8)
 _FIRST_Q, _SECOND_Q = _QUESTIONS[:, 0], _QUESTIONS[:, 1:].ravel()
 _CODES = np.arange(len(Branch), dtype=np.uint8)
+_STREAMS = _CODES + np.uint64(1)  # stream ids 1 to 5 by branch code
 _ROUTE_CELL = np.ravel_multi_index((_CODES.repeat(2), _FIRST_Q.repeat(2), np.tile([0, 1], 5),
                                     _SECOND_Q, 0), COUNT_SHAPE).astype(np.uint8)
+# Per 8 * branch code + atom index: a classical agent's cell.  Bit 2 - q of an
+# atom index is set where question q's sign is -1.
+_ATOM = np.arange(8, dtype=np.uint8)
+_ATOM_ROUTE = 2 * _CODES[:, None] + ((_ATOM >> (2 - _FIRST_Q[:, None])) & 1)
+_ATOM_CELL = (_ROUTE_CELL[_ATOM_ROUTE] + ((_ATOM >> (2 - _SECOND_Q[_ATOM_ROUTE])) & 1)).ravel()
 
 #: Agents per kernel call; bounds the simulation's working memory.
 _BLOCK = 1 << 16
@@ -208,26 +228,17 @@ def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
     agent_keys = keys[codes]
     if isinstance(pop, ClassicalHiddenVariable):
         u_first = keyed_uniforms(agent_keys, indices, _DRAWS[0])
-        atoms = _draw_atoms(pop.joint, u_first).astype(np.uint8)
-        # Bit 2 - q of an atom index is set where question q's sign is -1.
-        route = 2 * codes + ((atoms >> (2 - _FIRST_Q[codes])) & 1)
-        second_no = (atoms >> (2 - _SECOND_Q[route])) & 1
-    else:
-        q = pop.questions
-        angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
-        u_first, u_second = keyed_uniforms(agent_keys, indices, _DRAWS)
-        route = 2 * codes + (u_first >= 0.5)  # unpolarized: a fair first answer
-        # State after the first answer: q1 for "yes", q1 + pi for "no".
-        state = np.add.outer(angles[_FIRST_Q], (0.0, np.pi)).ravel()  # per route
-        second_no = u_second >= born(state, angles[_SECOND_Q])[route]
-    return _ROUTE_CELL[route] + second_no
+        return _ATOM_CELL[8 * codes + _draw_atoms(pop._cdf, u_first)]
+    u_first, u_second = keyed_uniforms(agent_keys, indices, _DRAWS)
+    route = 2 * codes + (u_first >= 0.5)  # unpolarized: a fair first answer
+    return _ROUTE_CELL[route] + (u_second >= pop._second_yes[route])
 
 
 # Per design: agents per ``n_per_branch`` in each branch code; its branches
 # are those with agents.  S1 holds twice as many so its routed sub-ensembles
 # are comparable in size to the dedicated branches.
-_DESIGN_SIZES = {DesignVariant.THREE_ENSEMBLE: np.array([1, 1, 1, 0, 0]),
-                 DesignVariant.TWO_ENSEMBLE: np.array([0, 0, 0, 2, 1])}
+_DESIGN_SIZES = {DesignVariant.THREE_ENSEMBLE: (1, 1, 1, 0, 0),
+                 DesignVariant.TWO_ENSEMBLE: (0, 0, 0, 2, 1)}
 
 
 #: The cells a survey can produce: each branch's own question order.
@@ -241,15 +252,15 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
     require_instance("population", pop, ClassicalHiddenVariable, QuantumUnpolarized)
     require_instance("design", design, ProtocolDesign)
     require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
-    sizes = _DESIGN_SIZES[design.variant] * int(design.n_per_branch)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes  # branch code c holds rows [starts[c], ends[c])
-    keys = stream_keys(seed, _CODES + np.uint64(1))  # stream ids 1 to 5 by branch code
-    cells = np.empty(int(ends[-1]), dtype=np.uint8)
+    sizes = [k * int(design.n_per_branch) for k in _DESIGN_SIZES[design.variant]]
+    ends = list(accumulate(sizes))
+    starts = [end - size for end, size in zip(ends, sizes)]  # code c: rows [starts[c], ends[c])
+    keys = stream_keys(seed, _STREAMS)
+    cells = np.empty(ends[-1], dtype=np.uint8)
     for start in range(0, len(cells), _BLOCK):
         stop = min(start + _BLOCK, len(cells))
-        in_block = (np.minimum(ends, stop) - np.maximum(starts, start)).clip(min=0)
-        indices = (np.arange(start, stop) - starts.repeat(in_block)).view(np.uint64)
+        in_block = [max(0, min(end, stop) - max(first, start)) for first, end in zip(starts, ends)]
+        indices = (np.arange(start, stop) - np.array(starts).repeat(in_block)).view(np.uint64)
         cells[start:stop] = _simulate_block(pop, keys, _CODES.repeat(in_block), indices)
     return ResponseDataset(cells)
 
@@ -257,9 +268,9 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
 def infer_design(data: ResponseDataset) -> DesignVariant:
     """The design whose branches hold every response; three-ensemble for a
     dataset with none.  Raises ValueError when the branches mix designs."""
-    per_branch = data.counts.sum(axis=(1, 2, 3, 4))
+    per_branch = data.counts.sum(axis=(1, 2, 3, 4)).tolist()
     for variant, sizes in _DESIGN_SIZES.items():
-        if not per_branch[sizes == 0].any():
+        if not any(n for n, size in zip(per_branch, sizes) if not size):
             return variant
     used = ", ".join(b.value for b, n in zip(Branch, per_branch) if n)
     raise ValueError("dataset mixes the three-ensemble and two-ensemble designs (branches"
@@ -269,17 +280,18 @@ def infer_design(data: ResponseDataset) -> DesignVariant:
 # --- estimation -------------------------------------------------------------
 
 
+# The estimated conditionals: first question, first answer code, second question.
+_CONDITIONALS = ((1, 0, 0, "a|b+"), (1, 1, 2, "c|b-"), (2, 0, 0, "a|c+"))
+_VARIABLES = tuple(VariableIndex)  # iterating the enum class itself is slow
+
+
 def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
     """The count-ratio estimators of the three conditional probabilities."""
     if len(data) == 0:
         raise ValueError("dataset is empty")
     pooled = data.counts.sum(axis=0)  # over branches
     ratios = []
-    for q1, a1, q2, label in (
-        (VariableIndex.B, 0, VariableIndex.A, "a|b+"),
-        (VariableIndex.B, 1, VariableIndex.C, "c|b-"),
-        (VariableIndex.C, 0, VariableIndex.A, "a|c+"),
-    ):
+    for q1, a1, q2, label in _CONDITIONALS:
         plus, minus = pooled[q1, a1, q2].tolist()
         if plus + minus == 0:
             raise EmptyConditioningBranch(
@@ -291,22 +303,21 @@ def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
 
 def check_symmetry(data: ResponseDataset, tolerance: float = 0.05) -> SymmetryReport:
     """Flag questions whose first-answer "yes" fraction strays from 1/2 by
-    more than ``tolerance``, which must be finite and >= 0."""
-    if not 0.0 <= tolerance < math.inf:
+    more than ``tolerance``, which must be a finite number >= 0, not a bool."""
+    if isinstance(tolerance, (bool, np.bool_)) or not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    by_answer = data.counts.sum(axis=(0, 3, 4))  # (first q, first answer)
+    by_answer = data.counts.sum(axis=(0, 3, 4)).tolist()  # (first q, first answer)
     entries = tuple(
         SymmetryEntry(
             question=q,
-            plus_fraction=plus / n,
-            n_first_asked=n,
-            flagged=abs(plus / n - 0.5) > tolerance,
+            plus_fraction=plus / (plus + minus),
+            n_first_asked=plus + minus,
+            flagged=abs(plus / (plus + minus) - 0.5) > tolerance,
         )
-        for q, plus, n in zip(VariableIndex, by_answer[:, 0].tolist(),
-                              by_answer.sum(axis=1).tolist())
-        if n
+        for q, (plus, minus) in zip(_VARIABLES, by_answer)
+        if plus + minus
     )
     return SymmetryReport(entries=entries, tolerance=tolerance)
 
@@ -321,7 +332,7 @@ def sample_entangled_pairs(
 ) -> list[tuple[Triple, Triple]]:
     """Draw n sign triples and emit each one twice, mimicking perfectly
     correlated pair preparation."""
-    return [(ATOMS[k], ATOMS[k]) for k in _draw_atoms(joint, rng.random(n))]
+    return [(ATOMS[k], ATOMS[k]) for k in _draw_atoms(np.cumsum(joint.weights), rng.random(n))]
 
 
 def check_perfect_correlation(pairs: Sequence[tuple[Triple, Triple]]) -> bool:

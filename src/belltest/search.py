@@ -51,7 +51,7 @@ def maximize_quantum_violation(
     with step halving down to refine_tol.
     """
     require_int("grid_steps", grid_steps, 8, np.inf, "an integer of at least 8")
-    if not 0.0 < refine_tol < np.inf:
+    if isinstance(refine_tol, (bool, np.bool_)) or not 0.0 < refine_tol < np.inf:
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol!r}")
 
     gaps = np.arange(grid_steps) * (TWO_PI / grid_steps)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DegenerateVariance
 from .protocol import FrequencyTable
@@ -159,6 +160,7 @@ def _ndtri(y0: float) -> float:
     return -x if lower else x
 
 
+@lru_cache
 def _wilson_quantile(confidence: float) -> float:
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
@@ -207,14 +209,12 @@ def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
     proportion is exactly 0 or 1, since the normal approximation collapses.
     """
     validate_alpha(alpha)
-    nu = table.proportions()
-    ns = (
-        table.nu_a_given_b_plus[1],
-        table.nu_c_given_b_minus[1],
-        table.nu_a_given_c_plus[1],
-    )
-    margin = nu[0] + nu[1] - nu[2]
-    variance = sum(p * (1.0 - p) / n for p, n in zip(nu, ns))
+    counts = (table.nu_a_given_b_plus, table.nu_c_given_b_minus, table.nu_a_given_c_plus)
+    (_, n1), (_, n2), (_, n3) = counts
+    p1, p2, p3 = table.proportions()
+    margin = p1 + p2 - p3
+    # Added left to right on every Python: 3.12's float sum() compensates.
+    variance = p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2 + p3 * (1.0 - p3) / n3
     if variance == 0.0:
         raise DegenerateVariance(margin)
     se = math.sqrt(variance)
@@ -222,7 +222,6 @@ def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
     p_value = _ndtr(z)
     # FrequencyTable has already checked the counts.
     z_wilson = _wilson_quantile(1.0 - alpha)
-    counts = (table.nu_a_given_b_plus, table.nu_c_given_b_minus, table.nu_a_given_c_plus)
     intervals = tuple(_wilson(num, den, z_wilson) for num, den in counts)
     return TestResult(
         margin_estimate=margin,

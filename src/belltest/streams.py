@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_WORDS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)  # gamma, m1, m2
+_GAMMA, _M1, _M2 = map(np.uint64, _WORDS)
+_MASK = 2**64 - 1
 _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _INV_2_53 = float(2.0**-53)
 
@@ -29,9 +29,19 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix_int(z: int) -> int:
+    """``_mix`` on one word held as a Python int in [0, 2**64)."""
+    z = (z + _WORDS[0]) & _MASK
+    z = ((z ^ z >> 30) * _WORDS[1]) & _MASK
+    z = ((z ^ z >> 27) * _WORDS[2]) & _MASK
+    return z ^ z >> 31
+
+
 def stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
-    """The key word of each stream id in the uint64 array ``streams`` under ``seed``."""
-    return _mix(_mix(np.array([seed], dtype=np.uint64)) ^ streams)
+    """The key word of each stream id in the uint64 array ``streams`` under ``seed``:
+    ``_mix(_mix(seed) ^ stream)``, mixed as Python ints."""
+    base = _mix_int(int(seed))
+    return np.array([_mix_int(base ^ s) for s in streams.tolist()], dtype=np.uint64)
 
 
 def keyed_uniforms(keys: np.ndarray, indices: np.ndarray, draws) -> np.ndarray:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,13 +25,14 @@ from belltest import (
     random_joint,
     run_protocol,
     sample_entangled_pairs,
+    violation_test,
 )
 from belltest import protocol
 from belltest.dataio import format_dataset
 from belltest.probability import ATOMS
 from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
 from belltest.qubit import born
-from belltest.streams import counter_uniforms, keyed_uniforms
+from belltest.streams import _mix, counter_uniforms, keyed_uniforms, stream_keys
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -150,12 +153,148 @@ class TestSimulationKernel:
                         for branch, k in DESIGN_BRANCHES[variant]]
             assert np.array_equal(np.concatenate(rows), np.concatenate(expected))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_stream_keys_equal_the_array_mixer(self, seed):
+        streams = np.arange(1, 6, dtype=np.uint64)
+        expected = _mix(_mix(np.array([seed], dtype=np.uint64)) ^ streams)
+        for given in (seed, np.uint64(seed)):
+            keys = stream_keys(given, streams)
+            assert keys.dtype == np.uint64
+            assert np.array_equal(keys, expected)
+
     def test_consistent_cells_are_the_simulated_cells(self):
         seen = set()
         for variant in (THREE, TWO):
             seen.update(run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(variant, 500),
                                      seed=5).cells.tolist())
         assert seen == CONSISTENT_CELLS
+
+
+MAX_SEED = 2**64 - 1
+# The replicate benchmark's populations: the witness agents and an interior
+# symmetric classical law (every atom > 0, margin +0.1).
+SURVEY_POPULATIONS = {
+    "quantum": lambda: QuantumUnpolarized(WITNESS),
+    "classical": lambda: ClassicalHiddenVariable(
+        JointDistribution3((0.2, 0.025, 0.1, 0.175, 0.175, 0.1, 0.025, 0.2))),
+}
+SMALL_SURVEY_SEEDS = (0, 12345, MAX_SEED)
+# Per (population, design, n per branch): the SHA-256 of the simulated cells
+# at each of SMALL_SURVEY_SEEDS.  test_golden.py pins the CLI at n = 2 000 only.
+SMALL_SURVEY_DIGESTS = {
+    ("quantum", THREE, 1): (
+        "4c7dcd56b395285e377a3d90addb118e8d574b4656511c1a45f2f50db18c1e25",
+        "7fcc010227c8c5faf4777802b0119dd981ef463ac950df8837f3a332be3dc135",
+        "7574bf11650b56c42a903d2fab18c1ba269edadc9259647a541f944d069dab6a",
+    ),
+    ("quantum", THREE, 7): (
+        "ae9064bc0c585d890b28bb76fb9f00c9c101c242b816c18cc505679a75f6333d",
+        "e1331d4366fe9c049bca5ffc50edbdf7d9c5eadb3d4f29474164465bf42d626e",
+        "8855ddb9eff6e16ae61fa5f30989d5a7f2bf2fa44db5d33ef1eb4f59d3bc6a58",
+    ),
+    ("quantum", THREE, 50): (
+        "793bbb16d4d8dc4ab536a9b3915295d0735d587f5474c7d9e76dd3f0f028f640",
+        "25a66e315e159c4a9c3c2fecf14be586968b45c53b891a52143fc8b005185d43",
+        "e86498af79e0e6dca72fb872ffee0e2887883e04102e7e72433939250219ef51",
+    ),
+    ("quantum", TWO, 1): (
+        "8fd12cb53268496b719f569e18d576ae2b1a682ca1790283f360c62d71ca0c7d",
+        "90fc38164d166f647a5eeb43b8c27a0f88164cf366bd57fe6383341238bbf036",
+        "866256f0c58700a0d4c0b558830c6b185ed22b89f9d12b93a067e42ae233972b",
+    ),
+    ("quantum", TWO, 7): (
+        "a5a7b136d76e106e843331a5fbb16174c6e7cc3e9e50842d3c676deeb21e9b96",
+        "c673af58ed1bc55fd6367e9ea1f8ed3db5d9802b3e4a66077b4e558bc5207c51",
+        "c1a41da05e93fb9b9fe9ecde56291d08277ba7911d6e5094d13453cca29b2dbe",
+    ),
+    ("quantum", TWO, 50): (
+        "7ce041abdf0299f488a84e53e9cee0395b94a53a4b4abc378796d53ea3a0db03",
+        "8cb982c22a93301aaa27de9734a4da70e6a97850e6071d83e527a1e956f5cad4",
+        "26533ce4b0ac6460cb53483c0a97baf30d06a4156982d00fc888e419c6209d18",
+    ),
+    ("classical", THREE, 1): (
+        "d76169d65b7b3935c1f8df0c8115271078d617097282b882fba8785fdf06b7ea",
+        "960eec2daa1be6f147c80c566b35959ef5a990c276de4c04e1bbff6dcf03d1d1",
+        "27237ec6fef25fc98d74c972a3bf1eac939369581715fb542b8aca09bb939e0f",
+    ),
+    ("classical", THREE, 7): (
+        "4aa749038b15f4203bcf424dd2b3686ac9cd6e1aa29a32e31363db1451233c1c",
+        "7f396a5339fb875dfcdfc41b794051ea4c40ae523e3b914417b7086cc44751e5",
+        "b64edef3a3692cc2f307198729e56e5163afc211e685072374b04a862bbbe632",
+    ),
+    ("classical", THREE, 50): (
+        "19bd479d471d201ab63d48fe2893e7c8c05d4874e673f4c05d8e1024bc9fa014",
+        "f132457b633a0794ebc29cc85ea17fed40bf177964601e13323dc16602848064",
+        "8ae672dcfcdaae71bf7ecb45cb4cc4167c351f228fb2dd1ee2314c0fcf848002",
+    ),
+    ("classical", TWO, 1): (
+        "28a68146c1e3e28dc6b10d1f7fb0f705cbfa3846318e74bbf1518598b9a18273",
+        "47ca3c91c94e5487c954d1300819f681899dc82f5852c3a045e94d9e4a29522e",
+        "e7910f77562715cdd1f004e256ee9248f44c5f49206d0e57ed9c10dc7a19fe39",
+    ),
+    ("classical", TWO, 7): (
+        "16559c4058e6e4dc3466658eeedc680f17f93221db7b26c3542ff17bf6453d82",
+        "638bf3d1b00f26063462d7221029b8d3f354a0075a43daff115db1fafe316fc4",
+        "7d6926eaaf6bc7ece9770d7c3b500c666ec1724d98b752adeef5718ac1c1eb03",
+    ),
+    ("classical", TWO, 50): (
+        "761d74feef93ded4ce14813e83c87ad69b3c7ea793c16c1008142ef80dab9759",
+        "3ea9d8a43025f4cf4d9efab6f32738548741536f56dbd2fce68a83c0fb840207",
+        "8b149381cd62a8dd7a6320834dc11180a4f5d58d5ce40911d5d0ba92bd593293",
+    ),
+}
+
+
+class TestSmallSurveys:
+    """Small surveys keep their bits, and a population object reused across
+    calls simulates exactly as a fresh, equal one."""
+
+    @pytest.mark.parametrize("kind, variant, n", list(SMALL_SURVEY_DIGESTS))
+    def test_cells_match_digests(self, kind, variant, n):
+        digests = tuple(
+            hashlib.sha256(run_protocol(SURVEY_POPULATIONS[kind](), ProtocolDesign(variant, n),
+                                        seed).cells.tobytes()).hexdigest()
+            for seed in SMALL_SURVEY_SEEDS)
+        assert digests == SMALL_SURVEY_DIGESTS[kind, variant, n]
+
+    @pytest.mark.parametrize("kind, variant, seed, expected", [
+        ("quantum", THREE, 12345, (
+            -0.3272268907563025, 0.14388663914078606, -2.274199277363946,
+            0.011477003842164114, True,
+            ((0.11496313693401444, 0.4342968335542908), (0.1381386295212213, 0.49956380716085597),
+             (0.6987194350454783, 0.9355055855521753)))),
+        ("quantum", TWO, MAX_SEED, (
+            -0.2775974025974026, 0.12252483974659766, -2.2656418337009994,
+            0.011736660772222464, True,
+            ((0.16957305418501728, 0.39594555929155156), (0.11153253070081293, 0.34500578061101655),
+             (0.55100555994846, 0.8800063377140499)))),
+        ("classical", THREE, 0, (
+            -0.05210350290441823, 0.1650083798845803, -0.3157627687809763,
+            0.3760912897626616, False,
+            ((0.1536437908779228, 0.5398959232467253), (0.061500337235783575, 0.33531199328213473),
+             (0.32962737336427406, 0.7076284258335335)))),
+        ("classical", TWO, 12345, (
+            0.39999999999999997, 0.1341640786499874, 2.981423969999719,
+            0.9985654436039617, False,
+            ((0.4815044693099298, 0.7413721068980641), (0.1275391597021442, 0.3524154958125367),
+             (0.26665638881067344, 0.6293266813020123)))),
+    ])
+    def test_violation_test_fields_at_fifty_per_branch(self, kind, variant, seed, expected):
+        data = run_protocol(SURVEY_POPULATIONS[kind](), ProtocolDesign(variant, 50), seed)
+        result = violation_test(estimate_frequencies(data), alpha=0.05)
+        assert (result.margin_estimate, result.standard_error, result.z_statistic,
+                result.p_value, result.significant_violation, result.term_intervals) == expected
+
+    @pytest.mark.parametrize("kind", sorted(SURVEY_POPULATIONS))
+    def test_reused_population_equals_fresh_one(self, kind):
+        make = SURVEY_POPULATIONS[kind]
+        shared = make()
+        for variant, n, seed in product((THREE, TWO, THREE), (1, 7, 50), (0, MAX_SEED)):
+            design = ProtocolDesign(variant, n)
+            assert np.array_equal(run_protocol(shared, design, seed).cells,
+                                  run_protocol(make(), design, seed).cells)
+        # Tables computed on first use stay out of equality, hashing and repr.
+        assert shared == make() and hash(shared) == hash(make()) and repr(shared) == repr(make())
 
 
 class TestRejectsBadArguments:
@@ -425,6 +564,12 @@ class TestCheckSymmetry:
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
     def test_rejects_bad_tolerance(self, tolerance):
+        data = dataset((Branch.BA, B, PLUS, A, PLUS))
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            check_symmetry(data, tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [True, False, np.True_])
+    def test_rejects_bool_tolerance(self, tolerance):
         data = dataset((Branch.BA, B, PLUS, A, PLUS))
         with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
             check_symmetry(data, tolerance=tolerance)

@@ -91,6 +91,12 @@ class TestMaximizeQuantumViolation:
             with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
                 maximize_quantum_violation(grid_steps=8, refine_tol=refine_tol)
 
+    def test_rejects_bool_refine_tol_before_searching(self, monkeypatch):
+        monkeypatch.setattr(search, "_margin", None)  # any grid evaluation would fail
+        for refine_tol in (True, False, np.True_):
+            with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
+                maximize_quantum_violation(grid_steps=36, refine_tol=refine_tol)
+
     def test_rotation_invariance(self):
         rng = np.random.default_rng(0)
         base = (0.3, 1.9, 5.1)
