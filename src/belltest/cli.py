@@ -19,10 +19,9 @@ import sys
 from pathlib import Path
 
 # belltest makes no BLAS calls, so numpy's OpenBLAS need not start a thread
-# pool as it loads (about 60 ms of each run).  A value the user set is kept.
+# pool as it loads (about 60 ms of each run), whichever command first imports
+# numpy.  A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from .dataio import (
     ReportContext,
@@ -165,6 +164,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    import numpy as np
     from .search import classical_margin_floor, maximize_quantum_violation
 
     if args.floor_samples < 0:

@@ -13,26 +13,27 @@ in pieces of about ``_PIECE`` bytes cut just after a newline.
 ``format_dataset`` fills the rows of a dataset with implicit ids (``r`` and
 the zero-padded row number, as ``run_protocol`` makes) into one uint8
 array a block at a time; explicit ids are joined as strings.
-``parse_dataset`` takes the byte path for ASCII text that starts with the
-exact header line, ends in a newline, has no line break but ``\n`` and no
-id longer than ``_LONGEST_BYTE_ID`` bytes.  Per piece, that path confirms
-every row's 13-byte tail, with question tokens in either case, and that
-ids are non-empty and hold no comma; at the end, that no two ids share a
-64-bit key, as equal ids always do.  It holds the text plus 9 bytes per
+``parse_dataset`` takes the byte path for ASCII text of at least one piece
+that starts with the exact header line, ends in a newline, has no line break
+but ``\n`` and no id longer than ``_LONGEST_BYTE_ID`` bytes.  Per piece, that
+path confirms every row's 13-byte tail, with question tokens in either case,
+and that ids are non-empty and hold no comma; at the end, that no two ids
+share a 64-bit key, as equal ids always do.  It holds the text plus 9 bytes per
 line (a cell and an id key); the dataset keeps the text, to decode ids
 from when first needed, and 1 byte per line.  Any other text (CRLF rows,
 non-ASCII ids, a bad row), and any text that fails a check in any piece,
 goes whole to the per-line loop.  That loop accepts exactly the same files
 and is the only code that raises, so each error keeps its exception, line
-and message.
+and message.  It holds about 8 times the text.  It alone parses text
+shorter than a piece, without numpy, which only the byte paths import.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
+from types import SimpleNamespace
 
 from .errors import DuplicateRespondent, FormatError
 from .protocol import (
@@ -62,29 +63,18 @@ _ROW_TAILS = tuple(
 _CELL_OF_FIELDS = {_ROW_TAILS[cell][1:-1]: cell for cell in CONSISTENT_CELLS}
 
 _HEADER_LINE = CSV_HEADER + "\n"
-# The row tails as a (cells, 14) byte table; a tail is 13 bytes and "\n".
-_TAIL_BYTES = np.frombuffer("".join(_ROW_TAILS).encode("ascii"), np.uint8).reshape(
-    len(_ROW_TAILS), -1)
-_TAIL = _TAIL_BYTES.shape[1] - 1
+_TAIL = len(_ROW_TAILS[0]) - 1  # a tail is 13 bytes and "\n"
 _PIECE = 1 << 20  # bytes per piece on the byte paths
-# Odd multiplier of the wrapping uint64 fold that keys tails and ids.
-_FOLD = np.uint64(0x9E3779B97F4A7C15)
 # Ids on the byte path cost one array pass per 8 bytes of the longest, so a
 # file with a longer id takes the per-line loop.
 _LONGEST_BYTE_ID = 64
-_WORD_FOLDS = np.cumprod(np.full(_LONGEST_BYTE_ID // 8, _FOLD))  # _FOLD ** (k + 1) for word k
 # The ASCII characters other than "\n" at which str.splitlines breaks.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
-# _BYTE_MASKS[k] keeps the first k bytes of a little-endian word.
-_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
-# Byte 4 of both tail words is a question token.  ORing 0x20 into it maps
-# "A"/"B"/"C" to "a"/"b"/"c", as the per-line loop reads them, and no other
-# ASCII byte to a question token.
-_LOWER_Q = np.uint64(0x20 << 32)
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
     """Every 8-byte little-endian word of ``buf``: word i is ``buf[i:i + 8]``."""
+    import numpy as np
     return np.ndarray((max(len(buf) - 7, 0),), "<u8", buf, strides=(1,))
 
 
@@ -93,22 +83,40 @@ def _tail_words(words: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.nda
     return words[ends - _TAIL], words[ends - 8]
 
 
-# The first and last word of each cell's tail, and the consistent cells in
-# the order of their tails' fold keys.
-_CELL_LO, _CELL_HI = _tail_words(_words(_TAIL_BYTES.ravel()),
-                                 np.arange(len(_ROW_TAILS)) * (_TAIL + 1) + _TAIL)
-_CELL_KEYS = _CELL_LO * _FOLD + _CELL_HI
-_KEY_CELLS = np.array(sorted(CONSISTENT_CELLS, key=_CELL_KEYS.__getitem__), np.uint8)
-_SORTED_KEYS = _CELL_KEYS[_KEY_CELLS]
+@cache
+def _tables() -> SimpleNamespace:
+    """The byte paths' numpy tables, built on first use."""
+    import numpy as np
+    t = SimpleNamespace()  # tail_bytes: the row tails as a (cells, 14) byte table
+    t.tail_bytes = np.frombuffer("".join(_ROW_TAILS).encode("ascii"), np.uint8).reshape(
+        len(_ROW_TAILS), -1)
+    # Odd multiplier of the wrapping uint64 fold that keys tails and ids.
+    t.fold = np.uint64(0x9E3779B97F4A7C15)
+    t.word_folds = np.cumprod(np.full(_LONGEST_BYTE_ID // 8, t.fold))  # fold ** (k + 1), word k
+    # byte_masks[k] keeps the first k bytes of a little-endian word.
+    t.byte_masks = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+    # Byte 4 of both tail words is a question token.  ORing 0x20 into it maps
+    # "A"/"B"/"C" to "a"/"b"/"c", as the per-line loop reads them, and no other
+    # ASCII byte to a question token.
+    t.lower_q = np.uint64(0x20 << 32)
+    # The first and last word of each cell's tail, and the consistent cells in
+    # the order of their tails' fold keys.
+    t.cell_lo, t.cell_hi = _tail_words(_words(t.tail_bytes.ravel()),
+                                       np.arange(len(_ROW_TAILS)) * (_TAIL + 1) + _TAIL)
+    keys = t.cell_lo * t.fold + t.cell_hi
+    t.key_cells = np.array(sorted(CONSISTENT_CELLS, key=keys.__getitem__), np.uint8)
+    t.sorted_keys = keys[t.key_cells]
+    return t
 
 
 def format_dataset(data: ResponseDataset) -> str:
+    import numpy as np
     if not data.implicit_ids:
         tails = map(_ROW_TAILS.__getitem__, data.cells.tolist())
         return "".join([_HEADER_LINE, *map(str.__add__, data.respondent_ids, tails)])
     n = len(data)
     width = len(str(n))
-    head, row = len(_HEADER_LINE), 1 + width + _TAIL_BYTES.shape[1]
+    head, row = len(_HEADER_LINE), 2 + width + _TAIL
     out = np.empty(head + n * row, np.uint8)
     out[:head] = np.frombuffer(_HEADER_LINE.encode("ascii"), np.uint8)
     rows = out[head:].reshape(n, row)
@@ -119,13 +127,14 @@ def format_dataset(data: ResponseDataset) -> str:
         for column in range(width, 0, -1):
             number, digit = np.divmod(number, 10)
             block[:, column] = digit + ord("0")
-        block[:, 1 + width:] = _TAIL_BYTES[data.cells[first:first + step]]
+        block[:, 1 + width:] = _tables().tail_bytes[data.cells[first:first + step]]
     return str(out, "ascii")
 
 
 def parse_dataset(text: str) -> ResponseDataset:
-    """Parse CSV content; raises FormatError / DuplicateRespondent."""
-    data = _parse_bytes(text)
+    """Parse CSV content; raises FormatError / DuplicateRespondent.  Text
+    shorter than a piece goes straight to the per-line loop, without numpy."""
+    data = _parse_bytes(text) if len(text) >= _PIECE else None
     return data if data is not None else _parse_lines(text)
 
 
@@ -135,6 +144,7 @@ def _parse_bytes(text: str) -> ResponseDataset | None:
     if not (text.isascii() and text.startswith(_HEADER_LINE) and text.endswith("\n")) \
             or any(c in text for c in _OTHER_BREAKS):
         return None
+    import numpy as np
     cells = np.empty(text.count("\n") - 1, np.uint8)
     keys = np.empty(len(cells), np.uint64)
     n, at = 0, len(_HEADER_LINE) - 1
@@ -157,6 +167,7 @@ def _parse_bytes(text: str) -> ResponseDataset | None:
 def _piece_rows(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The cells and id keys of the rows in ``buf``, which starts and ends
     with a newline, or None when a row fails a check."""
+    import numpy as np
     newlines = np.flatnonzero(buf == ord("\n"))
     filled = np.diff(newlines) > 1
     starts, ends = newlines[:-1][filled] + 1, newlines[1:][filled]
@@ -167,11 +178,11 @@ def _piece_rows(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if np.count_nonzero(buf == ord(",")) != 5 * len(ends):
         return None
     words = _words(buf)
-    keys = _id_keys(words, starts, id_lengths)
-    lo, hi = (word | _LOWER_Q for word in _tail_words(words, ends))
-    slot = np.searchsorted(_SORTED_KEYS, lo * _FOLD + hi)
-    cells = _KEY_CELLS[slot.clip(max=len(_SORTED_KEYS) - 1)]
-    if not (np.array_equal(lo, _CELL_LO[cells]) and np.array_equal(hi, _CELL_HI[cells])):
+    keys, t = _id_keys(words, starts, id_lengths), _tables()
+    lo, hi = (word | t.lower_q for word in _tail_words(words, ends))
+    slot = np.searchsorted(t.sorted_keys, lo * t.fold + hi)
+    cells = t.key_cells[slot.clip(max=len(t.sorted_keys) - 1)]
+    if not (np.array_equal(lo, t.cell_lo[cells]) and np.array_equal(hi, t.cell_hi[cells])):
         return None
     return cells, keys
 
@@ -179,10 +190,12 @@ def _piece_rows(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def _id_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """A 64-bit key for each id at ``starts``, the same in any piece: equal ids
     have equal keys, and an id of up to 8 bytes is its own key, with its length."""
+    import numpy as np
+    t = _tables()
     key = lengths.astype(np.uint64)
-    for offset, fold in zip(range(0, lengths.max(initial=0), 8), _WORD_FOLDS):
+    for offset, fold in zip(range(0, lengths.max(initial=0), 8), t.word_folds):
         at = np.minimum(starts + offset, len(words) - 1)
-        key += (words[at] & _BYTE_MASKS[(lengths - offset).clip(0, 8)]) * fold
+        key += (words[at] & t.byte_masks[(lengths - offset).clip(0, 8)]) * fold
     return key
 
 

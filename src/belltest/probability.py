@@ -21,8 +21,6 @@ from functools import reduce
 from itertools import product
 from operator import add, mul
 
-import numpy as np
-
 from .errors import ZeroConditioningEvent, require_instance
 
 NORMALIZATION_TOL = 1e-12
@@ -125,6 +123,7 @@ class JointDistribution3:
         return self.weights[atom_index(triple)]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.asarray(self.weights, dtype=float)
 
 
@@ -189,6 +188,7 @@ def _flat_dirichlet(rng: np.random.Generator, rows: int | None = None):
 def random_joint(rng: np.random.Generator) -> JointDistribution3:
     """Sample a joint law uniformly on the simplex of the 8 atom weights (a
     Dirichlet with every parameter 1).  Deterministic given the generator state."""
+    import numpy as np
     require_instance("rng", rng, np.random.Generator)
     return JointDistribution3(tuple(_flat_dirichlet(rng)))
 

@@ -17,20 +17,23 @@ counter-based random streams make the result independent of the blocks.
 
 A dataset is columnar: each response is one cell index into the count
 tensor over (branch, first question, first answer, second question, second
-answer).  The estimators and the symmetry check all read that tensor, which
-one ``np.bincount`` builds once per dataset.
+answer).  The estimators and the symmetry check read its consistent cells
+from a flat table of counts built once per dataset: from a list of cells,
+as a short parsed file has, in plain Python, without numpy; from an array
+with ``np.bincount``.  numpy is imported only where arrays are needed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, product
+from numbers import Real
+from operator import itemgetter
 from typing import Callable, Sequence, Union
-
-import numpy as np
 
 from .errors import EmptyConditioningBranch, require_instance, require_int
 from .probability import ATOMS, JointDistribution3, Outcome, VariableIndex
@@ -73,6 +76,7 @@ class ClassicalHiddenVariable:
     @cached_property
     def _cdf(self) -> np.ndarray:
         """The joint law's CDF over the canonical atom order."""
+        import numpy as np
         return np.cumsum(self.joint.weights)
 
 
@@ -90,6 +94,7 @@ class QuantumUnpolarized:
     @cached_property
     def _second_yes(self) -> np.ndarray:
         """Per route (see ``_ROUTE_CELL``): the Born chance of a second "yes"."""
+        import numpy as np
         q = self.questions
         angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
         # State after the first answer: q1 for "yes", q1 + pi for "no".
@@ -114,14 +119,21 @@ CELL_FIELDS: tuple[tuple[Branch, VariableIndex, Outcome, VariableIndex, Outcome]
 
 class ResponseDataset:
     """Survey responses stored column-wise: ``cells`` holds one uint8 cell
-    index (see ``COUNT_SHAPE``) per response.  Respondent ids are a list,
-    a function that builds that list when the ids are first needed, or
-    ``None``: implicit (``r`` and the zero-padded row number), as simulated
-    data has them.
+    index (see ``COUNT_SHAPE``) per response, given as an array or a list.
+    Respondent ids are a list, a function that builds that list when the ids
+    are first needed, or ``None``: implicit (``r`` and the zero-padded row
+    number), as simulated data has them.
     """
 
     def __init__(self, cells, ids: list[str] | Callable[[], list[str]] | None = None):
-        self.cells, self._ids = np.asarray(cells, dtype=np.uint8), ids
+        self._cells, self._ids = cells, ids  # a list of cells is counted without numpy
+
+    @property
+    def cells(self) -> np.ndarray:
+        """The cells as a uint8 array; a list of cells becomes one when first read."""
+        import numpy as np
+        self._cells = np.asarray(self._cells, dtype=np.uint8)
+        return self._cells
 
     @property
     def implicit_ids(self) -> bool:
@@ -133,16 +145,32 @@ class ResponseDataset:
             self._ids = self._ids()
         if self._ids is not None:
             return self._ids
-        width = len(str(len(self.cells)))
-        return list(map(f"r%0{width}d".__mod__, range(len(self.cells))))
+        width = len(str(len(self)))
+        return list(map(f"r%0{width}d".__mod__, range(len(self))))
+
+    @cached_property
+    def _table(self) -> list[int]:
+        """Responses per cell, flat in the C order of ``COUNT_SHAPE``.  Raises
+        ValueError naming the first cell outside ``CONSISTENT_CELLS``."""
+        if isinstance(self._cells, list):
+            table = list(map(Counter(self._cells).__getitem__, range(len(CELL_FIELDS))))
+        else:
+            import numpy as np
+            table = np.bincount(self.cells, minlength=len(CELL_FIELDS)).tolist()
+        if sum(_CONSISTENT_COUNTS(table)) != len(self):
+            row, cell = next(pair for pair in enumerate(self._cells)
+                             if pair[1] not in CONSISTENT_CELLS)
+            raise ValueError(f"row {row} holds cell {cell}, which no survey branch produces")
+        return table
 
     @cached_property
     def counts(self) -> np.ndarray:
         """Responses per cell, as an array of shape ``COUNT_SHAPE``."""
-        return np.bincount(self.cells, minlength=len(CELL_FIELDS)).reshape(COUNT_SHAPE)
+        import numpy as np
+        return np.array(self._table).reshape(COUNT_SHAPE)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self._cells)
 
 
 @dataclass(frozen=True)
@@ -195,6 +223,7 @@ class SymmetryReport:
 def _draw_atoms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The atom index that each uniform in ``u`` selects under the law with
     ``cdf`` over the canonical atom order (inverse CDF)."""
+    import numpy as np
     return np.minimum(cdf.searchsorted(u, side="right"), 7)
 
 
@@ -202,36 +231,44 @@ def _draw_atoms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # after a "yes" and after a "no" (VariableIndex values); only S1 routes by the
 # answer.  Per route, 2 * branch code + first answer code: the second question
 # and the cell of a second "yes" (a second "no" is the next cell).
-_QUESTIONS = np.array([(1, 0, 0), (1, 2, 2), (2, 0, 0), (1, 0, 2), (2, 0, 0)], dtype=np.uint8)
-_FIRST_Q, _SECOND_Q = _QUESTIONS[:, 0], _QUESTIONS[:, 1:].ravel()
-_CODES = np.arange(len(Branch), dtype=np.uint8)
-_STREAMS = _CODES + np.uint64(1)  # stream ids 1 to 5 by branch code
-_ROUTE_CELL = np.ravel_multi_index((_CODES.repeat(2), _FIRST_Q.repeat(2), np.tile([0, 1], 5),
-                                    _SECOND_Q, 0), COUNT_SHAPE).astype(np.uint8)
+_QUESTIONS = ((1, 0, 0), (1, 2, 2), (2, 0, 0), (1, 0, 2), (2, 0, 0))
+_FIRST_Q = [first for first, *_ in _QUESTIONS]
+_SECOND_Q = [second for _, *seconds in _QUESTIONS for second in seconds]
+_ROUTE_CELL = [CELL_FIELDS.index((branch, first, answer, second, Outcome.PLUS))
+               for branch, (first, *seconds) in zip(Branch, _QUESTIONS)
+               for answer, second in zip(Outcome, seconds)]
 # Per 8 * branch code + atom index: a classical agent's cell.  Bit 2 - q of an
 # atom index is set where question q's sign is -1.
-_ATOM = np.arange(8, dtype=np.uint8)
-_ATOM_ROUTE = 2 * _CODES[:, None] + ((_ATOM >> (2 - _FIRST_Q[:, None])) & 1)
-_ATOM_CELL = (_ROUTE_CELL[_ATOM_ROUTE] + ((_ATOM >> (2 - _SECOND_Q[_ATOM_ROUTE])) & 1)).ravel()
+_ATOM_CELL = [_ROUTE_CELL[route] + (atom >> (2 - _SECOND_Q[route]) & 1)
+              for code, first in enumerate(_FIRST_Q) for atom in range(8)
+              for route in [2 * code + (atom >> (2 - first) & 1)]]
+
+
+@cache
+def _kernel() -> tuple:
+    """The kernel's arrays, built on first use: branch codes, their stream ids
+    (1 to 5), route cells, atom cells, and the draw slots as a column."""
+    import numpy as np
+    codes = np.arange(len(Branch), dtype=np.uint8)
+    return (codes, codes + np.uint64(1), np.array(_ROUTE_CELL, np.uint8),
+            np.array(_ATOM_CELL, np.uint8), np.arange(2, dtype=np.uint64).reshape(2, 1))
+
 
 #: Agents per kernel call; bounds the simulation's working memory.
 _BLOCK = 1 << 16
-
-# Draw slots in an agent's stream: first answer, second answer.
-_DRAWS = np.arange(2, dtype=np.uint64).reshape(2, 1)  # a column: one row per slot
 
 
 def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
                     indices: np.ndarray) -> np.ndarray:
     """Cells of the agents with branch ``codes`` (uint8) at within-branch
     ``indices`` (uint64); ``keys`` holds each branch code's stream key."""
-    agent_keys = keys[codes]
+    agent_keys, (_, _, route_cell, atom_cell, draws) = keys[codes], _kernel()
     if isinstance(pop, ClassicalHiddenVariable):
-        u_first = keyed_uniforms(agent_keys, indices, _DRAWS[0])
-        return _ATOM_CELL[8 * codes + _draw_atoms(pop._cdf, u_first)]
-    u_first, u_second = keyed_uniforms(agent_keys, indices, _DRAWS)
+        u_first = keyed_uniforms(agent_keys, indices, draws[0])
+        return atom_cell[8 * codes + _draw_atoms(pop._cdf, u_first)]
+    u_first, u_second = keyed_uniforms(agent_keys, indices, draws)
     route = 2 * codes + (u_first >= 0.5)  # unpolarized: a fair first answer
-    return _ROUTE_CELL[route] + (u_second >= pop._second_yes[route])
+    return route_cell[route] + (u_second >= pop._second_yes[route])
 
 
 # Per design: agents per ``n_per_branch`` in each branch code; its branches
@@ -242,7 +279,19 @@ _DESIGN_SIZES = {DesignVariant.THREE_ENSEMBLE: (1, 1, 1, 0, 0),
 
 
 #: The cells a survey can produce: each branch's own question order.
-CONSISTENT_CELLS = frozenset(_ROUTE_CELL.tolist() + (_ROUTE_CELL + 1).tolist())
+CONSISTENT_CELLS = frozenset(_ROUTE_CELL + [cell + 1 for cell in _ROUTE_CELL])
+
+
+def _counts(*pattern) -> itemgetter:
+    """The getter of a count table's entries at the consistent cells whose fields
+    start with ``pattern`` (None matches any); a tuple, as each pattern used here
+    matches two cells or more."""
+    return itemgetter(*(cell for cell in sorted(CONSISTENT_CELLS)
+                        if all(p in (None, f) for p, f in zip(pattern, CELL_FIELDS[cell]))))
+
+
+_CONSISTENT_COUNTS = _counts()
+_BRANCH_COUNTS = tuple(map(_counts, Branch))
 
 
 def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> ResponseDataset:
@@ -252,23 +301,25 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
     require_instance("population", pop, ClassicalHiddenVariable, QuantumUnpolarized)
     require_instance("design", design, ProtocolDesign)
     require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
+    import numpy as np
     sizes = [k * int(design.n_per_branch) for k in _DESIGN_SIZES[design.variant]]
     ends = list(accumulate(sizes))
     starts = [end - size for end, size in zip(ends, sizes)]  # code c: rows [starts[c], ends[c])
-    keys = stream_keys(seed, _STREAMS)
+    codes, streams, *_ = _kernel()
+    keys = stream_keys(seed, streams)
     cells = np.empty(ends[-1], dtype=np.uint8)
     for start in range(0, len(cells), _BLOCK):
         stop = min(start + _BLOCK, len(cells))
         in_block = [max(0, min(end, stop) - max(first, start)) for first, end in zip(starts, ends)]
         indices = (np.arange(start, stop) - np.array(starts).repeat(in_block)).view(np.uint64)
-        cells[start:stop] = _simulate_block(pop, keys, _CODES.repeat(in_block), indices)
+        cells[start:stop] = _simulate_block(pop, keys, codes.repeat(in_block), indices)
     return ResponseDataset(cells)
 
 
 def infer_design(data: ResponseDataset) -> DesignVariant:
     """The design whose branches hold every response; three-ensemble for a
     dataset with none.  Raises ValueError when the branches mix designs."""
-    per_branch = data.counts.sum(axis=(1, 2, 3, 4)).tolist()
+    per_branch = [sum(counts(data._table)) for counts in _BRANCH_COUNTS]
     for variant, sizes in _DESIGN_SIZES.items():
         if not any(n for n, size in zip(per_branch, sizes) if not size):
             return variant
@@ -280,19 +331,23 @@ def infer_design(data: ResponseDataset) -> DesignVariant:
 # --- estimation -------------------------------------------------------------
 
 
-# The estimated conditionals: first question, first answer code, second question.
-_CONDITIONALS = ((1, 0, 0, "a|b+"), (1, 1, 2, "c|b-"), (2, 0, 0, "a|c+"))
-_VARIABLES = tuple(VariableIndex)  # iterating the enum class itself is slow
+# The estimated conditionals: the counts of a second "yes" and of a second
+# "no" after each (first question, first answer, second question).
+_CONDITIONALS = tuple((_counts(None, q1, a1, q2, 1), _counts(None, q1, a1, q2, -1), label)
+                      for q1, a1, q2, label in ((1, 1, 0, "a|b+"), (1, -1, 2, "c|b-"),
+                                                (2, 1, 0, "a|c+")))
+# Per question that a branch asks first: the counts of a first "yes" and a first "no".
+_FIRST_ANSWERS = tuple((q, _counts(None, q, 1), _counts(None, q, -1))
+                       for q in map(VariableIndex, sorted(set(_FIRST_Q))))
 
 
 def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
     """The count-ratio estimators of the three conditional probabilities."""
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    pooled = data.counts.sum(axis=0)  # over branches
-    ratios = []
-    for q1, a1, q2, label in _CONDITIONALS:
-        plus, minus = pooled[q1, a1, q2].tolist()
+    table, ratios = data._table, []
+    for plus_counts, minus_counts, label in _CONDITIONALS:
+        plus, minus = sum(plus_counts(table)), sum(minus_counts(table))
         if plus + minus == 0:
             raise EmptyConditioningBranch(
                 f"no respondent reached the {label} conditioning event"
@@ -304,11 +359,14 @@ def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
 def check_symmetry(data: ResponseDataset, tolerance: float = 0.05) -> SymmetryReport:
     """Flag questions whose first-answer "yes" fraction strays from 1/2 by
     more than ``tolerance``, which must be a finite number >= 0, not a bool."""
-    if isinstance(tolerance, (bool, np.bool_)) or not 0.0 <= tolerance < math.inf:
+    # numbers.Real excludes numpy bools; a float skips its slow ABC check.
+    if not (isinstance(tolerance, float) or isinstance(tolerance, Real)
+            and not isinstance(tolerance, bool)) or not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    by_answer = data.counts.sum(axis=(0, 3, 4)).tolist()  # (first q, first answer)
+    table = data._table
+    by_answer = [(q, sum(plus(table)), sum(minus(table))) for q, plus, minus in _FIRST_ANSWERS]
     entries = tuple(
         SymmetryEntry(
             question=q,
@@ -316,7 +374,7 @@ def check_symmetry(data: ResponseDataset, tolerance: float = 0.05) -> SymmetryRe
             n_first_asked=plus + minus,
             flagged=abs(plus / (plus + minus) - 0.5) > tolerance,
         )
-        for q, (plus, minus) in zip(_VARIABLES, by_answer)
+        for q, plus, minus in by_answer
         if plus + minus
     )
     return SymmetryReport(entries=entries, tolerance=tolerance)
@@ -332,6 +390,7 @@ def sample_entangled_pairs(
 ) -> list[tuple[Triple, Triple]]:
     """Draw n sign triples and emit each one twice, mimicking perfectly
     correlated pair preparation."""
+    import numpy as np
     return [(ATOMS[k], ATOMS[k]) for k in _draw_atoms(np.cumsum(joint.weights), rng.random(n))]
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .inequalities import CondTriple
 
 TWO_PI = 2.0 * math.pi
@@ -51,6 +49,7 @@ class QuestionTriple:
 
 def born(x, y):
     """Born rule on the real circle: cos^2((x - y) / 2), on radians or arrays."""
+    import numpy as np
     return np.cos(0.5 * (x - y)) ** 2
 
 
@@ -61,6 +60,7 @@ def predicted_conditionals(a, b, c):
     after a "no" it sits at b + pi, so p(c+|b-) = sin^2((c-b)/2), kept in
     that form because born(b + pi, c) would round b + pi.
     """
+    import numpy as np
     return born(a, b), np.sin(0.5 * (c - b)) ** 2, born(a, c)
 
 

@@ -30,6 +30,7 @@ from belltest import (
     run_protocol,
 )
 from belltest import dataio
+from belltest.cli import main
 from belltest.dataio import CSV_HEADER, _parse_bytes, format_dataset, parse_dataset
 from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
 
@@ -258,6 +259,41 @@ def test_simulated_dataset_parses_on_byte_path_with_lazy_ids():
     assert not callable(parsed._ids)
     assert (parsed.cells.tolist(), parsed.respondent_ids) == (
         data.cells.tolist(), data.respondent_ids)
+
+
+@pytest.mark.parametrize("variant", list(DesignVariant))
+def test_text_under_a_piece_takes_the_line_loop_and_reports_the_same(
+        tmp_path, monkeypatch, variant):
+    pop = QuantumUnpolarized(QuestionTriple.from_floats(0.0, 2.1, 1.0))
+    text = format_dataset(run_protocol(pop, ProtocolDesign(variant, 300), seed=4))
+    path = tmp_path / "survey.csv"
+    path.write_text(text)
+    taken = []
+
+    def recording(name):
+        real = getattr(dataio, name)
+
+        def parse(text):
+            taken.append(name)
+            return real(text)
+        return parse
+
+    for name in ("_parse_bytes", "_parse_lines"):
+        monkeypatch.setattr(dataio, name, recording(name))
+    runs = {}
+    for piece in (len(text) + 1, len(text)):  # text under one piece, then of one piece
+        monkeypatch.setattr(dataio, "_PIECE", piece)
+        taken.clear()
+        data = parse_dataset(text)
+        lazy = callable(data._ids)
+        report = tmp_path / f"report-{piece}.json"
+        assert main(["test", str(path), "--report", str(report)]) == 0
+        runs[piece] = (taken[:], lazy, data.cells.tolist(), data.respondent_ids,
+                       report.read_bytes())
+    short, long = runs[len(text) + 1], runs[len(text)]
+    assert short[:2] == (["_parse_lines"] * 2, False)
+    assert long[:2] == (["_parse_bytes"] * 2, True)
+    assert short[2:] == long[2:]
 
 
 ID_CHARS = string.ascii_letters + string.digits + "_-.:/ \t"

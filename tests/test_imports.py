@@ -3,9 +3,12 @@
 No command needs SciPy: `stats` computes the normal tail and quantile itself.
 `import belltest` loads no submodule and no numpy, since the package resolves
 its public names on first use, and leaves the environment alone.  Importing
-`belltest.cli` defaults `OPENBLAS_NUM_THREADS` to 1 before numpy loads, so the
-CLI runs without the OpenBLAS thread pool, and keeps a value already set.
-Only the `search` command loads `belltest.search`.
+`belltest.cli` loads no numpy either: `test` on a CSV shorter than one parse
+piece and `interference` run without it, and `simulate`, `search` and `test`
+on a larger CSV import it where they first need arrays.  Importing
+`belltest.cli` defaults `OPENBLAS_NUM_THREADS` to 1, so whichever command
+loads numpy runs without the OpenBLAS thread pool, and keeps a value already
+set.  Only the `search` command loads `belltest.search`.
 """
 
 import importlib
@@ -19,10 +22,12 @@ from pathlib import Path
 import pytest
 
 import belltest
+from belltest.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WITNESS_ARGS = f"0,{2 * math.pi / 3},{math.pi / 3}"
 LOADED = "sorted(sys.modules)"
+THREADS = "len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1"
 
 PUBLIC_NAMES = [
     "ATOMS", "BellTestError", "BlochAngle", "Branch", "ClassicalHiddenVariable",
@@ -72,6 +77,12 @@ def command_code(tmp_path: Path, entry: str) -> str:
         "test": simulate_code(tmp_path / "data.csv") + (
             f"assert main(['test', {str(tmp_path / 'data.csv')!r},"
             f" '--report', {str(tmp_path / 'r.json')!r}]) == 0\n"),
+        "test-only": ("from belltest.cli import main\n"
+                      f"assert main(['test', {str(tmp_path / 'data.csv')!r},"
+                      f" '--report', {str(tmp_path / 'r.json')!r}]) == 0\n"),
+        "interference": ("from belltest.cli import main\n"
+                         "assert main(['interference', '--p', '0.75', '--p1', '0.25',"
+                         " '--p2', '0.25']) == 0\n"),
     }[entry]
 
 
@@ -100,6 +111,24 @@ def test_cli_defaults_openblas_to_one_thread():
     threads = "len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1"
     setting, tasks = run_fresh("import belltest.cli\n",
                                f"[os.environ.get('OPENBLAS_NUM_THREADS'), {threads}]")
+    assert setting == "1"
+    assert tasks == 1
+
+
+@pytest.mark.parametrize("entry", ["import", "test-only", "interference"])
+def test_analysis_commands_load_no_numpy(tmp_path, entry):
+    # The CSV, 2 400 rows, is written by this process, before the fresh one runs.
+    assert main(["simulate", "--model", "quantum", "--angles", WITNESS_ARGS,
+                 "--n", "800", "--seed", "1", "--out", str(tmp_path / "data.csv")]) == 0
+    loaded = run_fresh(command_code(tmp_path, entry))
+    assert [m for m in loaded if m == "numpy" or m.startswith("numpy.")] == []
+
+
+def test_simulate_loads_numpy_with_one_openblas_thread(tmp_path):
+    loaded, setting, tasks = run_fresh(
+        command_code(tmp_path, "simulate"),
+        f"[{LOADED}, os.environ.get('OPENBLAS_NUM_THREADS'), {THREADS}]")
+    assert "numpy" in loaded
     assert setting == "1"
     assert tasks == 1
 

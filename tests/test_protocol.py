@@ -583,6 +583,73 @@ class TestCheckSymmetry:
         assert check_symmetry(data) == check_symmetry(data, tolerance=0.05)
 
 
+class TestCountTable:
+    """The flat count table against numpy axis sums over an independent
+    ``np.bincount``, and its refusal of cells that no branch produces."""
+
+    CONSISTENT = (
+        (Branch.BA, B, PLUS, A, MINUS),
+        (Branch.BC, B, MINUS, C, PLUS),
+        (Branch.CA, C, PLUS, A, PLUS),
+    )
+
+    def test_cell_of_no_branch_is_rejected(self):
+        assert estimate_frequencies(dataset(*self.CONSISTENT)).nu_a_given_b_plus == (0, 1)
+        # A CA row that asks b first: no survey branch produces it.
+        bad_row = (Branch.CA, B, PLUS, A, PLUS)
+        cell = CELL_FIELDS.index(bad_row)
+        assert cell not in CONSISTENT_CELLS
+        for count in (estimate_frequencies, protocol.infer_design, check_symmetry):
+            with pytest.raises(ValueError, match=rf"^row 3 holds cell {cell}, which no survey"
+                                                 " branch produces$"):
+                count(dataset(*self.CONSISTENT, bad_row))
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_cell_beyond_the_table_is_rejected(self, as_array):
+        cells = [CELL_FIELDS.index(row) for row in self.CONSISTENT] + [200, 7]
+        data = ResponseDataset(np.array(cells, np.uint8) if as_array else cells)
+        with pytest.raises(ValueError, match="^row 3 holds cell 200, which"):
+            data.counts
+        with pytest.raises(ValueError, match="^row 3 holds cell 200, which"):
+            estimate_frequencies(data)
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_estimators_equal_numpy_axis_sums(self, seed, variant, as_array):
+        rng = np.random.default_rng(seed)
+        branches = {branch for branch, _ in DESIGN_BRANCHES[variant]}
+        design_cells = [c for c in sorted(CONSISTENT_CELLS) if CELL_FIELDS[c][0] in branches]
+        # Few rows leave some conditioning events empty; many rows fill them.
+        n = int(rng.choice([1, 3, 8, 40, 500]))
+        picked = rng.choice(design_cells, size=n, p=rng.dirichlet(np.ones(len(design_cells))))
+        data = ResponseDataset(picked.astype(np.uint8) if as_array else picked.tolist())
+        counts = np.bincount(np.asarray(picked), minlength=len(CELL_FIELDS)).reshape(
+            protocol.COUNT_SHAPE)
+        assert np.array_equal(data.counts, counts)
+        per_branch = counts.sum(axis=(1, 2, 3, 4))
+        assert set(np.flatnonzero(per_branch).tolist()) <= {list(Branch).index(b)
+                                                            for b in branches}
+        assert protocol.infer_design(data) is variant
+        pooled = counts.sum(axis=0)
+        expected = []
+        for q1, a1, q2 in ((B, 0, A), (B, 1, C), (C, 0, A)):
+            plus, minus = pooled[q1, a1, q2].tolist()
+            expected.append((plus, plus + minus) if plus + minus else None)
+        if None in expected:
+            with pytest.raises(EmptyConditioningBranch):
+                estimate_frequencies(data)
+        else:
+            table = estimate_frequencies(data)
+            assert [table.nu_a_given_b_plus, table.nu_c_given_b_minus,
+                    table.nu_a_given_c_plus] == expected
+        first = counts.sum(axis=(0, 3, 4)).tolist()  # (first question, first answer)
+        entries = check_symmetry(data, tolerance=0.1).entries
+        assert [(e.question, e.plus_fraction, e.n_first_asked, e.flagged) for e in entries] == [
+            (q, plus / (plus + minus), plus + minus, abs(plus / (plus + minus) - 0.5) > 0.1)
+            for q, (plus, minus) in zip(VariableIndex, first) if plus + minus]
+
+
 class TestPerfectCorrelation:
     def test_copy_sampler_passes(self):
         rng = np.random.default_rng(10)
