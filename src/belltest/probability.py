@@ -122,10 +122,6 @@ class JointDistribution3:
     def atom(self, triple: tuple[int, int, int]) -> float:
         return self.weights[atom_index(triple)]
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-        return np.asarray(self.weights, dtype=float)
-
 
 def atom_index(triple: tuple[int, int, int]) -> int:
     sa, sb, sc = triple
@@ -173,16 +169,12 @@ def conditional(
     return min(_probability(joint, target, given) / p_given, 1.0)
 
 
-def _flat_dirichlet(rng: np.random.Generator, rows: int | None = None):
-    """``rng.dirichlet(np.ones(8), rows)``, same bits and rng state: exponentials, each row
-    times 1 / its left-to-right sum.  ``rows=None`` gives one law as Python floats."""
-    if rows is None:
-        draws = rng.standard_exponential(8).tolist()
-        scale = 1.0 / reduce(add, draws)
-        return [x * scale for x in draws]
-    draws = rng.standard_exponential((rows, 8))
-    draws *= 1.0 / reduce(add, draws.T)[:, None]
-    return draws
+def _flat_dirichlet(rng: np.random.Generator) -> list[float]:
+    """``rng.dirichlet(np.ones(8))`` as Python floats, same bits and rng state:
+    8 exponentials, each times 1 / their left-to-right sum."""
+    draws = rng.standard_exponential(8).tolist()
+    scale = 1.0 / reduce(add, draws)
+    return [x * scale for x in draws]
 
 
 def random_joint(rng: np.random.Generator) -> JointDistribution3:

@@ -130,10 +130,13 @@ class ResponseDataset:
 
     @property
     def cells(self) -> np.ndarray:
-        """The cells as a uint8 array; a list of cells becomes one when first read."""
+        """The cells as a read-only uint8 array, since the counts are cached; a
+        list of cells becomes one when first read."""
         import numpy as np
         self._cells = np.asarray(self._cells, dtype=np.uint8)
-        return self._cells
+        view = self._cells.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def implicit_ids(self) -> bool:

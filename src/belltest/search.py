@@ -7,17 +7,19 @@ the best cell with a deterministic pattern search.
 
 The classical floor is the conditional-form margin's minimum, 0, at the
 symmetrized simplex vertices, checked on many symmetrized random laws too.
+Symmetrized, a law's margin is 2 * (w(++-) + w(--+)), so each random law is
+scored from its unnormalised exponentials, and none can fall below 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import require_instance, require_int
-from .probability import _flat_dirichlet
 from .qubit import TWO_PI, QuestionTriple, predicted_conditionals
 
 _BLOCK_CELLS = 1 << 16  # grid cells or floor weights per block, so memory stays bounded
@@ -93,20 +95,6 @@ class FloorCertificate(NamedTuple):
     skipped: int
 
 
-def _symmetrized_margins(weights: np.ndarray) -> np.ndarray:
-    """Conditional-form margin of the symmetrization of each law (row) in
-    ``weights``, whose columns are the 8 atoms in canonical order."""
-    # Symmetrized atom k is 0.5 * (w_k + w_(7-k)), so marginals are exactly 1/2
-    # and conditionals are doubled pair probabilities; only atoms 0, 1 (= 6), 2 enter.
-    w0 = 0.5 * (weights[:, 0] + weights[:, 7])
-    w1 = 0.5 * (weights[:, 1] + weights[:, 6])
-    w2 = 0.5 * (weights[:, 2] + weights[:, 5])
-    p1 = 2.0 * (w0 + w1)  # P(a+, b+) / (1/2)
-    p2 = 2.0 * (w2 + w1)  # P(c+, b-) / (1/2), atoms 2 and 6
-    p3 = 2.0 * (w0 + w2)  # P(a+, c+) / (1/2)
-    return p1 + p2 - p3
-
-
 def classical_margin_floor(
     samples: int, rng: np.random.Generator | None = None
 ) -> FloorCertificate:
@@ -114,18 +102,23 @@ def classical_margin_floor(
 
     Evaluates the symmetrizations of all 8 deterministic triples (the simplex
     vertices) plus ``samples`` symmetrized flat-Dirichlet draws from ``rng``,
-    a ``np.random.Generator``.  The margin is linear in the 8 weights, so its
-    minimum over the simplex is at a vertex: the vertex minimum of 0 is the
-    exact floor, and a draw can fall below it only by rounding.  Symmetrized
-    laws give every conditioning event probability 1/2: ``skipped`` is 0.
+    a ``np.random.Generator``, which ends where ``rng.dirichlet(np.ones(8),
+    samples)`` would.  The margin is linear in the 8 weights, so its minimum
+    over the simplex is at a vertex: the vertex minimum of 0 is the exact
+    floor, and a ratio of non-negative numbers cannot fall below it.
+    Symmetrized laws give every conditioning event probability 1/2:
+    ``skipped`` is 0.
     """
     require_int("samples", samples, 0, np.inf, "a non-negative integer")
     if samples > 0 or rng is not None:
         require_instance("rng", rng, np.random.Generator)
 
-    min_margin = float(np.min(_symmetrized_margins(_VERTICES)))
     rows = _BLOCK_CELLS // 8  # draws go row by row: blocks keep the rows and rng state
-    for start in range(0, samples, rows):
-        weights = _flat_dirichlet(rng, min(rows, samples - start))
-        min_margin = min(min_margin, float(np.min(_symmetrized_margins(weights))))
+    draws = (rng.standard_exponential((min(rows, samples - start), 8))
+             for start in range(0, samples, rows))
+    # Symmetrized, atom k weighs (w_k + w_(7-k)) / 2, every conditioning event
+    # has probability 1/2, and p1 + p2 - p3 collapses to 2 * (w(++-) + w(--+)),
+    # atoms 1 and 6.  A flat-Dirichlet law is a row of exponentials over its sum.
+    min_margin = min(float(np.min(2.0 * (x[:, 1] + x[:, 6]) / x.sum(axis=1)))
+                     for x in chain([_VERTICES], draws))
     return FloorCertificate(min_margin=min_margin, samples_evaluated=int(samples) + 8, skipped=0)

@@ -176,7 +176,7 @@ class TestRandomJoint:
         mean = np.zeros(8)
         n = 10_000
         for _ in range(n):
-            mean += random_joint(rng).as_array()
+            mean += np.asarray(random_joint(rng).weights)
         mean /= n
         assert np.all(np.abs(mean - 0.125) < 0.01)
 
@@ -269,15 +269,6 @@ class TestFlatDirichlet:
         rng, reference = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(2_000):
             assert _flat_dirichlet(rng) == reference.dirichlet(np.ones(8)).tolist()
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    @pytest.mark.parametrize("rows", [0, 1, 7, 8192, 20_003])
-    def test_block_is_the_dirichlet_block(self, rows):
-        rng, reference = np.random.default_rng(rows), np.random.default_rng(rows)
-        drawn = _flat_dirichlet(rng, rows)
-        expected = reference.dirichlet(np.ones(8), size=rows)
-        assert drawn.shape == expected.shape == (rows, 8)
-        assert np.array_equal(drawn, expected)
         assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("rng", [None, "x", 7, np.random.RandomState(0)],

@@ -614,6 +614,19 @@ class TestCountTable:
             estimate_frequencies(data)
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_cells_are_read_only_once_counted(self, as_array):
+        # The counts are cached, so a write through .cells would leave every
+        # estimate on the old cells: the array handed out refuses writes.
+        cells = [CELL_FIELDS.index(row) for row in self.CONSISTENT]
+        data = ResponseDataset(np.array(cells, np.uint8) if as_array else cells)
+        before = estimate_frequencies(data)
+        with pytest.raises(ValueError, match="read-only"):
+            data.cells[:] = data.cells[0]
+        assert data.cells.tolist() == cells
+        assert estimate_frequencies(data) == before
+        assert protocol.infer_design(data) is THREE
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
     @pytest.mark.parametrize("variant", [THREE, TWO])
     @pytest.mark.parametrize("seed", range(6))
     def test_estimators_equal_numpy_axis_sums(self, seed, variant, as_array):

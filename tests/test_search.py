@@ -19,7 +19,7 @@ from belltest import (
 )
 from belltest import search
 from belltest.qubit import QuestionTriple, predicted_conditionals
-from belltest.search import _BLOCK_CELLS, SearchResult, _symmetrized_margins
+from belltest.search import _BLOCK_CELLS, SearchResult
 
 TWO_PI = 2 * math.pi
 
@@ -97,6 +97,33 @@ class TestMaximizeQuantumViolation:
             with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
                 maximize_quantum_violation(grid_steps=36, refine_tol=refine_tol)
 
+    @pytest.mark.parametrize("grid", [36, 90, 360, 1440])
+    def test_grid_divisible_by_6_lands_on_the_closed_form_optimum(self, grid):
+        # The optimum gaps (2 pi / 3, pi / 3) are grid cells, the compass steps
+        # never improve on them, and the margin is -1/4 up to one rounding.
+        result = maximize_quantum_violation(grid, 1e-9)
+        angles = (result.best_angles.a.phi, result.best_angles.b.phi, result.best_angles.c.phi)
+        assert angles == (0.0, 2 * math.pi / 3, math.pi / 3)
+        assert result.best_margin == -0.2500000000000001
+
+    @pytest.mark.parametrize("grid", [77, 1000])
+    def test_other_grids_refine_to_the_closed_form_optimum(self, grid):
+        # The margin rises only quadratically off the optimum: a gap error of
+        # 3e-8 rad moves it by less than one rounding of 1/4, so the pattern
+        # search stops 1e-8 to 3e-8 rad away (both grids here do).
+        result = maximize_quantum_violation(grid, 1e-9)
+        assert result.best_angles.a.phi == 0.0
+        assert result.best_angles.b.phi == pytest.approx(2 * math.pi / 3, abs=1e-7)
+        assert result.best_angles.c.phi == pytest.approx(math.pi / 3, abs=1e-7)
+        assert result.best_margin == pytest.approx(-0.25, abs=1e-15)
+
+    def test_margin_never_below_minus_a_quarter(self):
+        # The margin is 1/2 + (cos x + cos y + cos z) / 2 with x = a - b,
+        # y = b - c + pi and x + y + z = 0, where the cosines sum to at least
+        # -3/2: -1/4 is the exact minimum, missed here by a few roundings at most.
+        beta, gamma = np.random.default_rng(8).uniform(0.0, TWO_PI, (2, 100_000))
+        assert search._margin(beta, gamma).min() >= -0.25 - 4 * 2.0**-53
+
     def test_rotation_invariance(self):
         rng = np.random.default_rng(0)
         base = (0.3, 1.9, 5.1)
@@ -149,14 +176,14 @@ class TestBlockedGrid:
         assert maximize_quantum_violation(36, 1e-6) == expected
 
 
+def closed_form_margins(x):
+    """The floor's closed form, 2 * (x1 + x6) / row sum, on a whole array."""
+    return 2.0 * (x[:, 1] + x[:, 6]) / x.sum(axis=1)
+
+
 def sampled_floor_reference(samples, rng):
-    """The sampled part of the floor with all samples x 8 weights drawn at once."""
-    weights = rng.dirichlet(np.ones(8), size=samples)
-    weights = 0.5 * (weights + weights[:, ::-1])
-    p1 = 2.0 * weights[:, [0, 1]].sum(axis=1)
-    p2 = 2.0 * weights[:, [2, 6]].sum(axis=1)
-    p3 = 2.0 * weights[:, [0, 2]].sum(axis=1)
-    return float(np.min(p1 + p2 - p3))
+    """The sampled part of the floor with all samples x 8 exponentials drawn at once."""
+    return float(np.min(closed_form_margins(rng.standard_exponential((samples, 8)))))
 
 
 class TestBlockedFloor:
@@ -183,6 +210,15 @@ class TestBlockedFloor:
     def test_block_size_does_not_change_result(self, monkeypatch, rows, samples):
         monkeypatch.setattr(search, "_BLOCK_CELLS", 8 * rows)
         self.assert_matches_whole_array(samples, seed=samples)
+
+    @pytest.mark.parametrize("samples", [0, 1, 7, 8192, 20_003])
+    def test_generator_ends_where_the_dirichlet_block_ends(self, samples):
+        # The floor draws the exponentials that Generator.dirichlet with every
+        # parameter 1 normalises, so the sweep sees the same laws.
+        rng, reference = np.random.default_rng(samples), np.random.default_rng(samples)
+        classical_margin_floor(samples, rng)
+        reference.dirichlet(np.ones(8), size=samples)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestClassicalMarginFloor:
@@ -213,12 +249,11 @@ class TestClassicalMarginFloor:
             ).margin
             for atom in ATOMS
         ]
-        assert _symmetrized_margins(np.eye(8)).tolist() == scalar == [0, 2, 0, 0, 0, 0, 2, 0]
+        assert closed_form_margins(np.eye(8)).tolist() == scalar == [0, 2, 0, 0, 0, 0, 2, 0]
 
     def test_sampled_floor_non_negative(self):
         cert = classical_margin_floor(20_000, np.random.default_rng(3))
-        assert cert.min_margin >= -1e-12
-        assert cert.min_margin < 0.05  # the vertex minimum of 0 is attained
+        assert cert.min_margin == 0.0  # the vertex minimum; no draw falls below it
         assert cert.samples_evaluated == 20_008
 
     def test_requires_rng_with_samples(self):
@@ -228,9 +263,9 @@ class TestClassicalMarginFloor:
             classical_margin_floor(-1, np.random.default_rng(0))
 
 
-def fancy_index_margins(weights):
-    """The floor's margin formula as it stood before it read single columns:
-    symmetrize all 8 columns, then sum fancy-indexed column pairs."""
+def three_term_margins(weights):
+    """The conditional-form margin of the symmetrized laws term by term:
+    symmetrize all 8 columns, then p1 + p2 - p3 from column pairs."""
     weights = 0.5 * (weights + weights[:, ::-1])
     p1 = 2.0 * weights[:, [0, 1]].sum(axis=1)
     p2 = 2.0 * weights[:, [2, 6]].sum(axis=1)
@@ -245,14 +280,17 @@ def simplex_grid(steps):
     return np.diff(edges, axis=1) - 1
 
 
-class TestSymmetrizedMargins:
+class TestClosedFormMargins:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_fancy_index_formula(self, seed):
+    def test_matches_three_term_formula(self, seed):
         rng = np.random.default_rng(seed)
-        blocks = [rng.dirichlet(np.ones(8), size=50_000), rng.exponential(size=(1000, 8)),
+        exponentials = rng.exponential(size=(1000, 8))
+        blocks = [rng.dirichlet(np.ones(8), size=50_000),
+                  exponentials / exponentials.sum(axis=1)[:, None],
                   rng.dirichlet(np.full(8, 0.05), size=1000), np.eye(8)]
         for weights in blocks:
-            assert np.array_equal(_symmetrized_margins(weights), fancy_index_margins(weights))
+            error = np.abs(closed_form_margins(weights) - three_term_margins(weights))
+            assert error.max() <= 4 * 2.0**-52  # 4 ulp of 1; margins lie in [0, 2]
 
     def test_minimum_over_simplex_grid_is_the_vertex_minimum(self):
         # The margin is linear in the weights, so its minimum over the
@@ -261,8 +299,8 @@ class TestSymmetrizedMargins:
         counts = simplex_grid(12)
         assert counts.shape == (50_388, 8)
         assert (counts.sum(axis=1) == 12).all() and len(np.unique(counts, axis=0)) == 50_388
-        margins = _symmetrized_margins(counts / 12.0)
-        vertex_min = float(np.min(_symmetrized_margins(np.eye(8))))
+        margins = closed_form_margins(counts / 12.0)
+        vertex_min = float(np.min(closed_form_margins(np.eye(8))))
         assert vertex_min == 0.0
         assert float(margins.min()) == vertex_min
         assert (margins == vertex_min).sum() > 8  # attained, and not only at the vertices
