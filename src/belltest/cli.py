@@ -35,8 +35,6 @@ from .errors import (
     DegenerateVariance,
     EmptyConditioningBranch,
 )
-from .inequalities import interference_coefficient
-from .probability import JointDistribution3, symmetrize
 from .protocol import (
     ClassicalHiddenVariable,
     DesignVariant,
@@ -47,7 +45,6 @@ from .protocol import (
     infer_design,
     run_protocol,
 )
-from .qubit import QuestionTriple
 from .stats import validate_alpha, violation_test
 
 EXIT_OK = 0
@@ -56,6 +53,8 @@ EXIT_DEGENERATE = 3
 
 
 def _angles(text: str) -> QuestionTriple:
+    from .qubit import QuestionTriple
+
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated angles")
@@ -117,6 +116,8 @@ _MODEL_FLAGS = {"quantum": ("angles",), "classical": ("atoms", "symmetrize")}
 
 
 def _cmd_simulate(args) -> int:
+    from .probability import JointDistribution3, symmetrize
+
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     for model, flags in _MODEL_FLAGS.items():
@@ -195,6 +196,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_interference(args) -> int:
+    from .inequalities import interference_coefficient
+
     try:
         result = interference_coefficient(args.p, args.p1, args.p2)
     except DegenerateAlternatives as exc:

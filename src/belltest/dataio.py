@@ -31,9 +31,9 @@ shorter than a piece, without numpy, which only the byte paths import.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import DuplicateRespondent, FormatError
 from .protocol import (
@@ -246,8 +246,7 @@ def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
     return cell
 
 
-@dataclass(frozen=True)
-class ReportContext:
+class ReportContext(NamedTuple):
     """Run facts echoed into the report."""
 
     seed: int | None

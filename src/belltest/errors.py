@@ -1,6 +1,18 @@
 """Exception hierarchy and argument checks shared across the package."""
 
+from collections import namedtuple
 from numbers import Integral
+
+
+def record(typename: str, field_names: str) -> type:
+    """A named tuple class to subclass for a record whose ``__new__`` checks
+    its fields.  ``_make`` and ``_replace`` build through that ``__new__``, so
+    the checks run; pickling and copying restore the fields as stored, so a
+    normalized field is not normalized again."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base.__reduce__ = lambda self: (tuple.__new__, (type(self), tuple(self)))
+    return base
 
 
 def require_int(name: str, value, low: int, high: float, bounds: str) -> None:

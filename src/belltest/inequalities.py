@@ -22,10 +22,10 @@ edges (|coefficient| 0 and 1) are widened by 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import DegenerateAlternatives
+from .errors import DegenerateAlternatives, record
 from .probability import (
     JointDistribution3,
     Outcome,
@@ -43,8 +43,7 @@ class InequalityKind(Enum):
     WIGNER_CONDITIONAL = "WignerConditional"
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     kind: InequalityKind
     lhs_terms: tuple[float, ...]
     rhs: float
@@ -52,25 +51,21 @@ class InequalityReport:
     violated: bool
 
 
-@dataclass(frozen=True)
-class CondTriple:
+class CondTriple(record("CondTriple", "p_a_given_b_plus p_c_given_b_minus p_a_given_c_plus")):
     """The three conditional probabilities entering the conditional form."""
 
-    p_a_given_b_plus: float
-    p_c_given_b_minus: float
-    p_a_given_c_plus: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, p in (
-            ("p_a_given_b_plus", self.p_a_given_b_plus),
-            ("p_c_given_b_minus", self.p_c_given_b_minus),
-            ("p_a_given_c_plus", self.p_a_given_c_plus),
-        ):
+    def __new__(cls, p_a_given_b_plus: float, p_c_given_b_minus: float,
+                p_a_given_c_plus: float):
+        self = super().__new__(cls, p_a_given_b_plus, p_c_given_b_minus, p_a_given_c_plus)
+        for name, p in zip(self._fields, self):
             if not (math.isfinite(p) and 0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
+        return self
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p_a_given_b_plus, self.p_c_given_b_minus, self.p_a_given_c_plus)
+        return tuple(self)
 
 
 class InterferenceRegime(Enum):
@@ -79,8 +74,7 @@ class InterferenceRegime(Enum):
     HYPERBOLIC = "Hyperbolic"
 
 
-@dataclass(frozen=True)
-class InterferenceResult:
+class InterferenceResult(NamedTuple):
     coefficient: float
     regime: InterferenceRegime
 

@@ -15,13 +15,12 @@ the atoms (and signs) that tables built once at import pick for its events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
 from itertools import product
 from operator import add, mul
 
-from .errors import ZeroConditioningEvent, require_instance
+from .errors import ZeroConditioningEvent, record, require_instance
 
 NORMALIZATION_TOL = 1e-12
 
@@ -80,8 +79,7 @@ _ATOMS_WHERE = {
 _SIGN_PRODUCTS = tuple(tuple(tuple(map(mul, si, sj)) for sj in SIGNS) for si in SIGNS)
 
 
-@dataclass(frozen=True)
-class JointDistribution3:
+class JointDistribution3(record("JointDistribution3", "weights")):
     """A probability law on the 8 sign triples, in canonical atom order.
 
     Weights must be non-negative and sum to 1 within ``NORMALIZATION_TOL``;
@@ -89,12 +87,12 @@ class JointDistribution3:
     a unit total.
     """
 
-    weights: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.weights) != 8:
-            raise ValueError(f"expected 8 atom weights, got {len(self.weights)}")
-        w = list(map(float, self.weights))
+    def __new__(cls, weights: tuple[float, ...]):
+        if len(weights) != 8:
+            raise ValueError(f"expected 8 atom weights, got {len(weights)}")
+        w = list(map(float, weights))
         if not (min(w) >= 0.0 and sum(w) < math.inf):  # NaN fails the sum; loop names the atom
             for k, x in enumerate(w):
                 if not 0.0 <= x < math.inf:
@@ -102,7 +100,7 @@ class JointDistribution3:
         total = math.fsum(w)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within {NORMALIZATION_TOL}")
-        object.__setattr__(self, "weights", tuple([x / total for x in w]))
+        return super().__new__(cls, tuple([x / total for x in w]))
 
     @classmethod
     def uniform(cls) -> "JointDistribution3":

@@ -20,25 +20,24 @@ tensor over (branch, first question, first answer, second question, second
 answer).  The estimators and the symmetry check read its consistent cells
 from a flat table of counts built once per dataset: from a list of cells,
 as a short parsed file has, in plain Python, without numpy; from an array
-with ``np.bincount``.  numpy is imported only where arrays are needed.
+with ``np.bincount``.  numpy, ``qubit`` and ``streams`` are imported only
+where the arrays, the quantum population and the kernel need them, so
+counting a parsed file loads none of them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import accumulate, product
 from numbers import Real
 from operator import itemgetter
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
-from .errors import EmptyConditioningBranch, require_instance, require_int
+from .errors import EmptyConditioningBranch, record, require_instance, require_int
 from .probability import ATOMS, JointDistribution3, Outcome, VariableIndex
-from .qubit import QuestionTriple, born
-from .streams import keyed_uniforms, stream_keys
 
 
 class Branch(Enum):
@@ -54,24 +53,23 @@ class DesignVariant(Enum):
     TWO_ENSEMBLE = "two"
 
 
-@dataclass(frozen=True)
-class ProtocolDesign:
-    variant: DesignVariant
-    n_per_branch: int
+class ProtocolDesign(record("ProtocolDesign", "variant n_per_branch")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_instance("variant", self.variant, DesignVariant)
-        require_int("n_per_branch", self.n_per_branch, 1, math.inf, "an integer of at least 1")
+    def __new__(cls, variant: DesignVariant, n_per_branch: int):
+        require_instance("variant", variant, DesignVariant)
+        require_int("n_per_branch", n_per_branch, 1, math.inf, "an integer of at least 1")
+        return super().__new__(cls, variant, n_per_branch)
 
 
-@dataclass(frozen=True)
-class ClassicalHiddenVariable:
+# The populations declare no __slots__: the tables they build on first use are
+# cached in the instance's __dict__, outside equality, hashing and repr.
+class ClassicalHiddenVariable(record("ClassicalHiddenVariable", "joint")):
     """Each agent holds one fixed sign triple sampled from the joint law."""
 
-    joint: JointDistribution3
-
-    def __post_init__(self):
-        require_instance("joint", self.joint, JointDistribution3)
+    def __new__(cls, joint: JointDistribution3):
+        require_instance("joint", joint, JointDistribution3)
+        return super().__new__(cls, joint)
 
     @cached_property
     def _cdf(self) -> np.ndarray:
@@ -80,21 +78,21 @@ class ClassicalHiddenVariable:
         return np.cumsum(self.joint.weights)
 
 
-@dataclass(frozen=True)
-class QuantumUnpolarized:
+class QuantumUnpolarized(record("QuantumUnpolarized", "questions")):
     """Unpolarized agents answering projective questions with collapse: the
     first answer is "yes" with chance 1/2, and the state then sits on that
     answer's eigenstate, which sets the Born weight of the second."""
 
-    questions: QuestionTriple
-
-    def __post_init__(self):
-        require_instance("questions", self.questions, QuestionTriple)
+    def __new__(cls, questions: QuestionTriple):
+        from .qubit import QuestionTriple
+        require_instance("questions", questions, QuestionTriple)
+        return super().__new__(cls, questions)
 
     @cached_property
     def _second_yes(self) -> np.ndarray:
         """Per route (see ``_ROUTE_CELL``): the Born chance of a second "yes"."""
         import numpy as np
+        from .qubit import born
         q = self.questions
         angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
         # State after the first answer: q1 for "yes", q1 + pi for "no".
@@ -176,42 +174,33 @@ class ResponseDataset:
         return len(self._cells)
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(record("FrequencyTable",
+                            "nu_a_given_b_plus nu_c_given_b_minus nu_a_given_c_plus")):
     """Count-ratio estimates of the three conditionals, each as
     (numerator, denominator)."""
 
-    nu_a_given_b_plus: tuple[int, int]
-    nu_c_given_b_minus: tuple[int, int]
-    nu_a_given_c_plus: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for num, den in (
-            self.nu_a_given_b_plus,
-            self.nu_c_given_b_minus,
-            self.nu_a_given_c_plus,
-        ):
+    def __new__(cls, nu_a_given_b_plus: tuple[int, int], nu_c_given_b_minus: tuple[int, int],
+                nu_a_given_c_plus: tuple[int, int]):
+        self = super().__new__(cls, nu_a_given_b_plus, nu_c_given_b_minus, nu_a_given_c_plus)
+        for num, den in self:
             if not (0 <= num <= den and den >= 1):
                 raise ValueError(f"invalid counts ({num}, {den})")
+        return self
 
     def proportions(self) -> tuple[float, float, float]:
-        return (
-            self.nu_a_given_b_plus[0] / self.nu_a_given_b_plus[1],
-            self.nu_c_given_b_minus[0] / self.nu_c_given_b_minus[1],
-            self.nu_a_given_c_plus[0] / self.nu_a_given_c_plus[1],
-        )
+        return tuple([num / den for num, den in self])
 
 
-@dataclass(frozen=True)
-class SymmetryEntry:
+class SymmetryEntry(NamedTuple):
     question: VariableIndex
     plus_fraction: float
     n_first_asked: int
     flagged: bool
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     entries: tuple[SymmetryEntry, ...]
     tolerance: float
 
@@ -265,6 +254,7 @@ def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
                     indices: np.ndarray) -> np.ndarray:
     """Cells of the agents with branch ``codes`` (uint8) at within-branch
     ``indices`` (uint64); ``keys`` holds each branch code's stream key."""
+    from .streams import keyed_uniforms
     agent_keys, (_, _, route_cell, atom_cell, draws) = keys[codes], _kernel()
     if isinstance(pop, ClassicalHiddenVariable):
         u_first = keyed_uniforms(agent_keys, indices, draws[0])
@@ -305,6 +295,7 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
     require_instance("design", design, ProtocolDesign)
     require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
     import numpy as np
+    from .streams import stream_keys
     sizes = [k * int(design.n_per_branch) for k in _DESIGN_SIZES[design.variant]]
     ends = list(accumulate(sizes))
     starts = [end - size for end, size in zip(ends, sizes)]  # code c: rows [starts[c], ends[c])

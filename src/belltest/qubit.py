@@ -12,35 +12,33 @@ simulator of collapsing agents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .errors import record
 from .inequalities import CondTriple
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class BlochAngle:
+class BlochAngle(record("BlochAngle", "phi")):
     """A direction on the circle, normalized into [0, 2*pi)."""
 
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError(f"angle must be finite, got {self.phi!r}")
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+    def __new__(cls, phi: float):
+        if not math.isfinite(phi):
+            raise ValueError(f"angle must be finite, got {phi!r}")
+        return super().__new__(cls, float(phi) % TWO_PI)
 
 
-@dataclass(frozen=True)
-class QuestionTriple:
-    a: BlochAngle
-    b: BlochAngle
-    c: BlochAngle
+class QuestionTriple(record("QuestionTriple", "a b c")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, angle in (("a", self.a), ("b", self.b), ("c", self.c)):
+    def __new__(cls, a: BlochAngle, b: BlochAngle, c: BlochAngle):
+        self = super().__new__(cls, a, b, c)
+        for name, angle in zip(self._fields, self):
             if not isinstance(angle, BlochAngle):
                 raise ValueError(f"{name} must be a BlochAngle, got {angle!r}")
+        return self
 
     @classmethod
     def from_floats(cls, a: float, b: float, c: float) -> "QuestionTriple":

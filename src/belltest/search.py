@@ -13,7 +13,6 @@ scored from its unnormalised exponentials, and none can fall below 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -27,8 +26,7 @@ _BLOCK_CELLS = 1 << 16  # grid cells or floor weights per block, so memory stays
 _VERTICES = np.eye(8)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     best_angles: QuestionTriple
     best_margin: float
     evaluations: int
@@ -48,9 +46,12 @@ def maximize_quantum_violation(
 ) -> SearchResult:
     """Most negative predicted margin over question-angle gaps.
 
-    Exhaustive grid over (b - a, c - a) in [0, 2*pi)^2, ties broken toward
-    the lexicographically smallest gap pair, then compass pattern search
-    with step halving down to refine_tol.
+    Exhaustive grid over (b - a, c - a) in [0, 2*pi)^2, keeping the first
+    strict minimum of the rounded margins in row-major order, then compass
+    pattern search with step halving down to refine_tol.  The rounded margins
+    of the two optima, (2*pi/3, pi/3) and (4*pi/3, 5*pi/3), can differ in the
+    last bit, so the grid decides which one is returned: 360 gives the first,
+    8, 42 and 500 the second.
     """
     require_int("grid_steps", grid_steps, 8, np.inf, "an integer of at least 8")
     if isinstance(refine_tol, (bool, np.bool_)) or not 0.0 < refine_tol < np.inf:
@@ -61,7 +62,7 @@ def maximize_quantum_violation(
     best_margin, flat = np.inf, 0
     for start in range(0, grid_steps, rows):
         margins = _margin(gaps[start:start + rows, None], gaps)
-        k = int(np.argmin(margins))  # row-major: first hit is lexicographic min
+        k = int(np.argmin(margins))  # row-major: the block's first minimum
         if margins.flat[k] < best_margin:  # strict: earlier blocks win ties
             best_margin, flat = float(margins.flat[k]), start * grid_steps + k
     evaluations = int(grid_steps) ** 2

@@ -15,15 +15,14 @@ so no command needs SciPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DegenerateVariance
 from .protocol import FrequencyTable
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     margin_estimate: float
     standard_error: float
     z_statistic: float

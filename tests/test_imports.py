@@ -8,7 +8,11 @@ piece and `interference` run without it, and `simulate`, `search` and `test`
 on a larger CSV import it where they first need arrays.  Importing
 `belltest.cli` defaults `OPENBLAS_NUM_THREADS` to 1, so whichever command
 loads numpy runs without the OpenBLAS thread pool, and keeps a value already
-set.  Only the `search` command loads `belltest.search`.
+set.  Only the `search` command loads `belltest.search`.  Records are named
+tuples, so no module imports `dataclasses` (or the `inspect` it pulls in), and
+the model modules `qubit`, `inequalities` and `streams` load only in the
+commands and functions that use them: neither `import belltest.cli` nor `test`
+on a short CSV loads any of these.
 """
 
 import importlib
@@ -122,6 +126,18 @@ def test_analysis_commands_load_no_numpy(tmp_path, entry):
                  "--n", "800", "--seed", "1", "--out", str(tmp_path / "data.csv")]) == 0
     loaded = run_fresh(command_code(tmp_path, entry))
     assert [m for m in loaded if m == "numpy" or m.startswith("numpy.")] == []
+
+
+@pytest.mark.parametrize("entry", ["import", "test-only"])
+def test_cli_and_test_load_no_dataclasses_or_model_modules(tmp_path, entry):
+    # 2 400 rows: under one parse piece, as in the numpy check above.
+    assert main(["simulate", "--model", "quantum", "--angles", WITNESS_ARGS,
+                 "--n", "800", "--seed", "1", "--out", str(tmp_path / "data.csv")]) == 0
+    loaded = run_fresh(command_code(tmp_path, entry))
+    assert "belltest.protocol" in loaded
+    unwanted = {"dataclasses", "inspect", "belltest.qubit", "belltest.inequalities",
+                "belltest.streams"}
+    assert sorted(unwanted.intersection(loaded)) == []
 
 
 def test_simulate_loads_numpy_with_one_openblas_thread(tmp_path):

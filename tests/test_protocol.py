@@ -27,7 +27,7 @@ from belltest import (
     sample_entangled_pairs,
     violation_test,
 )
-from belltest import protocol
+from belltest import protocol, streams
 from belltest.dataio import format_dataset
 from belltest.probability import ATOMS
 from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
@@ -142,10 +142,11 @@ class TestSimulationKernel:
                 drawn.setdefault(slot, []).append(row)
             return u
 
-        monkeypatch.setattr(protocol, "keyed_uniforms", recording)
+        monkeypatch.setattr(streams, "keyed_uniforms", recording)
         monkeypatch.setattr(protocol, "_BLOCK", 64)
         seed, design = 2**64 - 1, ProtocolDesign(variant, 50)
         run_protocol(POPULATIONS[kind], design, seed=seed)
+        monkeypatch.undo()  # counter_uniforms below must not record its own draws
         assert sorted(drawn) == ([0] if kind == "classical" else [0, 1])
         for slot, rows in drawn.items():
             expected = [counter_uniforms(seed, list(Branch).index(branch) + 1,
@@ -304,8 +305,8 @@ class TestRejectsBadArguments:
     def no_draws(self, monkeypatch):
         def draw(*args):
             raise AssertionError("drew before validating")
-        monkeypatch.setattr(protocol, "stream_keys", draw)
-        monkeypatch.setattr(protocol, "keyed_uniforms", draw)
+        monkeypatch.setattr(streams, "stream_keys", draw)
+        monkeypatch.setattr(streams, "keyed_uniforms", draw)
 
     @pytest.mark.parametrize("seed", [1.5, True, "1", -1, 2**64])
     def test_bad_seed(self, seed):

@@ -48,7 +48,8 @@ class TestMaximizeQuantumViolation:
         result = maximize_quantum_violation(grid_steps=360, refine_tol=1e-9)
         assert result.best_margin == pytest.approx(-0.25, abs=1e-8)
         gaps = (result.best_angles.b.phi, result.best_angles.c.phi)
-        # Lexicographically smallest optimal gap pair.
+        # The first strict minimum of the rounded grid margins, in row-major
+        # order; at this grid it is the optimum (2*pi/3, pi/3), not its mirror.
         assert gaps == pytest.approx((2 * math.pi / 3, math.pi / 3), abs=1e-6)
 
     def test_coarse_grid_finds_violation_basin(self):
