@@ -23,12 +23,7 @@ from pathlib import Path
 # numpy.  A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .dataio import (
-    ReportContext,
-    emit_report,
-    format_dataset,
-    parse_dataset,
-)
+from .dataio import emit_report, format_dataset, parse_dataset
 from .errors import (
     BellTestError,
     DegenerateAlternatives,
@@ -144,19 +139,18 @@ def _cmd_test(args) -> int:
     data = parse_dataset(args.dataset.read_text())
     design = infer_design(data).value
     symmetry = check_symmetry(data)
-    context = ReportContext(seed=args.seed, design=design, alpha=args.alpha)
     try:
         table = estimate_frequencies(data)
     except EmptyConditioningBranch as exc:
         print(f"test: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    exit_code = EXIT_OK
+    margin, exit_code = None, EXIT_OK
     try:
-        text = emit_report(violation_test(table, alpha=args.alpha), table, context, symmetry)
+        test = violation_test(table, alpha=args.alpha)
     except DegenerateVariance as exc:
-        text = emit_report(None, table, context, symmetry,
-                           degenerate_margin=exc.margin)
-        exit_code = EXIT_DEGENERATE
+        test, margin, exit_code = None, exc.margin, EXIT_DEGENERATE
+    text = emit_report(test, table, symmetry, seed=args.seed, design=design,
+                       alpha=args.alpha, degenerate_margin=margin)
     if args.report is not None:
         args.report.write_text(text)
     else:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from functools import cache
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .errors import DuplicateRespondent, FormatError
 from .protocol import (
@@ -246,14 +245,6 @@ def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
     return cell
 
 
-class ReportContext(NamedTuple):
-    """Run facts echoed into the report."""
-
-    seed: int | None
-    design: str | None
-    alpha: float
-
-
 def _nu_entry(counts: tuple[int, int], interval: tuple[float, float] | None) -> dict:
     num, den = counts
     entry = {
@@ -269,32 +260,21 @@ def _nu_entry(counts: tuple[int, int], interval: tuple[float, float] | None) -> 
 def emit_report(
     test: TestResult | None,
     table: FrequencyTable,
-    context: ReportContext,
-    symmetry: SymmetryReport | None = None,
+    symmetry: SymmetryReport,
+    *,
+    seed: int | None,
+    design: str | None,
+    alpha: float,
     degenerate_margin: float | None = None,
 ) -> str:
-    """The report as JSON, with a stable key order and trailing newline; pass
-    test=None with degenerate_margin for runs where the asymptotic test is
-    undefined."""
+    """The report as JSON, with a stable key order and trailing newline, that
+    echoes ``seed``, ``design`` and ``alpha``; pass test=None with
+    degenerate_margin for runs where the asymptotic test is undefined."""
     intervals = test.term_intervals if test is not None else (None, None, None)
     if test is not None:
         verdict = VERDICT_QUANTUM if test.significant_violation else VERDICT_CLASSICAL
     else:
         verdict = VERDICT_DEGENERATE
-    symmetry_block = None
-    if symmetry is not None:
-        symmetry_block = {
-            "tolerance": symmetry.tolerance,
-            "passed": symmetry.passed,
-            "questions": {
-                e.question.token(): {
-                    "plus_fraction": e.plus_fraction,
-                    "n_first_asked": e.n_first_asked,
-                    "flagged": e.flagged,
-                }
-                for e in symmetry.entries
-            },
-        }
     report = {
         "nu": {
             "a_given_b_plus": _nu_entry(table.nu_a_given_b_plus, intervals[0]),
@@ -305,10 +285,21 @@ def emit_report(
         "standard_error": test.standard_error if test is not None else 0.0,
         "z": test.z_statistic if test is not None else None,
         "p_value": test.p_value if test is not None else None,
-        "alpha": context.alpha,
+        "alpha": alpha,
         "verdict": verdict,
-        "symmetry_check": symmetry_block,
-        "seed": context.seed,
-        "design": context.design,
+        "symmetry_check": {
+            "tolerance": symmetry.tolerance,
+            "passed": symmetry.passed,
+            "questions": {
+                e.question.token(): {
+                    "plus_fraction": e.plus_fraction,
+                    "n_first_asked": e.n_first_asked,
+                    "flagged": e.flagged,
+                }
+                for e in symmetry.entries
+            },
+        },
+        "seed": seed,
+        "design": design,
     }
     return json.dumps(report, indent=2, sort_keys=False) + "\n"

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import record
 from .inequalities import CondTriple
 
@@ -27,7 +29,8 @@ class BlochAngle(record("BlochAngle", "phi")):
     def __new__(cls, phi: float):
         if not math.isfinite(phi):
             raise ValueError(f"angle must be finite, got {phi!r}")
-        return super().__new__(cls, float(phi) % TWO_PI)
+        phi = float(phi) % TWO_PI  # a tiny negative phi rounds up to TWO_PI
+        return super().__new__(cls, 0.0 if phi == TWO_PI else phi)
 
 
 class QuestionTriple(record("QuestionTriple", "a b c")):
@@ -47,7 +50,6 @@ class QuestionTriple(record("QuestionTriple", "a b c")):
 
 def born(x, y):
     """Born rule on the real circle: cos^2((x - y) / 2), on radians or arrays."""
-    import numpy as np
     return np.cos(0.5 * (x - y)) ** 2
 
 
@@ -58,7 +60,6 @@ def predicted_conditionals(a, b, c):
     after a "no" it sits at b + pi, so p(c+|b-) = sin^2((c-b)/2), kept in
     that form because born(b + pi, c) would round b + pi.
     """
-    import numpy as np
     return born(a, b), np.sin(0.5 * (c - b)) ** 2, born(a, c)
 
 

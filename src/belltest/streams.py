@@ -9,29 +9,24 @@ bit-identical results.  ``run_protocol`` rejects seeds outside [0, 2**64).
 
 from __future__ import annotations
 
-from functools import cache
+import numpy as np
 
 _WORDS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)  # gamma, m1, m2
 _MASK = 2**64 - 1
 _INV_2_53 = float(2.0**-53)
-
-
-@cache
-def _uint64() -> tuple:
-    """gamma, m1, m2 and the shifts 11, 27, 30, 31 as uint64 scalars (uint64 math on any numpy)."""
-    import numpy as np
-    return tuple(map(np.uint64, (*_WORDS, 11, 27, 30, 31)))
+# The words and shifts as uint64 scalars, so the arithmetic stays uint64 on any numpy.
+_GAMMA, _M1, _M2 = map(np.uint64, _WORDS)
+_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """Apply the splitmix64 finalizer to the uint64 array ``z`` in place; returns ``z``."""
-    gamma, m1, m2, _, s27, s30, s31 = _uint64()
-    z += gamma
-    z ^= z >> s30
-    z *= m1
-    z ^= z >> s27
-    z *= m2
-    z ^= z >> s31
+    z += _GAMMA
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
     return z
 
 
@@ -46,7 +41,6 @@ def _mix_int(z: int) -> int:
 def stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
     """The key word of each stream id in the uint64 array ``streams`` under ``seed``:
     ``_mix(_mix(seed) ^ stream)``, mixed as Python ints."""
-    import numpy as np
     base = _mix_int(int(seed))
     return np.array([_mix_int(base ^ s) for s in streams.tolist()], dtype=np.uint64)
 
@@ -55,16 +49,14 @@ def keyed_uniforms(keys: np.ndarray, indices: np.ndarray, draws) -> np.ndarray:
     """Uniform [0, 1) variates of the agents at uint64 ``indices``, in the streams
     with ``keys`` (one for all agents, or one each) and the uint64 draw slots
     ``draws`` (one slot, or a column of slots for one row of variates each)."""
-    gamma, _, _, s11, *_ = _uint64()
-    word = indices * gamma + draws
+    word = indices * _GAMMA + draws
     word ^= keys
     _mix(word)
-    word >>= s11
+    word >>= _S11
     return word.astype(float) * _INV_2_53
 
 
 def counter_uniforms(seed: int, stream: int, indices: np.ndarray, draw: int) -> np.ndarray:
     """Uniform [0, 1) variates addressed by (seed, stream, index, draw)."""
-    import numpy as np
     keys = stream_keys(seed, np.array([stream], dtype=np.uint64))
     return keyed_uniforms(keys, np.asarray(indices, dtype=np.uint64), np.uint64(draw))

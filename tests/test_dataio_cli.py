@@ -19,7 +19,6 @@ from belltest import search
 from belltest.cli import main
 from belltest.dataio import (
     CSV_HEADER,
-    ReportContext,
     emit_report,
     format_dataset,
     parse_dataset,
@@ -97,8 +96,7 @@ class TestEmitReport:
         table = estimate_frequencies(data)
         test = violation_test(table, alpha=alpha)
         symmetry = check_symmetry(data, tolerance=0.05)
-        context = ReportContext(seed=seed, design="three", alpha=alpha)
-        return emit_report(test, table, context, symmetry)
+        return emit_report(test, table, symmetry, seed=seed, design="three", alpha=alpha)
 
     def test_schema_and_verdict(self):
         report = json.loads(self.make_report())
@@ -138,6 +136,14 @@ class TestCli:
         assert report["verdict"] == "quantum-like-violation"
         assert report["design"] == "three"
         assert report["seed"] == 17
+
+    def test_report_on_stdout_matches_report_file(self, tmp_path, capsys):
+        out = self.simulate(tmp_path)
+        report_path = tmp_path / "report.json"
+        assert main(["test", str(out), "--seed", "17", "--report", str(report_path)]) == 0
+        capsys.readouterr()
+        assert main(["test", str(out), "--seed", "17"]) == 0
+        assert capsys.readouterr().out.encode() == report_path.read_bytes()
 
     def test_simulate_classical_symmetrized(self, tmp_path):
         out = tmp_path / "data.csv"
@@ -181,6 +187,27 @@ class TestCli:
             "--n", "10", "--seed", "0", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    def test_classical_without_atoms_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--model", "classical", "--n", "10", "--seed", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "simulate: --atoms is required with --model classical\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("angles, message", [
+        ("0,1", "expected three comma-separated angles"),
+        ("0,x,1", "non-numeric angle in '0,x,1'"),
+    ])
+    def test_malformed_angles_exit_2(self, tmp_path, capsys, angles, message):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", "quantum", "--angles", angles, "--n", "10",
+                  "--seed", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("model_args, flag, model", [
         (["quantum", "--angles", WITNESS_ARGS, "--atoms", *"10000000"], "--atoms", "classical"),

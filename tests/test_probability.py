@@ -18,7 +18,7 @@ from belltest import (
     random_joint,
     symmetrize,
 )
-from belltest.probability import SIGNS, _flat_dirichlet, _probability
+from belltest.probability import SIGNS, _flat_dirichlet, _probability, atom_index
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -85,6 +85,10 @@ class TestJointDistribution3:
         with pytest.raises(ValueError) as exc:
             JointDistribution3((0.5,) * 8)
         assert str(exc.value) == "weights sum to 4.0, not 1 within 1e-12"
+
+    def test_atom_index_rejects_unsigned_entries(self):
+        with pytest.raises(ValueError, match="atom signs must be \\+1/-1"):
+            atom_index((1, 0, 1))
 
     def test_point_mass_atom_lookup(self):
         joint = JointDistribution3.point_mass((1, -1, 1))

@@ -29,6 +29,14 @@ class TestBlochAngle:
         with pytest.raises(ValueError):
             BlochAngle(float("nan"))
 
+    @pytest.mark.parametrize("x", [-1e-20, -1e-300, -5e-324])
+    def test_tiny_negative_angle_is_zero(self, x):
+        # x % (2*pi) rounds up to 2*pi itself, outside the range.
+        angle = BlochAngle(x)
+        assert 0.0 <= angle.phi < 2 * math.pi
+        assert angle == BlochAngle(0.0)
+        assert BlochAngle(angle.phi) == angle
+
 
 class TestQuestionTriple:
     @pytest.mark.parametrize("fields", [(0.0, 1.0, 2.0), (BlochAngle(0.0), BlochAngle(1.0), 2.0),

@@ -31,7 +31,6 @@ from belltest import (
     random_joint,
 )
 from belltest import stats
-from belltest.dataio import ReportContext
 from belltest.protocol import SymmetryEntry
 
 WITNESS = QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3)
@@ -63,7 +62,6 @@ RECORDS = [
     (stats.TestResult, {"margin_estimate": -0.25, "standard_error": 0.1, "z_statistic": -2.5,
                   "p_value": 0.006, "significant_violation": True,
                   "term_intervals": ((0.2, 0.3),) * 3}, 0.25),
-    (ReportContext, {"seed": 1, "design": "three", "alpha": 0.05}, 2),
     (SearchResult, {"best_angles": WITNESS, "best_margin": -0.25, "evaluations": 100,
                     "refinement_tolerance": 1e-9}, QuestionTriple.from_floats(0.0, 1.0, 2.0)),
     (FloorCertificate, {"min_margin": 0.0, "samples_evaluated": 8, "skipped": 0}, 0.5),
