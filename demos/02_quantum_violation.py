@@ -28,5 +28,5 @@ b, c = result.best_angles.b.phi, result.best_angles.c.phi
 print(f"\nsearch optimum: margin {result.best_margin:+.6f} at gaps "
       f"(b-a, c-a) = ({math.degrees(b):.1f} deg, {math.degrees(c):.1f} deg)")
 triple = predicted_conditional_triple(result.best_angles)
-print(f"conditional triple there: {np.round(triple.as_tuple(), 6)}")
+print(f"conditional triple there: {np.round(tuple(triple), 6)}")
 print("a classical law can never push this margin below 0; the model reaches -0.25")

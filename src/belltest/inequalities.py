@@ -64,9 +64,6 @@ class CondTriple(record("CondTriple", "p_a_given_b_plus p_c_given_b_minus p_a_gi
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
         return self
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return tuple(self)
-
 
 class InterferenceRegime(Enum):
     CLASSICAL = "Classical"
@@ -115,7 +112,7 @@ def wigner_joint_check(joint: JointDistribution3) -> InequalityReport:
 
 def wigner_conditional_check(triple: CondTriple) -> InequalityReport:
     """Conditional-probability form; margin = p(a+|b+) + p(c+|b-) - p(a+|c+)."""
-    p1, p2, p3 = triple.as_tuple()
+    p1, p2, p3 = triple
     return _report(InequalityKind.WIGNER_CONDITIONAL, (p1, p2), p3, p1 + p2 - p3)
 
 

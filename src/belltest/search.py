@@ -8,7 +8,8 @@ the best cell with a deterministic pattern search.
 The classical floor is the conditional-form margin's minimum, 0, at the
 symmetrized simplex vertices, checked on many symmetrized random laws too.
 Symmetrized, a law's margin is 2 * (w(++-) + w(--+)), so each random law is
-scored from its unnormalised exponentials, and none can fall below 0.
+scored from its unnormalised exponentials, and none can fall below 0, in
+work arrays allocated once per call: the floor's cost is mostly its draws.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import require_instance, require_int
 from .qubit import TWO_PI, QuestionTriple, predicted_conditionals
 
 _BLOCK_CELLS = 1 << 16  # grid cells or floor weights per block, so memory stays bounded
+_MAX_GRID_STEPS = 1 << 16  # one grid row fits in a block, so memory stays bounded
 #: The 8 deterministic laws (simplex vertices), one per row, in atom order.
 _VERTICES = np.eye(8)
 
@@ -54,6 +56,7 @@ def maximize_quantum_violation(
     8, 42 and 500 the second.
     """
     require_int("grid_steps", grid_steps, 8, np.inf, "an integer of at least 8")
+    require_int("grid_steps", grid_steps, 8, _MAX_GRID_STEPS + 1, f"at most {_MAX_GRID_STEPS}")
     if isinstance(refine_tol, (bool, np.bool_)) or not 0.0 < refine_tol < np.inf:
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol!r}")
 
@@ -115,11 +118,26 @@ def classical_margin_floor(
         require_instance("rng", rng, np.random.Generator)
 
     rows = _BLOCK_CELLS // 8  # draws go row by row: blocks keep the rows and rng state
-    draws = (rng.standard_exponential((min(rows, samples - start), 8))
+    size = max(rows, len(_VERTICES))
+    x, *work = (np.empty(shape) for shape in ((size, 8), (size, 4), (size, 2), size))
+    # Every block reuses x: min scores each one before the next draw overwrites it.
+    draws = (rng.standard_exponential(out=x[:min(rows, samples - start)])
              for start in range(0, samples, rows))
-    # Symmetrized, atom k weighs (w_k + w_(7-k)) / 2, every conditioning event
-    # has probability 1/2, and p1 + p2 - p3 collapses to 2 * (w(++-) + w(--+)),
-    # atoms 1 and 6.  A flat-Dirichlet law is a row of exponentials over its sum.
-    min_margin = min(float(np.min(2.0 * (x[:, 1] + x[:, 6]) / x.sum(axis=1)))
-                     for x in chain([_VERTICES], draws))
+    min_margin = min(float(np.min(_closed_form_margins(block, *work)))
+                     for block in chain([_VERTICES], draws))
     return FloorCertificate(min_margin=min_margin, samples_evaluated=int(samples) + 8, skipped=0)
+
+
+def _closed_form_margins(x, quads, pairs, sums):
+    """Symmetrized margins 2 * (w1 + w6) of the rows of 8 exponentials in ``x``
+    (atoms 1 and 6 are ++- and --+; a flat-Dirichlet law is a row over its
+    sum), in the first ``len(x)`` rows of work arrays of 4, 2 and 1 columns.
+    The row sum is the tree ``x.sum(axis=1)`` computes for 8 columns, so the
+    margins have its bits with no reduction call per row.
+    """
+    quads, pairs, sums = quads[:len(x)], pairs[:len(x)], sums[:len(x)]
+    np.add(x[:, 0::2], x[:, 1::2], out=quads)
+    np.add(quads[:, 0::2], quads[:, 1::2], out=pairs)
+    np.add(pairs[:, 0], pairs[:, 1], out=sums)
+    numerator = np.add(x[:, 1], x[:, 6], out=quads[:, 0])
+    return np.divide(np.multiply(numerator, 2.0, out=numerator), sums, out=sums)

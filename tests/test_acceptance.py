@@ -105,12 +105,12 @@ def test_criterion_3_analytic_quantum_violation():
     margin = wigner_conditional_check(triple).margin
     values_ok = all(
         abs(got - want) <= 1e-14
-        for got, want in zip(triple.as_tuple(), (0.25, 0.25, 0.75))
+        for got, want in zip(tuple(triple), (0.25, 0.25, 0.75))
     )
     report(
         "criterion 3: analytic conditional triple (0.25, 0.25, 0.75), margin -0.25",
         values_ok and abs(margin - (-0.25)) <= 1e-14,
-        f"triple {triple.as_tuple()}, margin {margin}",
+        f"triple {tuple(triple)}, margin {margin}",
     )
 
 

@@ -409,6 +409,12 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "search: grid_steps must be an integer of at least 8, got 4\n"
 
+    def test_grid_above_65536_exit_2(self, capsys):
+        assert main(["search", "--grid", "65537", "--floor-samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "search: grid_steps must be at most 65536, got 65537\n"
+
     def test_zero_floor_samples_means_no_floor(self, capsys):
         assert main(["search", "--grid", "36", "--refine-tol", "1e-3",
                      "--floor-samples", "0"]) == 0

@@ -469,7 +469,7 @@ class TestCollapse:
         data = run_protocol(QuantumUnpolarized(questions), ProtocolDesign(variant, 100_000),
                             seed=4)
         nu = estimate_frequencies(data).proportions()
-        assert nu == pytest.approx(predicted_conditional_triple(questions).as_tuple(), abs=0.01)
+        assert nu == pytest.approx(tuple(predicted_conditional_triple(questions)), abs=0.01)
 
 
 class TestFrequencyTable:

@@ -81,12 +81,12 @@ class TestTransitionProbability:
 class TestPredictedConditionalTriple:
     def test_degenerate_questions(self):
         triple = predicted_conditional_triple(QuestionTriple.from_floats(0.1, 0.1, 0.1))
-        assert triple.as_tuple() == pytest.approx((1.0, 0.0, 1.0), abs=1e-15)
+        assert tuple(triple) == pytest.approx((1.0, 0.0, 1.0), abs=1e-15)
         assert wigner_conditional_check(triple).margin == pytest.approx(0.0, abs=1e-14)
 
     def test_witness_triple_exact(self):
         triple = predicted_conditional_triple(WITNESS)
-        assert triple.as_tuple() == pytest.approx((0.25, 0.25, 0.75), abs=1e-14)
+        assert tuple(triple) == pytest.approx((0.25, 0.25, 0.75), abs=1e-14)
         assert wigner_conditional_check(triple).margin == pytest.approx(
             -0.25, abs=1e-14
         )
@@ -97,7 +97,7 @@ class TestPredictedConditionalTriple:
         triple = predicted_conditional_triple(
             QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 2)
         )
-        assert triple.as_tuple() == pytest.approx(
+        assert tuple(triple) == pytest.approx(
             (0.25, 0.06698729810778063, 0.5), abs=1e-14
         )
         assert wigner_conditional_check(triple).margin == pytest.approx(

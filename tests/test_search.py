@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -252,6 +253,16 @@ class TestClassicalMarginFloor:
         ]
         assert closed_form_margins(np.eye(8)).tolist() == scalar == [0, 2, 0, 0, 0, 0, 2, 0]
 
+    def test_one_row_blocks_with_all_eight_vertices(self, monkeypatch):
+        # One draw per block, fewer rows than vertices: the work arrays must
+        # still hold the 8 vertex rows.
+        monkeypatch.setattr(search, "_BLOCK_CELLS", 8)
+        rng, reference = np.random.default_rng(26), np.random.default_rng(26)
+        cert = classical_margin_floor(26, rng)
+        reference.dirichlet(np.ones(8), size=26)
+        assert cert.min_margin == 0.0 and cert.samples_evaluated == 34
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_sampled_floor_non_negative(self):
         cert = classical_margin_floor(20_000, np.random.default_rng(3))
         assert cert.min_margin == 0.0  # the vertex minimum; no draw falls below it
@@ -307,6 +318,29 @@ class TestClosedFormMargins:
         assert (margins == vertex_min).sum() > 8  # attained, and not only at the vertices
 
 
+class TestRowSumTree:
+    # The floor's minimum hides every other row, so compare each row's margin
+    # with the whole-array formula bit for bit.
+    SPECIAL = np.array([0.0, 5e-324, 1e300, 2.0**53 + 1])
+
+    @staticmethod
+    def floor_margins(x):
+        work = (np.full((len(x), 4), np.nan), np.full((len(x), 2), np.nan), np.full(len(x), np.nan))
+        return search._closed_form_margins(x, *work)
+
+    @pytest.mark.parametrize("rows", [1, 7, 8, 8193])
+    @pytest.mark.parametrize("kind", ["exponential", "special"])
+    def test_every_row_has_the_bits_of_the_whole_array_formula(self, rows, kind):
+        rng = np.random.default_rng(rows)
+        x = rng.standard_exponential((rows, 8))
+        if kind == "special":  # about half the entries, and every third row
+            x = np.where(rng.random((rows, 8)) < 0.5, rng.choice(self.SPECIAL, (rows, 8)), x)
+            x[::3] = rng.choice(self.SPECIAL, (len(x[::3]), 8))
+        with np.errstate(invalid="ignore"):  # an all-zero row is 0 / 0
+            got, want = self.floor_margins(x), closed_form_margins(x)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 class TestRejectsBadArguments:
     @pytest.mark.parametrize("samples", [True, False, 2.5, 3.0, "3", None, -1, np.float64(3)])
     def test_floor_sample_count(self, samples):
@@ -334,6 +368,21 @@ class TestRejectsBadArguments:
     def test_grid_steps(self, grid_steps):
         with pytest.raises(ValueError, match="grid_steps must be an integer of at least 8"):
             maximize_quantum_violation(grid_steps)
+
+    @pytest.mark.parametrize("block_cells", [64, _BLOCK_CELLS])
+    def test_grid_steps_above_65536_rejected_before_allocating(self, monkeypatch, block_cells):
+        # The limit is a constant, not the block size: above it one grid row
+        # would not fit in an unpatched block.
+        monkeypatch.setattr(search, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(search, "_margin", None)  # any grid evaluation would fail
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^grid_steps must be at most 65536, got 65537$"):
+                maximize_quantum_violation(65537)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 65537 * 8  # less than the grid's own gap array
 
 
 def test_quantum_classical_separation():
