@@ -28,8 +28,7 @@ _EXPORTS = {
                        " joint_plus_pair marginal_plus random_joint symmetrize",
         "protocol": "Branch ClassicalHiddenVariable DesignVariant FrequencyTable"
                     " PopulationModel ProtocolDesign QuantumUnpolarized ResponseDataset"
-                    " SymmetryReport check_perfect_correlation check_symmetry"
-                    " estimate_frequencies run_protocol sample_entangled_pairs",
+                    " SymmetryReport check_symmetry estimate_frequencies run_protocol",
         "qubit": "BlochAngle QuestionTriple predicted_conditional_triple",
         "search": "FloorCertificate SearchResult classical_margin_floor"
                   " maximize_quantum_violation",

@@ -8,24 +8,22 @@ Answers are spelled "+1"/"-1" and questions "a"/"b"/"c", asked in the
 branch's order.  The JSON report has a fixed key order so identical runs
 serialize to identical bytes.
 
-Both directions work on the CSV's bytes as numpy arrays where they can,
-in pieces of about ``_PIECE`` bytes cut just after a newline.
-``format_dataset`` fills the rows of a dataset with implicit ids (``r`` and
-the zero-padded row number, as ``run_protocol`` makes) into one uint8
-array a block at a time; explicit ids are joined as strings.
-``parse_dataset`` takes the byte path for ASCII text of at least one piece
-that starts with the exact header line, ends in a newline, has no line break
-but ``\n`` and no id longer than ``_LONGEST_BYTE_ID`` bytes.  Per piece, that
-path confirms every row's 13-byte tail, with question tokens in either case,
-and that ids are non-empty and hold no comma; at the end, that no two ids
-share a 64-bit key, as equal ids always do.  It holds the text plus 9 bytes per
-line (a cell and an id key); the dataset keeps the text, to decode ids
-from when first needed, and 1 byte per line.  Any other text (CRLF rows,
-non-ASCII ids, a bad row), and any text that fails a check in any piece,
-goes whole to the per-line loop.  That loop accepts exactly the same files
-and is the only code that raises, so each error keeps its exception, line
-and message.  It holds about 8 times the text.  It alone parses text
-shorter than a piece, without numpy, which only the byte paths import.
+A dataset holds no ids.  ``format_dataset`` writes row k's id as ``r`` and
+the zero-padded k, as ``run_protocol`` numbers agents, so a parsed file is
+written back renumbered; it fills one uint8 array a block at a time.
+``parse_dataset`` checks that ids are non-empty, hold no comma and are
+unique, and keeps only the cells.  ASCII text of at least ``_PIECE`` bytes
+that starts with the exact header line, ends in a newline and has no line
+break but ``\n`` and no id over ``_LONGEST_BYTE_ID`` bytes takes the byte
+path: in pieces cut just after a newline, it checks every row's 13-byte tail
+(question tokens in either case) and id, then that no two ids share a 64-bit
+key, as equal ids always do.  It holds the text plus 9 bytes per line (a cell
+and an id key); the dataset keeps the cell.  Any other text (CRLF rows,
+non-ASCII ids, a bad row), and text that fails a check in any piece, goes
+whole to the per-line loop.  That loop accepts exactly the same files and is
+the only code that raises, so each error keeps its exception, line and
+message.  It holds about 8 times the text, and alone parses text shorter
+than a piece, without numpy, which only the byte paths import.
 """
 
 from __future__ import annotations
@@ -35,14 +33,8 @@ from functools import cache
 from types import SimpleNamespace
 
 from .errors import DuplicateRespondent, FormatError
-from .protocol import (
-    CELL_FIELDS,
-    CONSISTENT_CELLS,
-    Branch,
-    FrequencyTable,
-    ResponseDataset,
-    SymmetryReport,
-)
+from .protocol import (CELL_FIELDS, CONSISTENT_CELLS, Branch, FrequencyTable, ResponseDataset,
+                       SymmetryReport)
 from .probability import Outcome, VariableIndex
 from .stats import TestResult
 
@@ -110,9 +102,6 @@ def _tables() -> SimpleNamespace:
 
 def format_dataset(data: ResponseDataset) -> str:
     import numpy as np
-    if not data.implicit_ids:
-        tails = map(_ROW_TAILS.__getitem__, data.cells.tolist())
-        return "".join([_HEADER_LINE, *map(str.__add__, data.respondent_ids, tails)])
     n = len(data)
     width = len(str(n))
     head, row = len(_HEADER_LINE), 2 + width + _TAIL
@@ -159,8 +148,7 @@ def _parse_bytes(text: str) -> ResponseDataset | None:
     (keys := keys[:n]).sort()
     if (keys[1:] == keys[:-1]).any():
         return None
-    return ResponseDataset(
-        cells[:n], lambda: [line[:-_TAIL] for line in text.splitlines()[1:] if line])
+    return ResponseDataset(cells[:n])
 
 
 def _piece_rows(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -212,7 +200,7 @@ def _parse_lines(text: str) -> ResponseDataset:
         if cell is None or rid == "" or rid in rows:
             cell = _checked_cell(lineno, line, rows)
         rows[rid] = cell
-    return ResponseDataset(list(rows.values()), list(rows))
+    return ResponseDataset(list(rows.values()))
 
 
 def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
@@ -239,19 +227,13 @@ def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
     cell = _CELL_OF_FIELDS.get(",".join(tokens))
     if cell is None:
         raise FormatError(
-            lineno,
-            f"branch {branch_tok} does not ask {q1_tok}, then {q2_tok} after {a1_tok}",
-        )
+            lineno, f"branch {branch_tok} does not ask {q1_tok}, then {q2_tok} after {a1_tok}")
     return cell
 
 
 def _nu_entry(counts: tuple[int, int], interval: tuple[float, float] | None) -> dict:
     num, den = counts
-    entry = {
-        "numerator": num,
-        "denominator": den,
-        "estimate": num / den,
-    }
+    entry = {"numerator": num, "denominator": den, "estimate": num / den}
     if interval is not None:
         entry["wilson_interval"] = [interval[0], interval[1]]
     return entry

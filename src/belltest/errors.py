@@ -15,10 +15,23 @@ def record(typename: str, field_names: str) -> type:
     return base
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, not for a bool; an int skips the
+    slow ABC check."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def require_int(name: str, value, low: int, high: float, bounds: str) -> None:
     """Raise ValueError unless ``value`` is an integer, not a bool, in [low, high)."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < high:
+    if not _is_integer(value) or not low <= value < high:
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
+
+
+def require_counts(successes, trials) -> None:
+    """Raise ValueError unless ``successes`` of ``trials`` are integers, not
+    bools, with 0 <= successes <= trials and trials >= 1."""
+    if not (_is_integer(successes) and _is_integer(trials) and 0 <= successes <= trials >= 1):
+        raise ValueError(f"invalid counts ({successes}, {trials})")
 
 
 def require_instance(name: str, value, *kinds: type) -> None:

@@ -15,8 +15,8 @@ start unpolarized and collapse after each answer.  ``run_protocol`` makes
 one pass over a survey's agents in file order, in fixed blocks of agents;
 counter-based random streams make the result independent of the blocks.
 
-A dataset is columnar: each response is one cell index into the count
-tensor over (branch, first question, first answer, second question, second
+A dataset is its cells, one per response: an index into the count tensor
+over (branch, first question, first answer, second question, second
 answer).  The estimators and the symmetry check read its consistent cells
 from a flat table of counts built once per dataset: from a list of cells,
 as a short parsed file has, in plain Python, without numpy; from an array
@@ -34,10 +34,11 @@ from functools import cache, cached_property
 from itertools import accumulate, product
 from numbers import Real
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
-from .errors import EmptyConditioningBranch, record, require_instance, require_int
-from .probability import ATOMS, JointDistribution3, Outcome, VariableIndex
+from .errors import (EmptyConditioningBranch, record, require_counts, require_instance,
+                     require_int)
+from .probability import JointDistribution3, Outcome, VariableIndex
 
 
 class Branch(Enum):
@@ -73,9 +74,9 @@ class ClassicalHiddenVariable(record("ClassicalHiddenVariable", "joint")):
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        """The joint law's CDF over the canonical atom order."""
+        """The joint law's CDF at atoms 0-6; a uniform past all seven selects atom 7."""
         import numpy as np
-        return np.cumsum(self.joint.weights)
+        return np.cumsum(self.joint.weights)[:7]
 
 
 class QuantumUnpolarized(record("QuantumUnpolarized", "questions")):
@@ -116,38 +117,24 @@ CELL_FIELDS: tuple[tuple[Branch, VariableIndex, Outcome, VariableIndex, Outcome]
 
 
 class ResponseDataset:
-    """Survey responses stored column-wise: ``cells`` holds one uint8 cell
-    index (see ``COUNT_SHAPE``) per response, given as an array or a list.
-    Respondent ids are a list, a function that builds that list when the ids
-    are first needed, or ``None``: implicit (``r`` and the zero-padded row
-    number), as simulated data has them.
+    """Survey responses stored column-wise: ``cells`` holds one cell index (see
+    ``COUNT_SHAPE``) per response, as a list, which is counted without numpy,
+    or as an array of integers in [0, 256).  A dataset holds no respondent
+    ids: written out, its rows are ``r`` and the zero-padded row number.
     """
 
-    def __init__(self, cells, ids: list[str] | Callable[[], list[str]] | None = None):
-        self._cells, self._ids = cells, ids  # a list of cells is counted without numpy
+    def __init__(self, cells):
+        self._cells = cells if isinstance(cells, list) else _cell_array(cells)
 
     @property
     def cells(self) -> np.ndarray:
         """The cells as a read-only uint8 array, since the counts are cached; a
         list of cells becomes one when first read."""
-        import numpy as np
-        self._cells = np.asarray(self._cells, dtype=np.uint8)
+        if isinstance(self._cells, list):
+            self._cells = _cell_array(self._cells)
         view = self._cells.view()
         view.flags.writeable = False
         return view
-
-    @property
-    def implicit_ids(self) -> bool:
-        return self._ids is None
-
-    @property
-    def respondent_ids(self) -> list[str]:
-        if callable(self._ids):
-            self._ids = self._ids()
-        if self._ids is not None:
-            return self._ids
-        width = len(str(len(self)))
-        return list(map(f"r%0{width}d".__mod__, range(len(self))))
 
     @cached_property
     def _table(self) -> list[int]:
@@ -174,6 +161,21 @@ class ResponseDataset:
         return len(self._cells)
 
 
+def _cell_array(cells) -> np.ndarray:
+    """``cells`` as a uint8 array.  Raises ValueError naming the first row
+    that holds no integer in [0, 256), where a cast would wrap or truncate."""
+    import numpy as np
+    array = np.asarray(cells)
+    if array.dtype != np.uint8:
+        integers = array.dtype.kind in "iu"
+        bad = (array < 0) | (array > 255) if integers else np.ones(len(array), bool)
+        if bad.any():
+            row = int(bad.argmax())
+            raise ValueError(f"row {row} holds {array[row].item()!r}, which is not a cell"
+                             " index in [0, 256)")
+    return array.astype(np.uint8, copy=False)
+
+
 class FrequencyTable(record("FrequencyTable",
                             "nu_a_given_b_plus nu_c_given_b_minus nu_a_given_c_plus")):
     """Count-ratio estimates of the three conditionals, each as
@@ -185,8 +187,7 @@ class FrequencyTable(record("FrequencyTable",
                 nu_a_given_c_plus: tuple[int, int]):
         self = super().__new__(cls, nu_a_given_b_plus, nu_c_given_b_minus, nu_a_given_c_plus)
         for num, den in self:
-            if not (0 <= num <= den and den >= 1):
-                raise ValueError(f"invalid counts ({num}, {den})")
+            require_counts(num, den)
         return self
 
     def proportions(self) -> tuple[float, float, float]:
@@ -210,13 +211,6 @@ class SymmetryReport(NamedTuple):
 
 
 # --- simulation -------------------------------------------------------------
-
-
-def _draw_atoms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The atom index that each uniform in ``u`` selects under the law with
-    ``cdf`` over the canonical atom order (inverse CDF)."""
-    import numpy as np
-    return np.minimum(cdf.searchsorted(u, side="right"), 7)
 
 
 # Per branch code (BA, BC, CA, S1, S2): the first question, then the second
@@ -256,9 +250,9 @@ def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
     ``indices`` (uint64); ``keys`` holds each branch code's stream key."""
     from .streams import keyed_uniforms
     agent_keys, (_, _, route_cell, atom_cell, draws) = keys[codes], _kernel()
-    if isinstance(pop, ClassicalHiddenVariable):
+    if isinstance(pop, ClassicalHiddenVariable):  # inverse CDF: the atom of each uniform
         u_first = keyed_uniforms(agent_keys, indices, draws[0])
-        return atom_cell[8 * codes + _draw_atoms(pop._cdf, u_first)]
+        return atom_cell[8 * codes + pop._cdf.searchsorted(u_first, side="right")]
     u_first, u_second = keyed_uniforms(agent_keys, indices, draws)
     route = 2 * codes + (u_first >= 0.5)  # unpolarized: a fair first answer
     return route_cell[route] + (u_second >= pop._second_yes[route])
@@ -343,9 +337,7 @@ def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
     for plus_counts, minus_counts, label in _CONDITIONALS:
         plus, minus = sum(plus_counts(table)), sum(minus_counts(table))
         if plus + minus == 0:
-            raise EmptyConditioningBranch(
-                f"no respondent reached the {label} conditioning event"
-            )
+            raise EmptyConditioningBranch(f"no respondent reached the {label} conditioning event")
         ratios.append((plus, plus + minus))
     return FrequencyTable(*ratios)
 
@@ -372,22 +364,3 @@ def check_symmetry(data: ResponseDataset, tolerance: float = 0.05) -> SymmetryRe
         if plus + minus
     )
     return SymmetryReport(entries=entries, tolerance=tolerance)
-
-
-# --- paired hidden-variable sampling ----------------------------------------
-
-Triple = tuple[int, int, int]
-
-
-def sample_entangled_pairs(
-    joint: JointDistribution3, n: int, rng: np.random.Generator
-) -> list[tuple[Triple, Triple]]:
-    """Draw n sign triples and emit each one twice, mimicking perfectly
-    correlated pair preparation."""
-    import numpy as np
-    return [(ATOMS[k], ATOMS[k]) for k in _draw_atoms(np.cumsum(joint.weights), rng.random(n))]
-
-
-def check_perfect_correlation(pairs: Sequence[tuple[Triple, Triple]]) -> bool:
-    """True iff both members of every pair agree on all three components."""
-    return all(left == right for left, right in pairs)

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DegenerateVariance
+from .errors import DegenerateVariance, require_counts
 from .protocol import FrequencyTable
 
 
@@ -166,12 +166,9 @@ def _wilson_quantile(confidence: float) -> float:
     return _ndtri(0.5 + 0.5 * confidence)
 
 
-def wilson_interval(
-    successes: int, trials: int, confidence: float
-) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if not (0 <= successes <= trials) or trials < 1:
-        raise ValueError(f"invalid counts ({successes}, {trials})")
+    require_counts(successes, trials)
     return _wilson(successes, trials, _wilson_quantile(confidence))
 
 

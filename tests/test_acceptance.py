@@ -23,7 +23,6 @@ from belltest import (
     QuestionTriple,
     VariableIndex,
     bell_covariance_check,
-    check_perfect_correlation,
     check_symmetry,
     classical_margin_floor,
     conditional,
@@ -33,7 +32,6 @@ from belltest import (
     predicted_conditional_triple,
     random_joint,
     run_protocol,
-    sample_entangled_pairs,
     symmetrize,
     violation_test,
     wigner_conditional_check,
@@ -243,17 +241,3 @@ def test_criterion_9_determinism_across_workers(tmp_path):
         reports.append(rep.read_bytes())
     ok = datasets[0] == datasets[1] == datasets[2] and reports[0] == reports[1] == reports[2]
     report("criterion 9: byte-identical datasets and reports for workers 1/4/8", ok)
-
-
-def test_criterion_10_copy_pair_correlation():
-    rng = np.random.default_rng(112)
-    all_ok = True
-    for _ in range(100):
-        joint = random_joint(rng)
-        pairs = sample_entangled_pairs(joint, 10_000, rng)
-        all_ok = all_ok and check_perfect_correlation(pairs)
-    report(
-        "criterion 10: copy-pair sampler perfectly correlated "
-        "(100 joints x 1e4 pairs)",
-        all_ok,
-    )

@@ -4,12 +4,14 @@ import math
 import pytest
 
 from belltest import (
+    Branch,
     DuplicateRespondent,
     FormatError,
+    Outcome,
     ProtocolDesign,
     QuantumUnpolarized,
     QuestionTriple,
-    ResponseDataset,
+    VariableIndex,
     check_symmetry,
     estimate_frequencies,
     run_protocol,
@@ -23,7 +25,7 @@ from belltest.dataio import (
     format_dataset,
     parse_dataset,
 )
-from belltest.protocol import DesignVariant
+from belltest.protocol import CELL_FIELDS, DesignVariant
 
 WITNESS_ARGS = f"0,{2 * math.pi / 3},{math.pi / 3}"
 
@@ -38,7 +40,9 @@ class TestParseDataset:
     def test_two_valid_rows(self):
         data = parse_dataset(VALID_CSV)
         assert len(data) == 2
-        assert data.respondent_ids == ["r0", "r1"]
+        fields = [(Branch.BA, VariableIndex.B, Outcome.PLUS, VariableIndex.A, Outcome.PLUS),
+                  (Branch.BA, VariableIndex.B, Outcome.MINUS, VariableIndex.A, Outcome.MINUS)]
+        assert data.cells.tolist() == list(map(CELL_FIELDS.index, fields))
 
     def test_rejects_wrong_header(self):
         with pytest.raises(FormatError) as excinfo:
@@ -226,9 +230,9 @@ class TestCli:
         pop = QuantumUnpolarized(QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3))
         three = run_protocol(pop, ProtocolDesign(DesignVariant.THREE_ENSEMBLE, 300), seed=1)
         two = run_protocol(pop, ProtocolDesign(DesignVariant.TWO_ENSEMBLE, 300), seed=2)
-        two = ResponseDataset(two.cells, [f"s{k}" for k in range(len(two))])
         mixed = tmp_path / "mixed.csv"
-        mixed.write_text(format_dataset(three) + format_dataset(two).split("\n", 1)[1])
+        two_rows = format_dataset(two).split("\n", 1)[1].replace("r", "s")  # s000 to s899
+        mixed.write_text(format_dataset(three) + two_rows)
 
         def no_estimate(*args, **kwargs):
             raise AssertionError("estimated a mixed-design dataset")

@@ -2,14 +2,16 @@
 
 ``reference_parse`` is the per-line ``parse_dataset`` loop as it stood before
 parsing went through numpy, and ``reference_format`` the ``"r%0wd"`` string
-join.  ``parse_dataset`` must give the same cells and ids, or raise the same
+join.  ``parse_dataset`` must give the same cells, or raise the same
 exception class with the same line and message, on every input below.  The
 byte paths work in pieces cut at newlines, so each fixed input is checked at
 the default piece size and at every size from 1 to 80 bytes, and the
 ``hypothesis`` inputs at the default size and at a few dozen bytes.
 """
 
+import gc
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ def reference_parse(text):
         if cell is None or rid == "" or rid in rows:
             cell = reference_checked_cell(lineno, line, rows)
         rows[rid] = cell
-    return list(rows.values()), list(rows)
+    return list(rows.values())
 
 
 def reference_checked_cell(lineno, line, seen):
@@ -94,13 +96,13 @@ def reference_format(cells, ids):
 
 
 def outcome(parse, text):
-    """(cells, ids) on success; (exception class, line, message) on failure."""
+    """The cells on success; (exception class, line, message) on failure."""
     try:
         result = parse(text)
     except (FormatError, DuplicateRespondent) as exc:
         return type(exc), exc.line, str(exc)
     if isinstance(result, ResponseDataset):
-        return result.cells.tolist(), result.respondent_ids
+        return result.cells.tolist()
     return result
 
 
@@ -214,7 +216,7 @@ def test_pieces_tile_the_rows_cut_after_newlines(monkeypatch, piece):
     monkeypatch.setattr(dataio, "_piece_rows", record)
     data = _parse_bytes(text)
     assert data is not None
-    assert (data.cells.tolist(), data.respondent_ids) == reference_parse(text)
+    assert data.cells.tolist() == reference_parse(text)
     assert "".join(p[1:] for p in pieces) == text[len(H):]
     for p in pieces:
         assert p[0] == p[-1] == "\n"
@@ -238,7 +240,7 @@ def test_byte_path_takes_every_clean_file():
                                        ("u", TAILS[cell].upper())))
     data = _parse_bytes(text)
     assert data is not None
-    assert (data.cells.tolist(), data.respondent_ids) == reference_parse(text)
+    assert data.cells.tolist() == reference_parse(text)
 
 
 def test_byte_path_declines_what_splitlines_breaks_at():
@@ -249,16 +251,26 @@ def test_byte_path_declines_what_splitlines_breaks_at():
         assert taken == (chr(b) not in breaks | {",", "\n"}), repr(chr(b))
 
 
-def test_simulated_dataset_parses_on_byte_path_with_lazy_ids():
+def test_parsed_dataset_does_not_keep_its_text():
+    # The byte path reads ids only to reject a duplicate: once the text is
+    # gone, the dataset holds its cells, one byte per row of about 21 bytes.
     pop = QuantumUnpolarized(QuestionTriple.from_floats(0.0, 2.1, 1.0))
-    data = run_protocol(pop, ProtocolDesign(DesignVariant.TWO_ENSEMBLE, 400), seed=3)
-    text = format_dataset(data)
-    parsed = _parse_bytes(text)
-    assert parsed is not None and callable(parsed._ids)
-    assert (parsed.cells.tolist(), parsed.respondent_ids) == reference_parse(text)
-    assert not callable(parsed._ids)
-    assert (parsed.cells.tolist(), parsed.respondent_ids) == (
-        data.cells.tolist(), data.respondent_ids)
+    data = run_protocol(pop, ProtocolDesign(DesignVariant.TWO_ENSEMBLE, 20_000), seed=3)
+    dataio._tables()  # built once per process, outside what is measured
+    tracemalloc.start()
+    try:
+        text = format_dataset(data)
+        length = len(text)
+        assert length >= 1 << 20
+        parsed = _parse_bytes(text)
+        del text
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert parsed is not None
+    assert parsed.cells.tolist() == data.cells.tolist()
+    assert held < 0.1 * length
 
 
 @pytest.mark.parametrize("variant", list(DesignVariant))
@@ -285,15 +297,13 @@ def test_text_under_a_piece_takes_the_line_loop_and_reports_the_same(
         monkeypatch.setattr(dataio, "_PIECE", piece)
         taken.clear()
         data = parse_dataset(text)
-        lazy = callable(data._ids)
         report = tmp_path / f"report-{piece}.json"
         assert main(["test", str(path), "--report", str(report)]) == 0
-        runs[piece] = (taken[:], lazy, data.cells.tolist(), data.respondent_ids,
-                       report.read_bytes())
+        runs[piece] = (taken[:], data.cells.tolist(), report.read_bytes())
     short, long = runs[len(text) + 1], runs[len(text)]
-    assert short[:2] == (["_parse_lines"] * 2, False)
-    assert long[:2] == (["_parse_bytes"] * 2, True)
-    assert short[2:] == long[2:]
+    assert short[0] == ["_parse_lines"] * 2
+    assert long[0] == ["_parse_bytes"] * 2
+    assert short[1:] == long[1:]
 
 
 ID_CHARS = string.ascii_letters + string.digits + "_-.:/ \t"
@@ -334,7 +344,7 @@ def test_format_matches_reference_join(variant, rows):
     width = len(str(rows))
     expected = reference_format(cells.tolist(), [f"r%0{width}d" % k for k in range(rows)])
     assert format_dataset(data) == expected
-    assert outcome(parse_dataset, expected) == (cells.tolist(), data.respondent_ids)
+    assert outcome(parse_dataset, expected) == cells.tolist()
 
 
 @pytest.mark.parametrize("piece", [1, 20, 48, 100, 1000])
@@ -345,11 +355,3 @@ def test_format_in_blocks_matches_reference_join(monkeypatch, piece, rows):
     width = len(str(rows))
     expected = reference_format(cells.tolist(), [f"r%0{width}d" % k for k in range(rows)])
     assert format_dataset(ResponseDataset(cells)) == expected
-
-
-def test_explicit_ids_round_trip():
-    ids = ["b", "a", "r000", "ré", "x y", "k" * 70, "\t"]
-    cells = sorted(CONSISTENT_CELLS)[:len(ids)]
-    text = format_dataset(ResponseDataset(cells, ids))
-    assert text == reference_format(cells, ids)
-    assert outcome(parse_dataset, text) == (cells, ids)

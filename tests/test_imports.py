@@ -42,10 +42,10 @@ PUBLIC_NAMES = [
     "ProtocolDesign", "QuantumUnpolarized", "QuestionTriple",
     "ResponseDataset", "SearchResult", "SymmetryReport", "TestResult",
     "VariableIndex", "ZeroConditioningEvent", "bell_covariance_check",
-    "check_perfect_correlation", "check_symmetry", "classical_margin_floor", "conditional",
+    "check_symmetry", "classical_margin_floor", "conditional",
     "covariance", "estimate_frequencies", "interference_coefficient", "joint_plus_pair",
     "marginal_plus", "maximize_quantum_violation", "predicted_conditional_triple",
-    "random_joint", "run_protocol", "sample_entangled_pairs", "symmetrize",
+    "random_joint", "run_protocol", "symmetrize",
     "violation_test", "wigner_conditional_check", "wigner_joint_check", "wilson_interval",
 ]
 

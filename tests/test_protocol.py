@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -18,17 +19,14 @@ from belltest import (
     QuestionTriple,
     ResponseDataset,
     VariableIndex,
-    check_perfect_correlation,
     check_symmetry,
     estimate_frequencies,
     predicted_conditional_triple,
     random_joint,
     run_protocol,
-    sample_entangled_pairs,
     violation_test,
 )
 from belltest import protocol, streams
-from belltest.dataio import format_dataset
 from belltest.probability import ATOMS
 from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
 from belltest.qubit import born
@@ -362,13 +360,9 @@ class TestRunProtocol:
         # b = -1 agents are the all-minus ones, so their c answer is -1.
         assert table.proportions() == (1.0, 0.0, 1.0)
 
-    def test_dataset_rebuilt_with_explicit_ids_is_identical(self):
+    def test_different_seed_different_dataset(self):
         design = ProtocolDesign(TWO, 200)
         data = run_protocol(QuantumUnpolarized(WITNESS), design, seed=12)
-        rebuilt = ResponseDataset(data.cells, data.respondent_ids)
-        assert data.implicit_ids and not rebuilt.implicit_ids
-        assert format_dataset(rebuilt) == format_dataset(data)
-        assert (rebuilt.counts == data.counts).all()
         other = run_protocol(QuantumUnpolarized(WITNESS), design, seed=13)
         assert not np.array_equal(other.cells, data.cells)
 
@@ -383,7 +377,6 @@ class TestRunProtocol:
         d1 = run_protocol(pop, design, seed=11)
         d2 = run_protocol(pop, design, seed=11)
         assert np.array_equal(d1.cells, d2.cells)
-        assert d1.respondent_ids == d2.respondent_ids
 
     def test_quantum_frequencies_near_prediction(self):
         design = ProtocolDesign(THREE, 100_000)
@@ -477,6 +470,17 @@ class TestFrequencyTable:
     def test_rejects_invalid_counts(self, bad):
         with pytest.raises(ValueError, match=rf"invalid counts \({bad[0]}, {bad[1]}\)"):
             FrequencyTable(bad, (1, 2), (1, 2))
+
+    @pytest.mark.parametrize("bad", [(True, 2), (1, True), (1.5, 3), (1, 4.0),
+                                     (np.float64(1), 2), (np.bool_(True), 2)])
+    def test_rejects_counts_that_are_not_integers(self, bad):
+        # A bool or a fractional count would otherwise reach the test as a ratio.
+        with pytest.raises(ValueError, match=re.escape(f"invalid counts ({bad[0]}, {bad[1]})")):
+            FrequencyTable(bad, (1, 2), (1, 2))
+
+    def test_accepts_numpy_integers(self):
+        table = FrequencyTable((np.int64(1), np.int64(2)), (np.uint8(1), 3), (1, np.int32(4)))
+        assert table.proportions() == (0.5, 1 / 3, 0.25)
 
 
 class TestEstimateFrequencies:
@@ -664,16 +668,25 @@ class TestCountTable:
             for q, (plus, minus) in zip(VariableIndex, first) if plus + minus]
 
 
-class TestPerfectCorrelation:
-    def test_copy_sampler_passes(self):
-        rng = np.random.default_rng(10)
-        joint = random_joint(rng)
-        pairs = sample_entangled_pairs(joint, 10_000, rng)
-        assert check_perfect_correlation(pairs)
+    @pytest.mark.parametrize("cells, row, value", [
+        (np.array([268, -243]), 0, "268"),
+        (np.array([12, 13, -243]), 2, "-243"),
+        (np.array([12.7, 13.2]), 0, "12.7"),
+        (np.array([12.0, 13.0]), 0, "12.0"),
+        (np.array([True, False]), 0, "True"),
+    ])
+    def test_cell_array_that_a_cast_would_change_is_rejected(self, cells, row, value):
+        # Not read as cells: a uint8 cast wraps out-of-range values and truncates
+        # fractions, and a float or bool array is no array of cell indices.
+        message = rf"^row {row} holds {re.escape(value)}, which is not a cell index in \[0, 256\)$"
+        with pytest.raises(ValueError, match=message):
+            ResponseDataset(cells)
+        with pytest.raises(ValueError, match=message):
+            ResponseDataset(cells.tolist()).cells
 
-    def test_flipped_component_fails(self):
-        pairs = [(((1, 1, 1)), ((1, -1, 1)))]
-        assert not check_perfect_correlation(pairs)
-
-    def test_empty_is_vacuously_true(self):
-        assert check_perfect_correlation([])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8, np.uint8])
+    def test_integer_cell_arrays_in_a_byte_are_accepted(self, dtype):
+        cells = [CELL_FIELDS.index(row) for row in self.CONSISTENT]
+        data = ResponseDataset(np.array(cells, dtype))
+        assert data.cells.dtype == np.uint8 and data.cells.tolist() == cells
+        assert np.array_equal(data.counts, dataset(*self.CONSISTENT).counts)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             wilson_interval(1, 2, 1.0)
 
+    @pytest.mark.parametrize("successes, trials", [(True, 2), (1, True), (1.0, 2), (1, 2.5),
+                                                   (np.float64(1), 2), (np.bool_(True), 2)])
+    def test_rejects_counts_that_are_not_integers(self, successes, trials):
+        with pytest.raises(ValueError, match=re.escape(f"invalid counts ({successes}, {trials})")):
+            wilson_interval(successes, trials, 0.95)
+
+    def test_accepts_numpy_integers(self):
+        assert wilson_interval(np.int64(1), np.uint32(2), 0.95) == wilson_interval(1, 2, 0.95)
+
     def test_coverage_near_nominal(self):
         # 95% interval should cover the true p about 95% of the time.
         rng = np.random.default_rng(0)
@@ -69,6 +79,13 @@ class TestWilsonInterval:
 
 
 class TestViolationTest:
+    def test_bool_and_fractional_counts_never_reach_the_test(self):
+        # Read as 1 of 2 and 1.5 of 3, these once gave a margin of 0.75.
+        with pytest.raises(ValueError, match=r"^invalid counts \(True, 2\)$"):
+            violation_test(FrequencyTable((True, 2), (1.5, 3), (1, 4)))
+        with pytest.raises(ValueError, match=r"^invalid counts \(1.5, 3\)$"):
+            violation_test(FrequencyTable((1, 2), (1.5, 3), (1, 4)))
+
     def test_null_center(self):
         result = violation_test(table((500, 1000), (250, 1000), (750, 1000)))
         assert result.margin_estimate == pytest.approx(0.0, abs=1e-15)
