@@ -11,19 +11,17 @@ serialize to identical bytes.
 A dataset holds no ids.  ``format_dataset`` writes row k's id as ``r`` and
 the zero-padded k, as ``run_protocol`` numbers agents, so a parsed file is
 written back renumbered; it fills one uint8 array a block at a time.
-``parse_dataset`` checks that ids are non-empty, hold no comma and are
-unique, and keeps only the cells.  ASCII text of at least ``_PIECE`` bytes
-that starts with the exact header line, ends in a newline and has no line
-break but ``\n`` and no id over ``_LONGEST_BYTE_ID`` bytes takes the byte
-path: in pieces cut just after a newline, it checks every row's 13-byte tail
-(question tokens in either case) and id, then that no two ids share a 64-bit
-key, as equal ids always do.  It holds the text plus 9 bytes per line (a cell
-and an id key); the dataset keeps the cell.  Any other text (CRLF rows,
-non-ASCII ids, a bad row), and text that fails a check in any piece, goes
-whole to the per-line loop.  That loop accepts exactly the same files and is
-the only code that raises, so each error keeps its exception, line and
-message.  It holds about 8 times the text, and alone parses text shorter
-than a piece, without numpy, which only the byte paths import.
+``parse_dataset`` checks that ids are non-empty, comma-free and unique, and
+keeps only the cells.  ASCII text of at least ``_PIECE`` bytes that starts
+with the exact header line and ends in a newline takes the byte path: per
+piece, cut after a newline, it checks for line breaks but ``\n`` (only where
+bytes below 0x20 outnumber newlines), each row's 13-byte tail by a 64-slot
+perfect hash (question tokens in either case) and each id (up to
+``_LONGEST_BYTE_ID`` bytes); then that no two ids share a 64-bit key, as equal
+ids do.  It holds the text plus 9 bytes per 15 of it.  Other text (CRLF rows,
+non-ASCII ids, a bad row) goes whole to the per-line loop, the only code that
+raises, which accepts exactly the same files and needs about 8 times the text.
+Text under a piece takes that loop alone, without numpy.
 """
 
 from __future__ import annotations
@@ -59,8 +57,6 @@ _PIECE = 1 << 20  # bytes per piece on the byte paths
 # Ids on the byte path cost one array pass per 8 bytes of the longest, so a
 # file with a longer id takes the per-line loop.
 _LONGEST_BYTE_ID = 64
-# The ASCII characters other than "\n" at which str.splitlines breaks.
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -69,34 +65,31 @@ def _words(buf: np.ndarray) -> np.ndarray:
     return np.ndarray((max(len(buf) - 7, 0),), "<u8", buf, strides=(1,))
 
 
-def _tail_words(words: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 13 bytes before each newline at ``ends``, as two overlapping words."""
-    return words[ends - _TAIL], words[ends - 8]
-
-
 @cache
 def _tables() -> SimpleNamespace:
     """The byte paths' numpy tables, built on first use."""
     import numpy as np
-    t = SimpleNamespace()  # tail_bytes: the row tails as a (cells, 14) byte table
-    t.tail_bytes = np.frombuffer("".join(_ROW_TAILS).encode("ascii"), np.uint8).reshape(
-        len(_ROW_TAILS), -1)
+    t = SimpleNamespace()
+    # Each cell's tail, the 13 bytes before a row's newline, as its first and last 8.
+    words = _words(np.frombuffer("".join(_ROW_TAILS).encode("ascii"), np.uint8))
+    t.tail_lo, t.tail_hi = words[::_TAIL + 1], words[_TAIL - 8::_TAIL + 1]
     # Odd multiplier of the wrapping uint64 fold that keys tails and ids.
     t.fold = np.uint64(0x9E3779B97F4A7C15)
     t.word_folds = np.cumprod(np.full(_LONGEST_BYTE_ID // 8, t.fold))  # fold ** (k + 1), word k
     # byte_masks[k] keeps the first k bytes of a little-endian word.
     t.byte_masks = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
-    # Byte 4 of both tail words is a question token.  ORing 0x20 into it maps
-    # "A"/"B"/"C" to "a"/"b"/"c", as the per-line loop reads them, and no other
-    # ASCII byte to a question token.
+    # Byte 4 of both tail words is a question token: ORing 0x20 into it maps "A"/"B"/"C"
+    # to "a"/"b"/"c", as the per-line loop reads them, and no other ASCII byte to one.
     t.lower_q = np.uint64(0x20 << 32)
-    # The first and last word of each cell's tail, and the consistent cells in
-    # the order of their tails' fold keys.
-    t.cell_lo, t.cell_hi = _tail_words(_words(t.tail_bytes.ravel()),
-                                       np.arange(len(_ROW_TAILS)) * (_TAIL + 1) + _TAIL)
-    keys = t.cell_lo * t.fold + t.cell_hi
-    t.key_cells = np.array(sorted(CONSISTENT_CELLS, key=keys.__getitem__), np.uint8)
-    t.sorted_keys = keys[t.key_cells]
+    # A 64-slot perfect hash of the consistent tails' words: slot (fold key >> shift) & 63
+    # holds a cell and its words; an empty slot holds 0, no row's word (byte 4 >= 0x20).
+    cells = np.array(sorted(CONSISTENT_CELLS))
+    lo, hi = t.tail_lo[cells], t.tail_hi[cells]
+    keys = lo * t.fold + hi
+    t.shift = next(s for s in range(59) if len(set(keys >> s & 63)) == len(keys))
+    slots = keys >> t.shift & 63
+    t.slot_lo, t.slot_hi, t.slot_cell = *np.zeros((2, 64), np.uint64), np.zeros(64, np.uint8)
+    t.slot_lo[slots], t.slot_hi[slots], t.slot_cell[slots] = lo, hi, cells
     return t
 
 
@@ -108,14 +101,20 @@ def format_dataset(data: ResponseDataset) -> str:
     out = np.empty(head + n * row, np.uint8)
     out[:head] = np.frombuffer(_HEADER_LINE.encode("ascii"), np.uint8)
     rows = out[head:].reshape(n, row)
-    rows[:, 0] = ord("r")
+    rows[:, 0], rows[:, -1], t = ord("r"), ord("\n"), _tables()
     step = max(_PIECE // row, 1)
     for first in range(0, n, step):
-        block, number = rows[first:first + step], np.arange(first, min(first + step, n))
+        # Unsigned row numbers, fastest to divide, in buffers that keep the RSS down.
+        block = rows[first:first + step]
+        number = np.arange(first, first + len(block), dtype=np.min_scalar_type(n))
+        tens, digit = np.empty_like(number), np.empty_like(number)
         for column in range(width, 0, -1):
-            number, digit = np.divmod(number, 10)
-            block[:, column] = digit + ord("0")
-        block[:, 1 + width:] = _tables().tail_bytes[data.cells[first:first + step]]
+            np.floor_divide(number, 10, out=tens)
+            np.subtract(number, np.multiply(tens, 10, out=digit), out=digit)
+            np.add(digit, ord("0"), out=block[:, column], casting="unsafe")
+            number, tens = tens, number
+        words, cells = _words(block.ravel()[1 + width:]), data.cells[first:first + step]
+        words[::row], words[_TAIL - 8::row] = t.tail_lo.take(cells), t.tail_hi.take(cells)
     return str(out, "ascii")
 
 
@@ -129,12 +128,11 @@ def parse_dataset(text: str) -> ResponseDataset:
 def _parse_bytes(text: str) -> ResponseDataset | None:
     """The dataset in ``text`` by array operations on its bytes, one piece at
     a time, or None when any row needs the per-line loop."""
-    if not (text.isascii() and text.startswith(_HEADER_LINE) and text.endswith("\n")) \
-            or any(c in text for c in _OTHER_BREAKS):
+    if not (text.isascii() and text.startswith(_HEADER_LINE) and text.endswith("\n")):
         return None
     import numpy as np
-    cells = np.empty(text.count("\n") - 1, np.uint8)
-    keys = np.empty(len(cells), np.uint64)
+    # A row takes 15 bytes or more: an id, its tail and a newline.
+    cells, keys = np.empty(len(text) // 15, np.uint8), np.empty(len(text) // 15, np.uint64)
     n, at = 0, len(_HEADER_LINE) - 1
     while at < len(text) - 1:
         # Cut at the last newline in _PIECE bytes, or at the next if none.
@@ -155,35 +153,41 @@ def _piece_rows(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The cells and id keys of the rows in ``buf``, which starts and ends
     with a newline, or None when a row fails a check."""
     import numpy as np
-    newlines = np.flatnonzero(buf == ord("\n"))
-    filled = np.diff(newlines) > 1
-    starts, ends = newlines[:-1][filled] + 1, newlines[1:][filled]
-    id_lengths = ends - starts - _TAIL
-    if len(ends) and not 1 <= id_lengths.min() <= id_lengths.max() <= _LONGEST_BYTE_ID:
+    n = np.count_nonzero(buf == ord("\n"))
+    # str.splitlines breaks at "\n" and at these ASCII bytes, all below 0x20.
+    if np.count_nonzero(buf < 0x20) > n and np.isin(buf, list(b"\r\v\f\x1c\x1d\x1e")).any():
+        return None
+    # Rows of one length, as format_dataset writes them, are read by slicing.
+    stride = int(np.argmax(buf[1:_LONGEST_BYTE_ID + _TAIL + 2] == ord("\n"))) + 1
+    if stride > 1 and (n - 1) * stride == len(buf) - 1 and (buf[::stride] == ord("\n")).all():
+        ends, lengths, rows = slice(stride, None, stride), stride - _TAIL - 1, n - 1
+    else:
+        newlines = np.flatnonzero(buf == ord("\n"))
+        ends, lengths = newlines[1:], np.diff(newlines) - (_TAIL + 1)  # of ids
+        if (blank := lengths == -_TAIL).any():
+            ends, lengths = ends[~blank], lengths[~blank]
+        rows = len(ends)
+    if rows and not 1 <= np.min(lengths) <= np.max(lengths) <= _LONGEST_BYTE_ID:
         return None
     # Each tail holds five commas, so an id with one shows here.
-    if np.count_nonzero(buf == ord(",")) != 5 * len(ends):
+    if np.count_nonzero(buf == ord(",")) != 5 * rows:
         return None
-    words = _words(buf)
-    keys, t = _id_keys(words, starts, id_lengths), _tables()
-    lo, hi = (word | t.lower_q for word in _tail_words(words, ends))
-    slot = np.searchsorted(t.sorted_keys, lo * t.fold + hi)
-    cells = t.key_cells[slot.clip(max=len(t.sorted_keys) - 1)]
-    if not (np.array_equal(lo, t.cell_lo[cells]) and np.array_equal(hi, t.cell_hi[cells])):
+    t, words = _tables(), _words(buf)
+    def at(shift):  # each row's word at ``shift`` bytes from its newline
+        return words[ends.start + shift::ends.step] if type(ends) is slice else words[ends + shift]
+    # A 64-bit key per id, the same in any piece: equal ids have equal keys, and
+    # an id of up to 8 bytes is its own key, with its length.  Past its end, the
+    # tail's word stands in, masked out.
+    keys = np.full(rows, lengths, np.uint64)
+    for k, fold in zip(range(0, np.max(lengths, initial=0), 8), t.word_folds):  # k: id offset
+        word = at(np.minimum(k - lengths, 0) - _TAIL) & t.byte_masks[np.clip(lengths - k, 0, 8)]
+        keys += np.multiply(word, fold, out=word)
+    # Each row's tail as two words, its first 8 and its last 8 bytes.
+    lo, hi = (at(-shift) | t.lower_q for shift in (_TAIL, 8))
+    slot = (lo * t.fold + hi >> t.shift & 63).view(np.int64)
+    if not (np.array_equal(lo, t.slot_lo[slot]) and np.array_equal(hi, t.slot_hi[slot])):
         return None
-    return cells, keys
-
-
-def _id_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """A 64-bit key for each id at ``starts``, the same in any piece: equal ids
-    have equal keys, and an id of up to 8 bytes is its own key, with its length."""
-    import numpy as np
-    t = _tables()
-    key = lengths.astype(np.uint64)
-    for offset, fold in zip(range(0, lengths.max(initial=0), 8), t.word_folds):
-        at = np.minimum(starts + offset, len(words) - 1)
-        key += (words[at] & t.byte_masks[(lengths - offset).clip(0, 8)]) * fold
-    return key
+    return t.slot_cell[slot], keys
 
 
 def _parse_lines(text: str) -> ResponseDataset:
@@ -234,9 +238,7 @@ def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
 def _nu_entry(counts: tuple[int, int], interval: tuple[float, float] | None) -> dict:
     num, den = counts
     entry = {"numerator": num, "denominator": den, "estimate": num / den}
-    if interval is not None:
-        entry["wilson_interval"] = [interval[0], interval[1]]
-    return entry
+    return entry if interval is None else {**entry, "wilson_interval": list(interval)}
 
 
 def emit_report(
@@ -253,10 +255,8 @@ def emit_report(
     echoes ``seed``, ``design`` and ``alpha``; pass test=None with
     degenerate_margin for runs where the asymptotic test is undefined."""
     intervals = test.term_intervals if test is not None else (None, None, None)
-    if test is not None:
-        verdict = VERDICT_QUANTUM if test.significant_violation else VERDICT_CLASSICAL
-    else:
-        verdict = VERDICT_DEGENERATE
+    verdict = VERDICT_DEGENERATE if test is None else \
+        VERDICT_QUANTUM if test.significant_violation else VERDICT_CLASSICAL
     report = {
         "nu": {
             "a_given_b_plus": _nu_entry(table.nu_a_given_b_plus, intervals[0]),

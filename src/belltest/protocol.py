@@ -118,13 +118,14 @@ CELL_FIELDS: tuple[tuple[Branch, VariableIndex, Outcome, VariableIndex, Outcome]
 
 class ResponseDataset:
     """Survey responses stored column-wise: ``cells`` holds one cell index (see
-    ``COUNT_SHAPE``) per response, as a list, which is counted without numpy,
-    or as an array of integers in [0, 256).  A dataset holds no respondent
+    ``COUNT_SHAPE``) per response, as a list of ints, which is counted without
+    numpy, or as an array of integers in [0, 256).  A dataset holds no respondent
     ids: written out, its rows are ``r`` and the zero-padded row number.
     """
 
     def __init__(self, cells):
-        self._cells = cells if isinstance(cells, list) else _cell_array(cells)
+        # A copy, so that no write by the caller reaches the cached counts.
+        self._cells = _cell_list(cells) if isinstance(cells, list) else _cell_array(cells)
 
     @property
     def cells(self) -> np.ndarray:
@@ -161,9 +162,20 @@ class ResponseDataset:
         return len(self._cells)
 
 
+def _cell_list(cells: list) -> list:
+    """A copy of ``cells``.  Raises ValueError naming the first element that is
+    not an int, as a float or bool equal to a cell index would count as it."""
+    if set(map(type, cells)) - {int}:
+        row = next(row for row, cell in enumerate(cells) if type(cell) is not int)
+        raise _not_a_cell(row, cells[row])
+    return list(cells)
+
+
 def _cell_array(cells) -> np.ndarray:
-    """``cells`` as a uint8 array.  Raises ValueError naming the first row
-    that holds no integer in [0, 256), where a cast would wrap or truncate."""
+    """``cells`` as a uint8 array that only the dataset holds: a view, or an
+    array that is still writeable, is copied.  Raises ValueError naming the
+    first row that holds no integer in [0, 256), where a cast would wrap or
+    truncate."""
     import numpy as np
     array = np.asarray(cells)
     if array.dtype != np.uint8:
@@ -171,9 +183,12 @@ def _cell_array(cells) -> np.ndarray:
         bad = (array < 0) | (array > 255) if integers else np.ones(len(array), bool)
         if bad.any():
             row = int(bad.argmax())
-            raise ValueError(f"row {row} holds {array[row].item()!r}, which is not a cell"
-                             " index in [0, 256)")
-    return array.astype(np.uint8, copy=False)
+            raise _not_a_cell(row, array[row].item())
+    return array.astype(np.uint8, copy=array.flags.writeable or not array.flags.owndata)
+
+
+def _not_a_cell(row: int, value) -> ValueError:
+    return ValueError(f"row {row} holds {value!r}, which is not a cell index in [0, 256)")
 
 
 class FrequencyTable(record("FrequencyTable",
@@ -301,6 +316,7 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
         in_block = [max(0, min(end, stop) - max(first, start)) for first, end in zip(starts, ends)]
         indices = (np.arange(start, stop) - np.array(starts).repeat(in_block)).view(np.uint64)
         cells[start:stop] = _simulate_block(pop, keys, codes.repeat(in_block), indices)
+    cells.flags.writeable = False  # handed over to the dataset, which need not copy it
     return ResponseDataset(cells)
 
 

@@ -192,6 +192,9 @@ INPUTS = {
                                                        + LONG + "x,CA,c,+1,a,-1\n",
     "blank lines between every row": H + "\n" + LONG.replace("\n", "\n\n\n"),
     "only blank lines after the rows": H + LONG + "\n" * 100,
+    # As many newlines as rows of one length would have, one of them moved.
+    "newline moved from a row's end into an id": H + "k000,BA,b,+1,a,+1\nk\n01,BA,b,+1,a,+1x"
+                                                  "k002,BA,b,+1,a,+1\n",
     "rows longer than a piece": H + LONG + "".join(
         f"{'q' * 60}{k},BA,b,+1,a,+1\n" for k in range(3)) + LONG.replace("k", "m"),
 }
@@ -241,6 +244,33 @@ def test_byte_path_takes_every_clean_file():
     data = _parse_bytes(text)
     assert data is not None
     assert data.cells.tolist() == reference_parse(text)
+
+
+# 200 rows of one length, 18 bytes each: pieces of 90 bytes hold five rows.
+ONE_LENGTH = format_dataset(ResponseDataset(np.resize(sorted(CONSISTENT_CELLS), 200)))
+
+
+@pytest.mark.parametrize("byte", ["\n", "\r", "\x0c", "\t", ",", "A", "B", "x", "+", "9"])
+@pytest.mark.parametrize("column", range(18))
+def test_rows_of_one_length_with_one_byte_changed(column, byte):
+    # Rows of one length are read by strided slices, unless the change breaks
+    # the stride; either way the outcome is the reference's.
+    at = len(H) + 57 * 18 + column
+    assert_parity(ONE_LENGTH[:at] + byte + ONE_LENGTH[at + 1:], (90, 1000, dataio._PIECE))
+
+
+@pytest.mark.parametrize("case", ["lower", "upper"])
+@pytest.mark.parametrize("cell", sorted(set(range(len(CELL_FIELDS))) - CONSISTENT_CELLS))
+def test_byte_path_declines_every_inconsistent_tail(monkeypatch, cell, case):
+    # A tail of no survey branch, its question tokens in either case, on line
+    # 14 of 26, in a later piece than the first: only the tail lookup fails.
+    tail = TAILS[cell].upper() if case == "upper" else TAILS[cell]
+    text = H + LONG + "k99" + tail + LONG.replace("k", "m")
+    monkeypatch.setattr(dataio, "_PIECE", 48)
+    assert _parse_bytes(text) is None
+    expected = outcome(reference_parse, text)
+    assert expected[:2] == (FormatError, 14)
+    assert_parity(text)
 
 
 def test_byte_path_declines_what_splitlines_breaks_at():

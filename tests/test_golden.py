@@ -2,7 +2,9 @@
 
 The CSV and report digests were recorded before the dataset became columnar,
 and the `search` digest before the floor and the grid were evaluated in
-blocks; any change to these bytes for a fixed seed shows up here.
+blocks; any change to these bytes for a fixed seed shows up here.  The 6 000-row
+cases fit in one parse piece, so one case of 3 x 200 000 agents pins the byte
+paths: 6-digit ids, a format of many blocks and a parse of many pieces.
 """
 
 import hashlib
@@ -55,6 +57,23 @@ def test_simulate_and_test_bytes_match_golden(tmp_path, model, seed):
     assert main(["test", str(csv), "--seed", str(seed), "--report", str(report)]) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv, report))
     assert digests == GOLDEN[model, seed]
+
+
+BYTE_PATH_ARGS = ["--model", "quantum", "--angles", "0,2.0943951,1.0471976", "--design", "three",
+                  "--n", "200000", "--seed", "1"]
+BYTE_PATH_GOLDEN = (
+    "b4aa57c1b5b1a9f58e552e19400e36708872bf736b471caae78cf6dc9f8e7247",
+    "5c5f888bd69362941554e51178c110d15a0a086e7c363985c3bde93750ca6a3b",
+)
+
+
+def test_byte_path_bytes_match_golden(tmp_path):
+    csv, report = tmp_path / "data.csv", tmp_path / "report.json"
+    assert main(["simulate", *BYTE_PATH_ARGS, "--out", str(csv)]) == 0
+    assert csv.stat().st_size >= 12 << 20  # twelve parse pieces or more
+    assert main(["test", str(csv), "--seed", "1", "--report", str(report)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv, report))
+    assert digests == BYTE_PATH_GOLDEN
 
 
 SEARCH_ARGS = ["search", "--grid", "360", "--refine-tol", "1e-9",

@@ -690,3 +690,47 @@ class TestCountTable:
         data = ResponseDataset(np.array(cells, dtype))
         assert data.cells.dtype == np.uint8 and data.cells.tolist() == cells
         assert np.array_equal(data.counts, dataset(*self.CONSISTENT).counts)
+
+    @pytest.mark.parametrize("cells, row, value", [
+        ([12.0, 12], 0, "12.0"),
+        ([12, 12.0], 1, "12.0"),
+        ([12, True], 1, "True"),
+        ([False, 12], 0, "False"),
+    ])
+    def test_cell_list_of_other_than_ints_is_rejected(self, cells, row, value):
+        # Counted, a float or bool equal to a cell index would count as that
+        # cell, where an array of the same values is refused.
+        message = rf"^row {row} holds {re.escape(value)}, which is not a cell index in \[0, 256\)$"
+        with pytest.raises(ValueError, match=message):
+            ResponseDataset(cells)._table
+        with pytest.raises(ValueError, match=message):
+            estimate_frequencies(ResponseDataset(cells))
+
+    @pytest.mark.parametrize("given", ["array", "view", "read-only view", "list"])
+    def test_writes_by_the_caller_do_not_reach_the_dataset(self, given):
+        # The counts are cached, so a dataset that shared the caller's cells
+        # would show a later write in .cells and still count the old cells.
+        cells = run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(THREE, 100),
+                             seed=1).cells.copy()
+        original = cells.tolist()
+        if given == "list":
+            held = cells.tolist()
+        else:
+            held = cells if given == "array" else cells[:]
+            held.flags.writeable = given != "read-only view"
+        data = ResponseDataset(held)
+        before = estimate_frequencies(data)
+        cells[:150] = cells[150]
+        if given == "list":
+            held[:150] = [held[150]] * 150
+        assert data.cells.tolist() == original
+        assert estimate_frequencies(data) == before
+        assert estimate_frequencies(ResponseDataset(data.cells.copy())) == before
+
+    def test_read_only_array_of_its_own_is_kept(self):
+        # run_protocol hands its cells over this way, with no copy.
+        cells = np.array([CELL_FIELDS.index(row) for row in self.CONSISTENT], np.uint8)
+        cells.flags.writeable = False
+        assert np.shares_memory(ResponseDataset(cells).cells, cells)
+        data = run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(THREE, 10), seed=1)
+        assert not data._cells.flags.writeable and data._cells.flags.owndata
