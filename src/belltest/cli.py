@@ -29,6 +29,7 @@ from .errors import (
     DegenerateAlternatives,
     DegenerateVariance,
     EmptyConditioningBranch,
+    require_int,
 )
 from .protocol import (
     ClassicalHiddenVariable,
@@ -136,6 +137,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_test(args) -> int:
     validate_alpha(args.alpha)
+    if args.seed is not None:
+        # run_protocol's bounds: a report echoes no seed that simulate rejects.
+        require_int("seed", args.seed, 0, 2**64, "in [0, 2**64)")
     data = parse_dataset(args.dataset.read_text())
     design = infer_design(data).value
     symmetry = check_symmetry(data)

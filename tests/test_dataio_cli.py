@@ -300,6 +300,19 @@ class TestCli:
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-7", str(2**64), "99999999999999999999999"])
+    def test_test_seed_outside_64_bits_exit_2_before_reading(self, tmp_path, capsys, seed):
+        # The dataset is missing: an error about the seed shows it was checked first.
+        assert main(["test", str(tmp_path / "missing.csv"), "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"test: seed must be in [0, 2**64), got {seed}\n"
+
+    def test_test_echoes_largest_seed(self, tmp_path, capsys):
+        out = self.simulate(tmp_path)
+        assert main(["test", str(out), "--seed", str(2**64 - 1)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
+
     def test_largest_seed_runs(self, tmp_path):
         out = tmp_path / "data.csv"
         code = main([
@@ -352,6 +365,16 @@ class TestCli:
         assert "header must be exactly" in capsys.readouterr().err
         assert main(["test", str(headless), flag]) == 2
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("alpha", ["1e-16", "1.5e-16", repr(2.0**-53)])
+    def test_tiny_alpha_gives_unit_intervals(self, tmp_path, alpha):
+        # 1 - alpha is below 1, but 0.5 + 0.5 * (1 - alpha) rounds to 1: the
+        # Wilson quantile is infinite and every interval is all of [0, 1].
+        out = self.simulate(tmp_path)
+        report_path = tmp_path / "report.json"
+        assert main(["test", str(out), f"--alpha={alpha}", "--report", str(report_path)]) == 0
+        nu = json.loads(report_path.read_text())["nu"]
+        assert [entry["wilson_interval"] for entry in nu.values()] == [[0.0, 1.0]] * 3
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         assert main(["test", str(tmp_path / "missing.csv")]) == 2

@@ -1,6 +1,7 @@
 """What each entry point loads and sets, checked in a fresh interpreter.
 
-No command needs SciPy: `stats` computes the normal tail and quantile itself.
+No command needs SciPy: `stats` takes the normal tail and quantile from the
+standard library's `math.erfc` and `statistics.NormalDist`.
 `import belltest` loads no submodule and no numpy, since the package resolves
 its public names on first use, and leaves the environment alone.  Importing
 `belltest.cli` loads no numpy either: `test` on a CSV shorter than one parse

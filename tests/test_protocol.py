@@ -259,24 +259,24 @@ class TestSmallSurveys:
     @pytest.mark.parametrize("kind, variant, seed, expected", [
         ("quantum", THREE, 12345, (
             -0.3272268907563025, 0.14388663914078606, -2.274199277363946,
-            0.011477003842164114, True,
-            ((0.11496313693401444, 0.4342968335542908), (0.1381386295212213, 0.49956380716085597),
-             (0.6987194350454783, 0.9355055855521753)))),
+            0.011477003842164116, True,
+            ((0.11496313693401444, 0.4342968335542908), (0.13813862952122136, 0.4995638071608559),
+             (0.6987194350454784, 0.9355055855521754)))),
         ("quantum", TWO, MAX_SEED, (
             -0.2775974025974026, 0.12252483974659766, -2.2656418337009994,
-            0.011736660772222464, True,
-            ((0.16957305418501728, 0.39594555929155156), (0.11153253070081293, 0.34500578061101655),
+            0.011736660772222466, True,
+            ((0.16957305418501722, 0.3959455592915515), (0.11153253070081295, 0.3450057806110165),
              (0.55100555994846, 0.8800063377140499)))),
         ("classical", THREE, 0, (
             -0.05210350290441823, 0.1650083798845803, -0.3157627687809763,
             0.3760912897626616, False,
-            ((0.1536437908779228, 0.5398959232467253), (0.061500337235783575, 0.33531199328213473),
-             (0.32962737336427406, 0.7076284258335335)))),
+            ((0.15364379087792282, 0.5398959232467252), (0.061500337235783575, 0.33531199328213473),
+             (0.32962737336427417, 0.7076284258335334)))),
         ("classical", TWO, 12345, (
             0.39999999999999997, 0.1341640786499874, 2.981423969999719,
             0.9985654436039617, False,
-            ((0.4815044693099298, 0.7413721068980641), (0.1275391597021442, 0.3524154958125367),
-             (0.26665638881067344, 0.6293266813020123)))),
+            ((0.48150446930992985, 0.741372106898064), (0.1275391597021442, 0.3524154958125367),
+             (0.26665638881067355, 0.6293266813020123)))),
     ])
     def test_violation_test_fields_at_fifty_per_branch(self, kind, variant, seed, expected):
         data = run_protocol(SURVEY_POPULATIONS[kind](), ProtocolDesign(variant, 50), seed)
