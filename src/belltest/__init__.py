@@ -25,7 +25,7 @@ _EXPORTS = {
                         " InterferenceResult bell_covariance_check interference_coefficient"
                         " wigner_conditional_check wigner_joint_check",
         "probability": "ATOMS JointDistribution3 Outcome VariableIndex conditional covariance"
-                       " joint_plus_pair marginal_plus random_joint symmetrize",
+                       " event_probability random_joint symmetrize",
         "protocol": "Branch ClassicalHiddenVariable DesignVariant FrequencyTable"
                     " PopulationModel ProtocolDesign QuantumUnpolarized ResponseDataset"
                     " SymmetryReport check_symmetry estimate_frequencies run_protocol",

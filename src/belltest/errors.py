@@ -66,7 +66,6 @@ class DegenerateVariance(BellTestError):
 
     def __init__(self, margin: float):
         self.margin = margin
-        self.violated = margin < 0.0
         super().__init__(
             f"all branch proportions are degenerate (margin={margin:+g}); "
             "no asymptotic test is possible"

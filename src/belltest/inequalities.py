@@ -26,13 +26,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DegenerateAlternatives, record
-from .probability import (
-    JointDistribution3,
-    Outcome,
-    VariableIndex,
-    covariance,
-    joint_plus_pair,
-)
+from .probability import JointDistribution3, Outcome, VariableIndex, covariance, event_probability
 
 TOLERANCE = 1e-9
 
@@ -97,15 +91,10 @@ def wigner_joint_check(joint: JointDistribution3) -> InequalityReport:
 
     For any 8-atom law this margin equals w(++-) + w(--+) identically.
     """
-    p_ab = joint_plus_pair(
-        joint, (VariableIndex.A, Outcome.PLUS), (VariableIndex.B, Outcome.PLUS)
-    )
-    p_bc = joint_plus_pair(
-        joint, (VariableIndex.B, Outcome.MINUS), (VariableIndex.C, Outcome.PLUS)
-    )
-    p_ac = joint_plus_pair(
-        joint, (VariableIndex.A, Outcome.PLUS), (VariableIndex.C, Outcome.PLUS)
-    )
+    a, b, c, plus = VariableIndex.A, VariableIndex.B, VariableIndex.C, Outcome.PLUS
+    p_ab = event_probability(joint, (a, plus), (b, plus))
+    p_bc = event_probability(joint, (b, Outcome.MINUS), (c, plus))
+    p_ac = event_probability(joint, (a, plus), (c, plus))
     margin = math.fsum((p_ab, p_bc, -p_ac))
     return _report(InequalityKind.WIGNER_JOINT, (p_ab, p_bc), p_ac, margin)
 

@@ -117,9 +117,6 @@ class JointDistribution3(record("JointDistribution3", "weights")):
             w[atom_index(triple)] = float(weight)
         return cls(tuple(w))
 
-    def atom(self, triple: tuple[int, int, int]) -> float:
-        return self.weights[atom_index(triple)]
-
 
 def atom_index(triple: tuple[int, int, int]) -> int:
     sa, sb, sc = triple
@@ -133,23 +130,9 @@ def covariance(joint: JointDistribution3, i: VariableIndex, j: VariableIndex) ->
     return math.fsum(map(mul, _SIGN_PRODUCTS[i][j], joint.weights))
 
 
-def _probability(joint: JointDistribution3, *events: tuple[VariableIndex, Outcome]) -> float:
-    """P(each of one or two events holds), exactly rounded."""
+def event_probability(joint: JointDistribution3, *events: tuple[VariableIndex, Outcome]) -> float:
+    """P(each of one or two (variable, outcome) events holds), exactly rounded."""
     return math.fsum(map(joint.weights.__getitem__, _ATOMS_WHERE[events]))
-
-
-def marginal_plus(joint: JointDistribution3, i: VariableIndex) -> float:
-    """P(xi_i = +1)."""
-    return _probability(joint, (i, Outcome.PLUS))
-
-
-def joint_plus_pair(
-    joint: JointDistribution3,
-    first: tuple[VariableIndex, Outcome],
-    second: tuple[VariableIndex, Outcome],
-) -> float:
-    """P(xi_i = s_i and xi_j = s_j) for two distinct variables."""
-    return _probability(joint, first, second)
 
 
 def conditional(
@@ -158,13 +141,13 @@ def conditional(
     given: tuple[VariableIndex, Outcome],
 ) -> float:
     """P(target | given); raises ZeroConditioningEvent when P(given) = 0."""
-    p_given = _probability(joint, given)
+    p_given = event_probability(joint, given)
     if p_given == 0.0:
         j, oj = given
         raise ZeroConditioningEvent(
             f"P(xi_{j.token()} = {int(oj):+d}) = 0; conditional undefined"
         )
-    return min(_probability(joint, target, given) / p_given, 1.0)
+    return min(event_probability(joint, target, given) / p_given, 1.0)
 
 
 def _flat_dirichlet(rng: np.random.Generator) -> list[float]:

@@ -38,7 +38,7 @@ from typing import NamedTuple, Union
 
 from .errors import (EmptyConditioningBranch, record, require_counts, require_instance,
                      require_int)
-from .probability import JointDistribution3, Outcome, VariableIndex
+from .probability import SIGNS, JointDistribution3, Outcome, VariableIndex
 
 
 class Branch(Enum):
@@ -93,12 +93,12 @@ class QuantumUnpolarized(record("QuantumUnpolarized", "questions")):
     def _second_yes(self) -> np.ndarray:
         """Per route (see ``_ROUTE_CELL``): the Born chance of a second "yes"."""
         import numpy as np
-        from .qubit import born
+        from .qubit import born, born_after_no
         q = self.questions
         angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
-        # State after the first answer: q1 for "yes", q1 + pi for "no".
-        state = np.add.outer(angles[_FIRST_Q], (0.0, np.pi)).ravel()
-        return born(state, angles[_SECOND_Q])
+        first, second = angles[_FIRST_Q].repeat(2), angles[_SECOND_Q]
+        return np.where(np.arange(len(first)) % 2, born_after_no(first, second),
+                        born(first, second))  # odd routes follow a first "no"
 
 
 PopulationModel = Union[ClassicalHiddenVariable, QuantumUnpolarized]
@@ -238,11 +238,11 @@ _SECOND_Q = [second for _, *seconds in _QUESTIONS for second in seconds]
 _ROUTE_CELL = [CELL_FIELDS.index((branch, first, answer, second, Outcome.PLUS))
                for branch, (first, *seconds) in zip(Branch, _QUESTIONS)
                for answer, second in zip(Outcome, seconds)]
-# Per 8 * branch code + atom index: a classical agent's cell.  Bit 2 - q of an
-# atom index is set where question q's sign is -1.
-_ATOM_CELL = [_ROUTE_CELL[route] + (atom >> (2 - _SECOND_Q[route]) & 1)
+# Per 8 * branch code + atom index: a classical agent's cell.  An answer's code
+# is 1 where the atom's sign for its question is -1.
+_ATOM_CELL = [_ROUTE_CELL[route] + (SIGNS[_SECOND_Q[route]][atom] < 0)
               for code, first in enumerate(_FIRST_Q) for atom in range(8)
-              for route in [2 * code + (atom >> (2 - first) & 1)]]
+              for route in [2 * code + (SIGNS[first][atom] < 0)]]
 
 
 @cache

@@ -53,14 +53,20 @@ def born(x, y):
     return np.cos(0.5 * (x - y)) ** 2
 
 
+def born_after_no(q1, q2):
+    """Chance of "yes" to q2 after "no" to q1: the state sits at q1 + pi, so
+    sin^2((q2 - q1) / 2), kept in that form because born(q1 + pi, q2) would
+    round q1 + pi."""
+    return np.sin(0.5 * (q2 - q1)) ** 2
+
+
 def predicted_conditionals(a, b, c):
     """p(a+|b+), p(c+|b-), p(a+|c+) for questions at angles a, b, c (or arrays).
 
     After a "yes" to b the state sits at b, so p(a+|b+) = cos^2((a-b)/2);
-    after a "no" it sits at b + pi, so p(c+|b-) = sin^2((c-b)/2), kept in
-    that form because born(b + pi, c) would round b + pi.
+    after a "no", p(c+|b-) = sin^2((c-b)/2).
     """
-    return born(a, b), np.sin(0.5 * (c - b)) ** 2, born(a, c)
+    return born(a, b), born_after_no(b, c), born(a, c)
 
 
 def predicted_conditional_triple(q: QuestionTriple) -> CondTriple:

@@ -20,12 +20,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import require_instance, require_int
+from .probability import atom_index
 from .qubit import TWO_PI, QuestionTriple, predicted_conditionals
 
 _BLOCK_CELLS = 1 << 16  # grid cells or floor weights per block, so memory stays bounded
 _MAX_GRID_STEPS = 1 << 16  # one grid row fits in a block, so memory stays bounded
 #: The 8 deterministic laws (simplex vertices), one per row, in atom order.
 _VERTICES = np.eye(8)
+#: The atoms ++- and --+, whose weights make up the symmetrized margin.
+_PPM, _MMP = atom_index((1, 1, -1)), atom_index((-1, -1, 1))
 
 
 class SearchResult(NamedTuple):
@@ -129,9 +132,9 @@ def classical_margin_floor(
 
 
 def _closed_form_margins(x, quads, pairs, sums):
-    """Symmetrized margins 2 * (w1 + w6) of the rows of 8 exponentials in ``x``
-    (atoms 1 and 6 are ++- and --+; a flat-Dirichlet law is a row over its
-    sum), in the first ``len(x)`` rows of work arrays of 4, 2 and 1 columns.
+    """Symmetrized margins 2 * (w(++-) + w(--+)) of the rows of 8 exponentials
+    in ``x`` (a flat-Dirichlet law is a row over its sum), in the first
+    ``len(x)`` rows of work arrays of 4, 2 and 1 columns.
     The row sum is the tree ``x.sum(axis=1)`` computes for 8 columns, so the
     margins have its bits with no reduction call per row.
     """
@@ -139,5 +142,5 @@ def _closed_form_margins(x, quads, pairs, sums):
     np.add(x[:, 0::2], x[:, 1::2], out=quads)
     np.add(quads[:, 0::2], quads[:, 1::2], out=pairs)
     np.add(pairs[:, 0], pairs[:, 1], out=sums)
-    numerator = np.add(x[:, 1], x[:, 6], out=quads[:, 0])
+    numerator = np.add(x[:, _PPM], x[:, _MMP], out=quads[:, 0])
     return np.divide(np.multiply(numerator, 2.0, out=numerator), sums, out=sums)

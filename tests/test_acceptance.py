@@ -38,6 +38,7 @@ from belltest import (
     wigner_joint_check,
 )
 from belltest.cli import main
+from belltest.probability import atom_index
 from belltest.protocol import DesignVariant
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
@@ -89,7 +90,8 @@ def test_criterion_2_joint_margin_identity():
     worst = 0.0
     for _ in range(10_000):
         joint = random_joint(rng)
-        expected = joint.atom((1, 1, -1)) + joint.atom((-1, -1, 1))
+        w = joint.weights
+        expected = w[atom_index((1, 1, -1))] + w[atom_index((-1, -1, 1))]
         worst = max(worst, abs(wigner_joint_check(joint).margin - expected))
     report(
         "criterion 2: joint-form margin equals w(++-) + w(--+) (1e4 joints)",

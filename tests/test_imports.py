@@ -44,8 +44,8 @@ PUBLIC_NAMES = [
     "ResponseDataset", "SearchResult", "SymmetryReport", "TestResult",
     "VariableIndex", "ZeroConditioningEvent", "bell_covariance_check",
     "check_symmetry", "classical_margin_floor", "conditional",
-    "covariance", "estimate_frequencies", "interference_coefficient", "joint_plus_pair",
-    "marginal_plus", "maximize_quantum_violation", "predicted_conditional_triple",
+    "covariance", "estimate_frequencies", "event_probability", "interference_coefficient",
+    "maximize_quantum_violation", "predicted_conditional_triple",
     "random_joint", "run_protocol", "symmetrize",
     "violation_test", "wigner_conditional_check", "wigner_joint_check", "wilson_interval",
 ]

@@ -13,14 +13,14 @@ from belltest import (
     VariableIndex,
     bell_covariance_check,
     conditional,
+    event_probability,
     interference_coefficient,
-    marginal_plus,
     random_joint,
     symmetrize,
     wigner_conditional_check,
     wigner_joint_check,
 )
-from belltest.probability import ATOMS
+from belltest.probability import ATOMS, atom_index
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -80,7 +80,8 @@ class TestWignerJoint:
         rng = np.random.default_rng(2)
         for _ in range(N_FUZZ):
             joint = random_joint(rng)
-            expected = joint.atom((1, 1, -1)) + joint.atom((-1, -1, 1))
+            w = joint.weights
+            expected = w[atom_index((1, 1, -1))] + w[atom_index((-1, -1, 1))]
             assert wigner_joint_check(joint).margin == pytest.approx(
                 expected, abs=1e-15
             )
@@ -108,9 +109,9 @@ class TestWignerConditional:
         rng = np.random.default_rng(4)
         for _ in range(200):
             sym = symmetrize(random_joint(rng))
-            assert marginal_plus(sym, B) == pytest.approx(0.5, abs=1e-15)
+            assert event_probability(sym, (B, PLUS)) == pytest.approx(0.5, abs=1e-15)
             p_cond = conditional(sym, (A, PLUS), (B, PLUS))
-            p_joint = sym.atom((1, 1, 1)) + sym.atom((1, 1, -1))
+            p_joint = sym.weights[atom_index((1, 1, 1))] + sym.weights[atom_index((1, 1, -1))]
             assert p_cond == pytest.approx(2.0 * p_joint, abs=1e-14)
 
     def test_rejects_out_of_range_probability(self):

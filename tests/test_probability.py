@@ -13,12 +13,11 @@ from belltest import (
     ZeroConditioningEvent,
     conditional,
     covariance,
-    joint_plus_pair,
-    marginal_plus,
+    event_probability,
     random_joint,
     symmetrize,
 )
-from belltest.probability import SIGNS, _flat_dirichlet, _probability, atom_index
+from belltest.probability import SIGNS, _flat_dirichlet, atom_index
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -92,8 +91,8 @@ class TestJointDistribution3:
 
     def test_point_mass_atom_lookup(self):
         joint = JointDistribution3.point_mass((1, -1, 1))
-        assert joint.atom((1, -1, 1)) == 1.0
-        assert joint.atom((1, 1, 1)) == 0.0
+        assert joint.weights[atom_index((1, -1, 1))] == 1.0
+        assert joint.weights[atom_index((1, 1, 1))] == 0.0
 
 
 class TestCovariance:
@@ -122,16 +121,16 @@ class TestCovariance:
 
 class TestMarginalPlus:
     def test_uniform_is_half(self):
-        assert marginal_plus(JointDistribution3.uniform(), B) == 0.5
+        assert event_probability(JointDistribution3.uniform(), (B, PLUS)) == 0.5
 
     def test_point_mass_deterministic(self):
         joint = JointDistribution3.point_mass((1, -1, 1))
-        assert marginal_plus(joint, B) == 0.0
+        assert event_probability(joint, (B, PLUS)) == 0.0
 
     @given(joints)
     def test_matches_bruteforce(self, joint):
         for i in (A, B, C):
-            assert marginal_plus(joint, i) == pytest.approx(
+            assert event_probability(joint, (i, PLUS)) == pytest.approx(
                 oracle_marginal_plus(joint.weights, i), abs=1e-15
             )
 
@@ -223,16 +222,13 @@ class TestTablesMatchBruteForce:
 
     def test_single_events(self, joint):
         for event in EVENTS:
-            assert _probability(joint, event) == brute_probability(joint.weights, event)
-        for v in (A, B, C):
-            assert marginal_plus(joint, v) == brute_probability(joint.weights, (v, PLUS))
+            assert event_probability(joint, event) == brute_probability(joint.weights, event)
 
     def test_event_pairs(self, joint):
         for first in EVENTS:
             for second in EVENTS:
                 expected = brute_probability(joint.weights, first, second)
-                assert _probability(joint, first, second) == expected
-                assert joint_plus_pair(joint, first, second) == expected
+                assert event_probability(joint, first, second) == expected
 
     def test_conditionals(self, joint):
         for target in EVENTS:
@@ -256,8 +252,9 @@ class TestTablesMatchBruteForce:
         # Opposite signs of one variable never hold together; equal signs
         # are the single event.
         for v in (A, B, C):
-            assert _probability(joint, (v, PLUS), (v, MINUS)) == 0.0
-            assert _probability(joint, (v, MINUS), (v, MINUS)) == _probability(joint, (v, MINUS))
+            assert event_probability(joint, (v, PLUS), (v, MINUS)) == 0.0
+            assert (event_probability(joint, (v, MINUS), (v, MINUS))
+                    == event_probability(joint, (v, MINUS)))
 
 
 class TestFlatDirichlet:
@@ -291,8 +288,8 @@ class TestFlatDirichlet:
 class TestSymmetrize:
     def test_point_mass_splits(self):
         sym = symmetrize(JointDistribution3.point_mass((1, 1, 1)))
-        assert sym.atom((1, 1, 1)) == 0.5
-        assert sym.atom((-1, -1, -1)) == 0.5
+        assert sym.weights[atom_index((1, 1, 1))] == 0.5
+        assert sym.weights[atom_index((-1, -1, -1))] == 0.5
 
     def test_uniform_is_fixed_point(self):
         uniform = JointDistribution3.uniform()
@@ -302,7 +299,7 @@ class TestSymmetrize:
     def test_marginals_become_fair(self, joint):
         sym = symmetrize(joint)
         for i in (A, B, C):
-            assert abs(marginal_plus(sym, i) - 0.5) < 1e-15
+            assert abs(event_probability(sym, (i, PLUS)) - 0.5) < 1e-15
 
     @given(joints)
     def test_idempotent(self, joint):

@@ -27,9 +27,9 @@ from belltest import (
     violation_test,
 )
 from belltest import protocol, streams
-from belltest.probability import ATOMS
+from belltest.probability import ATOMS, atom_index, event_probability
 from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
-from belltest.qubit import born
+from belltest.qubit import born, born_after_no, predicted_conditionals
 from belltest.streams import _mix, counter_uniforms, keyed_uniforms, stream_keys
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
@@ -88,8 +88,8 @@ def reference_cells(pop, design, seed):
             angles = np.array([q.a.phi, q.b.phi, q.c.phi])
             first_plus = u_first < 0.5  # unpolarized: a fair first answer
             second_q = np.where(first_plus, after_yes, after_no)
-            state = np.where(first_plus, angles[first_q], angles[first_q] + np.pi)
-            second_plus = u_second < born(state, angles[second_q])
+            pair = angles[first_q], angles[second_q]
+            second_plus = u_second < np.where(first_plus, born(*pair), born_after_no(*pair))
         cells += [CELL_FIELDS.index((branch, first_q, PLUS if f else MINUS, VariableIndex(q2),
                                      PLUS if s else MINUS))
                   for f, q2, s in zip(first_plus, second_q, second_plus)]
@@ -160,6 +160,40 @@ class TestSimulationKernel:
             keys = stream_keys(given, streams)
             assert keys.dtype == np.uint64
             assert np.array_equal(keys, expected)
+
+    def test_route_weights_equal_predicted_conditionals(self):
+        # The routes that estimate p(a|b+), p(c|b-) and p(a|c+), as (branch, first answer).
+        routes = (((Branch.BA, PLUS), (Branch.S1, PLUS)), ((Branch.BC, MINUS), (Branch.S1, MINUS)),
+                  ((Branch.CA, PLUS), (Branch.S2, PLUS)))
+        rng = np.random.default_rng(25)
+        triples = [WITNESS] + [QuestionTriple.from_floats(*angles)
+                               for angles in rng.uniform(0.0, 2 * math.pi, (200, 3))]
+        # On arrays, as the kernel computes its weights.
+        angles = np.array([[q.a.phi, q.b.phi, q.c.phi] for q in triples])
+        predicted = np.transpose(predicted_conditionals(*angles.T))
+        for q, conditionals in zip(triples, predicted.tolist()):
+            second_yes = QuantumUnpolarized(q)._second_yes.tolist()
+            for p, pair in zip(conditionals, routes):
+                for branch, answer in pair:
+                    route = 2 * list(Branch).index(branch) + (answer is MINUS)
+                    assert second_yes[route] == p, (q, branch, answer)
+
+    def test_atom_cells_carry_the_event_probabilities(self):
+        # Per branch, the atoms sent to each consistent cell (q1, a1, q2, a2)
+        # are those where q1 reads a1 and q2 reads a2.
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            joint = random_joint(rng)
+            for code, branch in enumerate(Branch):
+                sent = {}
+                for k, w in enumerate(joint.weights):
+                    sent.setdefault(protocol._ATOM_CELL[8 * code + k], []).append(w)
+                cells = [cell for cell in CONSISTENT_CELLS if CELL_FIELDS[cell][0] is branch]
+                assert set(sent) <= set(cells)
+                for cell in cells:
+                    _, q1, a1, q2, a2 = CELL_FIELDS[cell]
+                    expected = event_probability(joint, (q1, a1), (q2, a2))
+                    assert math.fsum(sent.get(cell, [])) == expected, (branch, cell)
 
     def test_consistent_cells_are_the_simulated_cells(self):
         seen = set()
@@ -397,7 +431,7 @@ class TestRunProtocol:
                 n += 1
                 if a1 is PLUS and a2 is PLUS:
                     pairs += 1
-        expected = joint.atom((1, 1, 1)) + joint.atom((1, 1, -1))
+        expected = joint.weights[atom_index((1, 1, 1))] + joint.weights[atom_index((1, 1, -1))]
         assert abs(pairs / n - expected) < 0.01
 
 

@@ -108,8 +108,10 @@ class TestViolationTest:
     def test_degenerate_variance_carries_margin(self):
         with pytest.raises(DegenerateVariance) as excinfo:
             violation_test(table((10, 10), (10, 10), (10, 10)))
-        assert excinfo.value.margin == pytest.approx(1.0)
-        assert not excinfo.value.violated
+        assert excinfo.value.margin == 1.0
+        with pytest.raises(DegenerateVariance) as excinfo:
+            violation_test(table((0, 10), (0, 10), (10, 10)))
+        assert excinfo.value.margin == -1.0
 
     def test_standard_error_matches_binomial_formula(self):
         result = violation_test(table((30, 100), (20, 200), (50, 80)))
