@@ -34,6 +34,7 @@ VALID_CSV = (
     "r0,BA,b,+1,a,+1\n"
     "r1,BA,b,-1,a,-1\n"
 )
+ONE_ROW = "r0,BA,b,+1,a,+1\n"  # never reaches the c|b- event
 
 
 class TestParseDataset:
@@ -247,16 +248,44 @@ class TestCli:
         assert "BA, BC, CA, S1, S2" in err
         assert not report.exists()
 
-    def test_malformed_dataset_exit_2(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(CSV_HEADER + "\nr0,BA,b,1,a,+1\n")
-        assert main(["test", str(bad)]) == 2
-
     def test_header_only_dataset_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text(CSV_HEADER + "\n")
         assert main(["test", str(empty)]) == 2
         assert capsys.readouterr().err == "test: dataset is empty\n"
+
+    # main maps every command error to its exit code: 3 for an empty
+    # conditioning event or degenerate alternatives, 2 for any other.  Each
+    # prints one "<command>: <message>" line, nothing on stdout and no report.
+    @pytest.mark.parametrize("rows, argv, code, err", [
+        pytest.param(ONE_ROW, [], 3, "test: no respondent reached the c|b- conditioning event",
+                     id="empty-conditioning-branch"),
+        pytest.param(None, ["interference", "--p", "0.5", "--p1", "0", "--p2", "0.5"], 3,
+                     "interference: p1 * p2 must be positive, got p1=0.0, p2=0.5",
+                     id="degenerate-alternatives"),
+        pytest.param(None, ["interference", "--p", "0.5", "--p1", "1e-170", "--p2", "1e-170"], 3,
+                     "interference: p1 * p2 must be positive, got p1=1e-170, p2=1e-170",
+                     id="underflowing-product"),
+        pytest.param("r0,BA,b,1,a,+1\n", [], 2,
+                     "test: line 2: outcome token must be '+1' or '-1', got '1'", id="format"),
+        pytest.param(ONE_ROW + "r0,BA,b,-1,a,-1\n", [], 2,
+                     "test: line 3: duplicate respondent id 'r0'", id="duplicate"),
+        pytest.param(None, [], 2, "test: [Errno 2] No such file or directory: '{dataset}'",
+                     id="missing-file"),
+        # The one-row file alone exits 3, so alpha is checked before the data.
+        *(pytest.param(ONE_ROW, [f"--alpha={alpha}"], 2,
+                       f"test: alpha must be in (0, 1) with 1 - alpha < 1, got {float(alpha)}",
+                       id=f"alpha-{alpha}") for alpha in ("2", "0", "nan")),
+    ])
+    def test_exit_code_and_one_stderr_line(self, tmp_path, capsys, rows, argv, code, err):
+        dataset, report = tmp_path / "data.csv", tmp_path / "report.json"
+        if rows is not None:
+            dataset.write_text(CSV_HEADER + "\n" + rows)
+        if not argv or argv[0] != "interference":
+            argv = ["test", str(dataset), *argv, "--report", str(report)]
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", err.format(dataset=dataset) + "\n")
+        assert not report.exists()
 
     def test_search_command(self, capsys):
         assert main(["search", "--grid", "90", "--refine-tol", "1e-6",
@@ -271,15 +300,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["coefficient"] == pytest.approx(0.5, abs=1e-12)
         assert payload["regime"] == "Trigonometric"
-
-    def test_interference_degenerate_exit_3(self):
-        assert main(["interference", "--p", "0.5", "--p1", "0", "--p2", "0.5"]) == 3
-
-    def test_interference_underflowing_product_exit_3(self, capsys):
-        assert main(["interference", "--p", "0.5", "--p1", "1e-170", "--p2", "1e-170"]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "interference: p1 * p2 must be positive, got p1=1e-170, p2=1e-170\n"
 
     @pytest.mark.parametrize("p1, p2", [("nan", "0.3"), ("inf", "0.3"), ("1.5", "0.3"),
                                         ("0.3", "-0.2"), ("0.3", "-inf")])
@@ -345,16 +365,6 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --symmetry-tolerance" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", ["2", "0", "nan"])
-    def test_invalid_alpha_exit_2_before_reading_dataset(self, tmp_path, capsys, alpha):
-        # One row never reaches the c|b- event: the data alone would exit 3.
-        one = tmp_path / "one.csv"
-        one.write_text(CSV_HEADER + "\nr0,BA,b,+1,a,+1\n")
-        assert main(["test", str(one)]) == 3
-        capsys.readouterr()
-        assert main(["test", str(one), f"--alpha={alpha}"]) == 2
-        assert capsys.readouterr().err.startswith("test: alpha must be in (0, 1)")
-
     @pytest.mark.parametrize("flag, message", [
         ("--alpha=1e-17", "test: alpha must be in (0, 1) with 1 - alpha < 1"),
     ])
@@ -375,12 +385,6 @@ class TestCli:
         assert main(["test", str(out), f"--alpha={alpha}", "--report", str(report_path)]) == 0
         nu = json.loads(report_path.read_text())["nu"]
         assert [entry["wilson_interval"] for entry in nu.values()] == [[0.0, 1.0]] * 3
-
-    def test_missing_dataset_exit_2(self, tmp_path, capsys):
-        assert main(["test", str(tmp_path / "missing.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("test: ") and "missing.csv" in err
-        assert err.count("\n") == 1
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "x.csv"

@@ -79,6 +79,24 @@ def test_byte_path_bytes_match_golden(tmp_path):
     assert digests == BYTE_PATH_GOLDEN
 
 
+DEGENERATE_ARGS = ["--model", "classical", "--atoms", "1", "0", "0", "0", "0", "0", "0", "0",
+                   "--symmetrize", "--design", "three", "--n", "500", "--seed", "5"]
+# Every branch proportion is 0 or 1: margin 0.0, standard error 0.0, null z
+# and p-value, no Wilson intervals, and the report is still written.
+DEGENERATE_GOLDEN = (
+    "eab05c0d4ab8a0691a82eba21c6c57bf1fa4a6362d5cc474c7d712269e603946",
+    "fa71d8b751e71ff099c7657d2b12ea2bb45115762ad04bc4e2d37e0ad0f0ab40",
+)
+
+
+def test_degenerate_report_bytes_match_golden(tmp_path):
+    csv, report = tmp_path / "data.csv", tmp_path / "report.json"
+    assert main(["simulate", *DEGENERATE_ARGS, "--out", str(csv)]) == 0
+    assert main(["test", str(csv), "--report", str(report)]) == 3
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv, report))
+    assert digests == DEGENERATE_GOLDEN
+
+
 SEARCH_ARGS = ["search", "--grid", "360", "--refine-tol", "1e-9",
                "--floor-samples", "100000", "--seed", "7"]
 SEARCH_GOLDEN = "3083153c3b2d44b850680ac56e60a1b8dd1a709d0aa398057bcdf1da36d3a890"
