@@ -7,7 +7,8 @@ Subcommands:
     search     find the angle triple with the most negative predicted margin
     interference  classify an observed probability against additivity
 
-Exit codes: 0 success, 2 validation error, 3 degenerate/inconclusive.
+Exit codes: 0 success, 2 validation error, 3 degenerate/inconclusive.  ``main``
+maps every error to 2 or 3; ``test``'s code follows its report's verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 # numpy.  A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .dataio import emit_report, format_dataset, parse_dataset
+from .dataio import VERDICT_DEGENERATE, emit_report, format_dataset, parse_dataset, verdict
 from .errors import (
     BellTestError,
     DegenerateAlternatives,
@@ -143,23 +144,17 @@ def _cmd_test(args) -> int:
     data = parse_dataset(args.dataset.read_text())
     design = infer_design(data).value
     symmetry = check_symmetry(data)
-    try:
-        table = estimate_frequencies(data)
-    except EmptyConditioningBranch as exc:
-        print(f"test: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    margin, exit_code = None, EXIT_OK
+    table = estimate_frequencies(data)
     try:
         test = violation_test(table, alpha=args.alpha)
     except DegenerateVariance as exc:
-        test, margin, exit_code = None, exc.margin, EXIT_DEGENERATE
-    text = emit_report(test, table, symmetry, seed=args.seed, design=design,
-                       alpha=args.alpha, degenerate_margin=margin)
+        test = exc
+    text = emit_report(test, table, symmetry, seed=args.seed, design=design, alpha=args.alpha)
     if args.report is not None:
         args.report.write_text(text)
     else:
         sys.stdout.write(text)
-    return exit_code
+    return EXIT_DEGENERATE if verdict(test) == VERDICT_DEGENERATE else EXIT_OK
 
 
 def _cmd_search(args) -> int:
@@ -196,11 +191,7 @@ def _cmd_search(args) -> int:
 def _cmd_interference(args) -> int:
     from .inequalities import interference_coefficient
 
-    try:
-        result = interference_coefficient(args.p, args.p1, args.p2)
-    except DegenerateAlternatives as exc:
-        print(f"interference: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    result = interference_coefficient(args.p, args.p1, args.p2)
     print(json.dumps(
         {
             "p": args.p,
@@ -227,7 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (BellTestError, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        degenerate = isinstance(exc, (EmptyConditioningBranch, DegenerateAlternatives))
+        return EXIT_DEGENERATE if degenerate else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import json
 from functools import cache
 from types import SimpleNamespace
 
-from .errors import DuplicateRespondent, FormatError
+from .errors import DegenerateVariance, DuplicateRespondent, FormatError
 from .protocol import (CELL_FIELDS, CONSISTENT_CELLS, Branch, FrequencyTable, ResponseDataset,
                        SymmetryReport)
 from .probability import Outcome, VariableIndex
@@ -241,34 +241,41 @@ def _nu_entry(counts: tuple[int, int], interval: tuple[float, float] | None) -> 
     return entry if interval is None else {**entry, "wilson_interval": list(interval)}
 
 
+def verdict(test: TestResult | DegenerateVariance) -> str:
+    """The report's verdict on ``violation_test``'s result or the
+    DegenerateVariance it raised."""
+    if isinstance(test, DegenerateVariance):
+        return VERDICT_DEGENERATE
+    return VERDICT_QUANTUM if test.significant_violation else VERDICT_CLASSICAL
+
+
 def emit_report(
-    test: TestResult | None,
+    test: TestResult | DegenerateVariance,
     table: FrequencyTable,
     symmetry: SymmetryReport,
     *,
     seed: int | None,
     design: str | None,
     alpha: float,
-    degenerate_margin: float | None = None,
 ) -> str:
     """The report as JSON, with a stable key order and trailing newline, that
-    echoes ``seed``, ``design`` and ``alpha``; pass test=None with
-    degenerate_margin for runs where the asymptotic test is undefined."""
-    intervals = test.term_intervals if test is not None else (None, None, None)
-    verdict = VERDICT_DEGENERATE if test is None else \
-        VERDICT_QUANTUM if test.significant_violation else VERDICT_CLASSICAL
+    echoes ``seed``, ``design`` and ``alpha``.  ``test`` is ``violation_test``'s
+    result or the DegenerateVariance it raised; the latter reports its exact
+    margin, a zero standard error, no z, p-value or Wilson intervals."""
+    degenerate = isinstance(test, DegenerateVariance)
+    intervals = (None, None, None) if degenerate else test.term_intervals
     report = {
         "nu": {
             "a_given_b_plus": _nu_entry(table.nu_a_given_b_plus, intervals[0]),
             "c_given_b_minus": _nu_entry(table.nu_c_given_b_minus, intervals[1]),
             "a_given_c_plus": _nu_entry(table.nu_a_given_c_plus, intervals[2]),
         },
-        "margin": test.margin_estimate if test is not None else degenerate_margin,
-        "standard_error": test.standard_error if test is not None else 0.0,
-        "z": test.z_statistic if test is not None else None,
-        "p_value": test.p_value if test is not None else None,
+        "margin": test.margin if degenerate else test.margin_estimate,
+        "standard_error": 0.0 if degenerate else test.standard_error,
+        "z": None if degenerate else test.z_statistic,
+        "p_value": None if degenerate else test.p_value,
         "alpha": alpha,
-        "verdict": verdict,
+        "verdict": verdict(test),
         "symmetry_check": {
             "tolerance": symmetry.tolerance,
             "passed": symmetry.passed,

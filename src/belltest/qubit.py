@@ -50,14 +50,14 @@ class QuestionTriple(record("QuestionTriple", "a b c")):
 
 def born(x, y):
     """Born rule on the real circle: cos^2((x - y) / 2), on radians or arrays."""
-    return np.cos(0.5 * (x - y)) ** 2
+    return np.square(np.cos(0.5 * (x - y)))
 
 
 def born_after_no(q1, q2):
     """Chance of "yes" to q2 after "no" to q1: the state sits at q1 + pi, so
     sin^2((q2 - q1) / 2), kept in that form because born(q1 + pi, q2) would
     round q1 + pi."""
-    return np.sin(0.5 * (q2 - q1)) ** 2
+    return np.square(np.sin(0.5 * (q2 - q1)))
 
 
 def predicted_conditionals(a, b, c):
