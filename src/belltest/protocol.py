@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate, product
 from numbers import Real
 from operator import itemgetter
@@ -145,7 +145,7 @@ class ResponseDataset:
             table = list(map(Counter(self._cells).__getitem__, range(len(CELL_FIELDS))))
         else:
             import numpy as np
-            table = np.bincount(self.cells, minlength=len(CELL_FIELDS)).tolist()
+            table = np.bincount(self._cells, minlength=len(CELL_FIELDS)).tolist()
         if sum(_CONSISTENT_COUNTS(table)) != len(self):
             row, cell = next(pair for pair in enumerate(self._cells)
                              if pair[1] not in CONSISTENT_CELLS)
@@ -296,6 +296,20 @@ _CONSISTENT_COUNTS = _counts()
 _BRANCH_COUNTS = tuple(map(_counts, Branch))
 
 
+@lru_cache(maxsize=1)  # one block at most: a survey's last, or a replicate's only one
+def _block_layout(sizes: tuple[int, ...], start: int, stop: int) -> tuple:
+    """The read-only branch codes (uint8) and within-branch indices (uint64) of
+    agents [start, stop) of a survey with ``sizes`` agents per branch code."""
+    import numpy as np
+    ends = list(accumulate(sizes))
+    starts = [end - size for end, size in zip(ends, sizes)]  # code c: rows [starts[c], ends[c])
+    in_block = [max(0, min(end, stop) - max(first, start)) for first, end in zip(starts, ends)]
+    codes = _kernel()[0].repeat(in_block)
+    indices = (np.arange(start, stop) - np.array(starts).repeat(in_block)).view(np.uint64)
+    codes.flags.writeable = indices.flags.writeable = False
+    return codes, indices
+
+
 def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> ResponseDataset:
     """Simulate the survey in one pass over its agents in file order, in blocks
     of ``_BLOCK`` agents that may span branches, in the calling process.
@@ -305,17 +319,12 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
     require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
     import numpy as np
     from .streams import stream_keys
-    sizes = [k * int(design.n_per_branch) for k in _DESIGN_SIZES[design.variant]]
-    ends = list(accumulate(sizes))
-    starts = [end - size for end, size in zip(ends, sizes)]  # code c: rows [starts[c], ends[c])
-    codes, streams, *_ = _kernel()
-    keys = stream_keys(seed, streams)
-    cells = np.empty(ends[-1], dtype=np.uint8)
+    sizes = tuple(k * int(design.n_per_branch) for k in _DESIGN_SIZES[design.variant])
+    keys = stream_keys(seed, _kernel()[1])
+    cells = np.empty(sum(sizes), dtype=np.uint8)
     for start in range(0, len(cells), _BLOCK):
         stop = min(start + _BLOCK, len(cells))
-        in_block = [max(0, min(end, stop) - max(first, start)) for first, end in zip(starts, ends)]
-        indices = (np.arange(start, stop) - np.array(starts).repeat(in_block)).view(np.uint64)
-        cells[start:stop] = _simulate_block(pop, keys, codes.repeat(in_block), indices)
+        cells[start:stop] = _simulate_block(pop, keys, *_block_layout(sizes, start, stop))
     cells.flags.writeable = False  # handed over to the dataset, which need not copy it
     return ResponseDataset(cells)
 
@@ -367,16 +376,10 @@ def check_symmetry(data: ResponseDataset, tolerance: float = 0.05) -> SymmetryRe
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    table = data._table
-    by_answer = [(q, sum(plus(table)), sum(minus(table))) for q, plus, minus in _FIRST_ANSWERS]
-    entries = tuple(
-        SymmetryEntry(
-            question=q,
-            plus_fraction=plus / (plus + minus),
-            n_first_asked=plus + minus,
-            flagged=abs(plus / (plus + minus) - 0.5) > tolerance,
-        )
-        for q, plus, minus in by_answer
-        if plus + minus
-    )
-    return SymmetryReport(entries=entries, tolerance=tolerance)
+    table, entries = data._table, []
+    for q, plus_counts, minus_counts in _FIRST_ANSWERS:
+        plus = sum(plus_counts(table))
+        n = plus + sum(minus_counts(table))
+        if n:
+            entries.append(SymmetryEntry(q, plus / n, n, abs(plus / n - 0.5) > tolerance))
+    return SymmetryReport(tuple(entries), tolerance)

@@ -1,7 +1,8 @@
 """What each entry point loads and sets, checked in a fresh interpreter.
 
-No command needs SciPy: `stats` takes the normal tail and quantile from the
-standard library's `math.erfc` and `statistics.NormalDist`.
+No command needs SciPy: `stats` takes the normal tail from the standard
+library's `math.erfc` and the quantile from the C function behind
+`statistics.NormalDist.inv_cdf`, without importing `statistics`.
 `import belltest` loads no submodule and no numpy, since the package resolves
 its public names on first use, and leaves the environment alone.  Importing
 `belltest.cli` loads no numpy either: `test` on a CSV shorter than one parse
@@ -13,7 +14,8 @@ set.  Only the `search` command loads `belltest.search`.  Records are named
 tuples, so no module imports `dataclasses` (or the `inspect` it pulls in), and
 the model modules `qubit`, `inequalities` and `streams` load only in the
 commands and functions that use them: neither `import belltest.cli` nor `test`
-on a short CSV loads any of these.
+on a short CSV loads any of these, nor `statistics`, and `simulate` loads
+`qubit` and `streams` but not `inequalities`.
 """
 
 import importlib
@@ -137,8 +139,14 @@ def test_cli_and_test_load_no_dataclasses_or_model_modules(tmp_path, entry):
     loaded = run_fresh(command_code(tmp_path, entry))
     assert "belltest.protocol" in loaded
     unwanted = {"dataclasses", "inspect", "belltest.qubit", "belltest.inequalities",
-                "belltest.streams"}
+                "belltest.streams", "statistics"}
     assert sorted(unwanted.intersection(loaded)) == []
+
+
+def test_simulate_loads_the_kernel_modules_but_not_inequalities(tmp_path):
+    loaded = run_fresh(command_code(tmp_path, "simulate"))
+    assert {"belltest.qubit", "belltest.streams"} <= set(loaded)
+    assert "belltest.inequalities" not in loaded
 
 
 def test_simulate_loads_numpy_with_one_openblas_thread(tmp_path):

@@ -203,6 +203,35 @@ class TestSimulationKernel:
         assert seen == CONSISTENT_CELLS
 
 
+class TestBlockLayoutCache:
+    """``run_protocol`` caches the last block's branch codes and within-branch
+    indices, which depend on the design's sizes and the block's bounds only."""
+
+    def test_alternating_calls_never_reuse_a_stale_layout(self, monkeypatch):
+        designs = [ProtocolDesign(THREE, 50), ProtocolDesign(TWO, 50), ProtocolDesign(THREE, 51)]
+        calls = list(product([1, 7, 64, 1 << 16], designs, sorted(POPULATIONS), [0, 2**64 - 1]))
+        order = np.random.default_rng(27).permutation(2 * len(calls)) % len(calls)
+        for block, design, kind, seed in (calls[i] for i in order.tolist()):
+            monkeypatch.setattr(protocol, "_BLOCK", block)
+            data = run_protocol(POPULATIONS[kind], design, seed=seed)
+            assert np.array_equal(data.cells, reference_cells(POPULATIONS[kind], design, seed)), (
+                block, design, kind, seed)
+
+    def test_cached_arrays_are_read_only(self):
+        run_protocol(POPULATIONS["quantum"], ProtocolDesign(THREE, 50), seed=1)
+        hits = protocol._block_layout.cache_info().hits
+        layout = protocol._block_layout((50, 50, 50, 0, 0), 0, 150)
+        assert protocol._block_layout.cache_info().hits == hits + 1  # the run's own arrays
+        for array in layout:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_a_large_survey_keeps_one_block_at_most(self):
+        data = run_protocol(POPULATIONS["classical"], ProtocolDesign(THREE, 200_000), seed=3)
+        assert len(data) == 600_000 > protocol._BLOCK
+        assert protocol._block_layout.cache_info().currsize <= 1
+
+
 MAX_SEED = 2**64 - 1
 # The replicate benchmark's populations: the witness agents and an interior
 # symmetric classical law (every atom > 0, margin +0.1).

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -154,9 +155,10 @@ class TestViolationTest:
 
 
 class TestNormalTailMatchesScipyStats:
-    """`stats` takes the normal tail from `math.erfc` and the quantile from
-    `statistics.NormalDist`; both must stay close to scipy.special's Cephes
-    `ndtr` and `ndtri` (and so to scipy.stats.norm), though not bit for bit."""
+    """`stats` takes the normal tail from `math.erfc` and the quantile from the
+    C function behind `statistics.NormalDist.inv_cdf`, whose bits it must give;
+    both must stay close to scipy.special's Cephes `ndtr` and `ndtri` (and so
+    to scipy.stats.norm), though not bit for bit."""
 
     EXACT = (math.inf, -math.inf, 0.0, 5e-324, -5e-324, 1e308, -1e308)  # 0.0 == -0.0; NaN apart
 
@@ -250,6 +252,20 @@ class TestNormalTailMatchesScipyStats:
         ps += [5e-324, 1e-320, 1e-300, 1.0 - 2.0**-53, 1.0 - 1e-16]
         ps += np.logspace(-320, 0, 2001, endpoint=False).tolist()
         self.assert_quantiles_close([abs(2.0 * p - 1.0) for p in ps])
+
+    @pytest.mark.parametrize("c_module", [True, False])
+    def test_wilson_quantile_equals_normal_dist_bit_for_bit(self, monkeypatch, c_module):
+        """With `_statistics` and with the fallback taken when it is missing."""
+        from statistics import NormalDist
+
+        if not c_module:
+            monkeypatch.setitem(sys.modules, "_statistics", None)  # its import now fails
+        confidences = np.linspace(0.0, 1.0, 4001)[1:-1].tolist() + [0.9, 0.95, 0.99]
+        confidences += (1.0 - np.logspace(-15, -1, 200)).tolist() + [1e-300, 1e-12]
+        quantile = _wilson_quantile.__wrapped__  # uncached, so each call takes the path
+        mismatches = [(c, quantile(c)) for c in confidences
+                      if not self.same_bits(quantile(c), NormalDist().inv_cdf(0.5 + 0.5 * c))]
+        assert mismatches == []
 
     def test_violation_test_p_value_close_to_norm_cdf(self):
         from scipy.stats import norm
