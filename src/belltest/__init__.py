@@ -21,11 +21,11 @@ _EXPORTS = {
         "errors": "BellTestError DegenerateAlternatives DegenerateVariance"
                   " DuplicateRespondent EmptyConditioningBranch FormatError"
                   " ZeroConditioningEvent",
-        "inequalities": "CondTriple InequalityKind InequalityReport InterferenceRegime"
+        "inequalities": "InequalityKind InequalityReport InterferenceRegime"
                         " InterferenceResult bell_covariance_check interference_coefficient"
                         " wigner_conditional_check wigner_joint_check",
-        "probability": "ATOMS JointDistribution3 Outcome VariableIndex conditional covariance"
-                       " event_probability random_joint symmetrize",
+        "probability": "ATOMS CondTriple JointDistribution3 Outcome VariableIndex conditional"
+                       " covariance event_probability random_joint symmetrize",
         "protocol": "Branch ClassicalHiddenVariable DesignVariant FrequencyTable"
                     " PopulationModel ProtocolDesign QuantumUnpolarized ResponseDataset"
                     " SymmetryReport check_symmetry estimate_frequencies run_protocol",

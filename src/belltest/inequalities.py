@@ -25,8 +25,9 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DegenerateAlternatives, record
-from .probability import JointDistribution3, Outcome, VariableIndex, covariance, event_probability
+from .errors import DegenerateAlternatives
+from .probability import (CondTriple, JointDistribution3, Outcome, VariableIndex, covariance,
+                          event_probability)
 
 TOLERANCE = 1e-9
 
@@ -43,20 +44,6 @@ class InequalityReport(NamedTuple):
     rhs: float
     margin: float
     violated: bool
-
-
-class CondTriple(record("CondTriple", "p_a_given_b_plus p_c_given_b_minus p_a_given_c_plus")):
-    """The three conditional probabilities entering the conditional form."""
-
-    __slots__ = ()
-
-    def __new__(cls, p_a_given_b_plus: float, p_c_given_b_minus: float,
-                p_a_given_c_plus: float):
-        self = super().__new__(cls, p_a_given_b_plus, p_c_given_b_minus, p_a_given_c_plus)
-        for name, p in zip(self._fields, self):
-            if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
-        return self
 
 
 class InterferenceRegime(Enum):

@@ -135,6 +135,20 @@ def event_probability(joint: JointDistribution3, *events: tuple[VariableIndex, O
     return math.fsum(map(joint.weights.__getitem__, _ATOMS_WHERE[events]))
 
 
+class CondTriple(record("CondTriple", "p_a_given_b_plus p_c_given_b_minus p_a_given_c_plus")):
+    """The three conditional probabilities entering the conditional form."""
+
+    __slots__ = ()
+
+    def __new__(cls, p_a_given_b_plus: float, p_c_given_b_minus: float,
+                p_a_given_c_plus: float):
+        self = super().__new__(cls, p_a_given_b_plus, p_c_given_b_minus, p_a_given_c_plus)
+        for name, p in zip(self._fields, self):
+            if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
+        return self
+
+
 def conditional(
     joint: JointDistribution3,
     target: tuple[VariableIndex, Outcome],

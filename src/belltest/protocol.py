@@ -13,7 +13,8 @@ Classical agents carry one predetermined sign triple drawn from a joint
 law, so their answers do not depend on question order.  Quantum agents
 start unpolarized and collapse after each answer.  ``run_protocol`` makes
 one pass over a survey's agents in file order, in fixed blocks of agents;
-counter-based random streams make the result independent of the blocks.
+counter-based random streams make the result independent of the blocks,
+and each answer compares a 53-bit draw with ``ceil(p * 2**53)``.
 
 A dataset is its cells, one per response: an index into the count tensor
 over (branch, first question, first answer, second question, second
@@ -21,8 +22,8 @@ answer).  The estimators and the symmetry check read its consistent cells
 from a flat table of counts built once per dataset: from a list of cells,
 as a short parsed file has, in plain Python, without numpy; from an array
 with ``np.bincount``.  numpy, ``qubit`` and ``streams`` are imported only
-where the arrays, the quantum population and the kernel need them, so
-counting a parsed file loads none of them.
+where the arrays, the quantum population and the kernel first need them, so
+counting a parsed file loads none of them and a warm call imports nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
+from importlib import import_module
 from itertools import accumulate, product
 from numbers import Real
 from operator import itemgetter
@@ -39,6 +41,8 @@ from typing import NamedTuple, Union
 from .errors import (EmptyConditioningBranch, record, require_counts, require_instance,
                      require_int)
 from .probability import SIGNS, JointDistribution3, Outcome, VariableIndex
+
+_numpy = cache(partial(import_module, "numpy"))  # on first use; no import statement after
 
 
 class Branch(Enum):
@@ -73,10 +77,9 @@ class ClassicalHiddenVariable(record("ClassicalHiddenVariable", "joint")):
         return super().__new__(cls, joint)
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
-        """The joint law's CDF at atoms 0-6; a uniform past all seven selects atom 7."""
-        import numpy as np
-        return np.cumsum(self.joint.weights)[:7]
+    def _cdf_bits(self) -> np.ndarray:
+        """The CDF at atoms 0-6 as draw thresholds; a draw past all seven selects atom 7."""
+        return _kernel()[0].thresholds(_numpy().cumsum(self.joint.weights)[:7])
 
 
 class QuantumUnpolarized(record("QuantumUnpolarized", "questions")):
@@ -92,13 +95,18 @@ class QuantumUnpolarized(record("QuantumUnpolarized", "questions")):
     @cached_property
     def _second_yes(self) -> np.ndarray:
         """Per route (see ``_ROUTE_CELL``): the Born chance of a second "yes"."""
-        import numpy as np
+        np = _numpy()
         from .qubit import born, born_after_no
         q = self.questions
         angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
         first, second = angles[_FIRST_Q].repeat(2), angles[_SECOND_Q]
         return np.where(np.arange(len(first)) % 2, born_after_no(first, second),
                         born(first, second))  # odd routes follow a first "no"
+
+    @cached_property
+    def _second_yes_bits(self) -> np.ndarray:
+        """``_second_yes`` as draw thresholds (see ``streams.thresholds``)."""
+        return _kernel()[0].thresholds(self._second_yes)
 
 
 PopulationModel = Union[ClassicalHiddenVariable, QuantumUnpolarized]
@@ -144,8 +152,7 @@ class ResponseDataset:
         if isinstance(self._cells, list):
             table = list(map(Counter(self._cells).__getitem__, range(len(CELL_FIELDS))))
         else:
-            import numpy as np
-            table = np.bincount(self._cells, minlength=len(CELL_FIELDS)).tolist()
+            table = _numpy().bincount(self._cells, minlength=len(CELL_FIELDS)).tolist()
         if sum(_CONSISTENT_COUNTS(table)) != len(self):
             row, cell = next(pair for pair in enumerate(self._cells)
                              if pair[1] not in CONSISTENT_CELLS)
@@ -155,8 +162,7 @@ class ResponseDataset:
     @cached_property
     def counts(self) -> np.ndarray:
         """Responses per cell, as an array of shape ``COUNT_SHAPE``."""
-        import numpy as np
-        return np.array(self._table).reshape(COUNT_SHAPE)
+        return _numpy().array(self._table).reshape(COUNT_SHAPE)
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -176,7 +182,7 @@ def _cell_array(cells) -> np.ndarray:
     array that is still writeable, is copied.  Raises ValueError naming the
     first row that holds no integer in [0, 256), where a cast would wrap or
     truncate."""
-    import numpy as np
+    np = _numpy()
     array = np.asarray(cells)
     if array.dtype != np.uint8:
         integers = array.dtype.kind in "iu"
@@ -247,12 +253,12 @@ _ATOM_CELL = [_ROUTE_CELL[route] + (SIGNS[_SECOND_Q[route]][atom] < 0)
 
 @cache
 def _kernel() -> tuple:
-    """The kernel's arrays, built on first use: branch codes, their stream ids
-    (1 to 5), route cells, atom cells, and the draw slots as a column."""
-    import numpy as np
-    codes = np.arange(len(Branch), dtype=np.uint8)
-    return (codes, codes + np.uint64(1), np.array(_ROUTE_CELL, np.uint8),
-            np.array(_ATOM_CELL, np.uint8), np.arange(2, dtype=np.uint64).reshape(2, 1))
+    """Built on first use: ``streams``, whose functions the kernel looks up per call,
+    stream ids 1-5 of branch codes 0-4, route and atom cells, and the fair coin's 2**52."""
+    from . import streams
+    np = _numpy()
+    return (streams, np.arange(1, 6, dtype=np.uint64), np.array(_ROUTE_CELL, np.uint8),
+            np.array(_ATOM_CELL, np.uint8), streams.thresholds(0.5))
 
 
 #: Agents per kernel call; bounds the simulation's working memory.
@@ -260,17 +266,17 @@ _BLOCK = 1 << 16
 
 
 def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
-                    indices: np.ndarray) -> np.ndarray:
-    """Cells of the agents with branch ``codes`` (uint8) at within-branch
-    ``indices`` (uint64); ``keys`` holds each branch code's stream key."""
-    from .streams import keyed_uniforms
-    agent_keys, (_, _, route_cell, atom_cell, draws) = keys[codes], _kernel()
-    if isinstance(pop, ClassicalHiddenVariable):  # inverse CDF: the atom of each uniform
-        u_first = keyed_uniforms(agent_keys, indices, draws[0])
-        return atom_cell[8 * codes + pop._cdf.searchsorted(u_first, side="right")]
-    u_first, u_second = keyed_uniforms(agent_keys, indices, draws)
-    route = 2 * codes + (u_first >= 0.5)  # unpolarized: a fair first answer
-    return route_cell[route] + (u_second >= pop._second_yes[route])
+                    words: np.ndarray) -> np.ndarray:
+    """Cells of the agents with branch ``codes`` (uint8) and counter ``words`` (a row
+    per draw slot); ``keys`` holds each branch code's stream key.  (``take`` is the
+    faster gather on arrays this small.)"""
+    streams, _, route_cell, atom_cell, half = _kernel()
+    if isinstance(pop, ClassicalHiddenVariable):  # inverse CDF: the atom of each draw
+        first = streams.keyed_bits(keys.take(codes), words[0])
+        return atom_cell.take(8 * codes + pop._cdf_bits.searchsorted(first, side="right"))
+    first, second = streams.keyed_bits(keys.take(codes), words)
+    route = 2 * codes + (first >= half)  # unpolarized: a fair first answer
+    return route_cell.take(route) + (second >= pop._second_yes_bits.take(route))
 
 
 # Per design: agents per ``n_per_branch`` in each branch code; its branches
@@ -296,18 +302,19 @@ _CONSISTENT_COUNTS = _counts()
 _BRANCH_COUNTS = tuple(map(_counts, Branch))
 
 
-@lru_cache(maxsize=1)  # one block at most: a survey's last, or a replicate's only one
+@lru_cache(maxsize=1)  # one block at most (1.1 MiB): a survey's last, or a replicate's only one
 def _block_layout(sizes: tuple[int, ...], start: int, stop: int) -> tuple:
-    """The read-only branch codes (uint8) and within-branch indices (uint64) of
+    """The read-only branch codes and seed-free words (a row per draw slot) of
     agents [start, stop) of a survey with ``sizes`` agents per branch code."""
-    import numpy as np
+    np, streams = _numpy(), _kernel()[0]
     ends = list(accumulate(sizes))
     starts = [end - size for end, size in zip(ends, sizes)]  # code c: rows [starts[c], ends[c])
     in_block = [max(0, min(end, stop) - max(first, start)) for first, end in zip(starts, ends)]
-    codes = _kernel()[0].repeat(in_block)
+    codes = np.arange(len(Branch), dtype=np.uint8).repeat(in_block)
     indices = (np.arange(start, stop) - np.array(starts).repeat(in_block)).view(np.uint64)
-    codes.flags.writeable = indices.flags.writeable = False
-    return codes, indices
+    words = streams.counter_words(indices, np.arange(2, dtype=np.uint64).reshape(2, 1))
+    codes.flags.writeable = words.flags.writeable = False
+    return codes, words
 
 
 def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> ResponseDataset:
@@ -317,14 +324,16 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
     require_instance("population", pop, ClassicalHiddenVariable, QuantumUnpolarized)
     require_instance("design", design, ProtocolDesign)
     require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
-    import numpy as np
-    from .streams import stream_keys
+    streams, stream_ids, *_ = _kernel()
     sizes = tuple(k * int(design.n_per_branch) for k in _DESIGN_SIZES[design.variant])
-    keys = stream_keys(seed, _kernel()[1])
-    cells = np.empty(sum(sizes), dtype=np.uint8)
-    for start in range(0, len(cells), _BLOCK):
-        stop = min(start + _BLOCK, len(cells))
-        cells[start:stop] = _simulate_block(pop, keys, *_block_layout(sizes, start, stop))
+    keys, total = streams.stream_keys(seed, stream_ids), sum(sizes)
+    if total <= _BLOCK:  # as in a replicate study: the kernel's own array, not a copy
+        cells = _simulate_block(pop, keys, *_block_layout(sizes, 0, total))
+    else:
+        cells = _numpy().empty(total, dtype="uint8")
+        for start in range(0, total, _BLOCK):
+            stop = min(start + _BLOCK, total)
+            cells[start:stop] = _simulate_block(pop, keys, *_block_layout(sizes, start, stop))
     cells.flags.writeable = False  # handed over to the dataset, which need not copy it
     return ResponseDataset(cells)
 

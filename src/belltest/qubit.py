@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .errors import record
+from .probability import CondTriple
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,5 +71,4 @@ def predicted_conditionals(a, b, c):
 
 def predicted_conditional_triple(q: QuestionTriple) -> CondTriple:
     """Analytic conditional probabilities for the two-question protocol."""
-    from .inequalities import CondTriple  # so that `simulate` does not load inequalities
     return CondTriple(*map(float, predicted_conditionals(q.a.phi, q.b.phi, q.c.phi)))

@@ -15,15 +15,18 @@ tuples, so no module imports `dataclasses` (or the `inspect` it pulls in), and
 the model modules `qubit`, `inequalities` and `streams` load only in the
 commands and functions that use them: neither `import belltest.cli` nor `test`
 on a short CSV loads any of these, nor `statistics`, and `simulate` loads
-`qubit` and `streams` but not `inequalities`.
+`qubit` and `streams` but not `inequalities`.  A warm `run_protocol` or
+`predicted_conditional_triple` call runs no import statement.
 """
 
+import builtins
 import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,34 @@ def test_simulate_loads_the_kernel_modules_but_not_inequalities(tmp_path):
     loaded = run_fresh(command_code(tmp_path, "simulate"))
     assert {"belltest.qubit", "belltest.streams"} <= set(loaded)
     assert "belltest.inequalities" not in loaded
+
+
+@pytest.mark.parametrize("block", [64, 1 << 16])
+def test_warm_calls_run_no_import_statement(monkeypatch, block):
+    """`run_protocol` (both populations, both designs, one block or several) and
+    `predicted_conditional_triple` import what they need on their first call only."""
+    import numpy as np
+    from belltest import protocol
+    witness = belltest.QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3)
+    populations = [belltest.QuantumUnpolarized(witness), belltest.ClassicalHiddenVariable(
+        belltest.random_joint(np.random.default_rng(29)))]
+    calls = [partial(belltest.run_protocol, pop, belltest.ProtocolDesign(variant, 50), seed=7)
+             for pop in populations for variant in belltest.DesignVariant]
+    calls.append(partial(belltest.predicted_conditional_triple, witness))
+    monkeypatch.setattr(protocol, "_BLOCK", block)
+    for call in calls:
+        call()
+    imported, real_import = [], builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "__import__", counting_import)
+        for call in calls:
+            call()
+    assert imported == []
 
 
 def test_simulate_loads_numpy_with_one_openblas_thread(tmp_path):

@@ -30,7 +30,7 @@ from belltest import protocol, streams
 from belltest.probability import ATOMS, atom_index, event_probability
 from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
 from belltest.qubit import born, born_after_no, predicted_conditionals
-from belltest.streams import _mix, counter_uniforms, keyed_uniforms, stream_keys
+from belltest.streams import _mix, counter_uniforms, keyed_bits, stream_keys
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -67,15 +67,15 @@ POPULATIONS = {
 }
 
 
-def reference_cells(pop, design, seed):
+def reference_cells(pop, design, seed, uniforms=counter_uniforms):
     """The survey simulated one branch at a time, straight from the model:
     branch code c draws from counter stream c + 1, slot 0 for the first
-    answer and 1 for the second."""
+    answer and 1 for the second, through ``uniforms(seed, stream, index, slot)``."""
     cells = []
     for branch, k in DESIGN_BRANCHES[design.variant]:
         index = np.arange(k * design.n_per_branch, dtype=np.uint64)
         stream = list(Branch).index(branch) + 1
-        u_first, u_second = (counter_uniforms(seed, stream, index, d) for d in range(2))
+        u_first, u_second = (uniforms(seed, stream, index, d) for d in range(2))
         first_q, after_yes, after_no = BRANCH_QUESTIONS[branch]
         if isinstance(pop, ClassicalHiddenVariable):
             cdf = np.cumsum(pop.joint.weights)
@@ -134,13 +134,13 @@ class TestSimulationKernel:
     def test_kernel_uniforms_equal_counter_uniforms(self, monkeypatch, variant, kind):
         drawn = {}  # draw slot -> rows of uniforms, in call order
 
-        def recording(keys, indices, draws):
-            u = keyed_uniforms(keys, indices, draws)
-            for slot, row in zip(np.ravel(draws).tolist(), u.reshape(-1, len(indices))):
-                drawn.setdefault(slot, []).append(row)
-            return u
+        def recording(keys, words):
+            bits = keyed_bits(keys, words)
+            for slot, row in enumerate(bits.reshape(-1, len(keys))):  # row k: the words of slot k
+                drawn.setdefault(slot, []).append(row * 2.0**-53)
+            return bits
 
-        monkeypatch.setattr(streams, "keyed_uniforms", recording)
+        monkeypatch.setattr(streams, "keyed_bits", recording)
         monkeypatch.setattr(protocol, "_BLOCK", 64)
         seed, design = 2**64 - 1, ProtocolDesign(variant, 50)
         run_protocol(POPULATIONS[kind], design, seed=seed)
@@ -230,6 +230,72 @@ class TestBlockLayoutCache:
         data = run_protocol(POPULATIONS["classical"], ProtocolDesign(THREE, 200_000), seed=3)
         assert len(data) == 600_000 > protocol._BLOCK
         assert protocol._block_layout.cache_info().currsize <= 1
+
+
+# Laws whose CDF has plateaus (zero-weight atoms, the first among them) and ends
+# at 1.0, and whose CDF values are all multiples of 2**-53, beside the witness.
+THRESHOLD_POPULATIONS = {
+    "plateaus": ClassicalHiddenVariable(JointDistribution3((0, 0.3, 0.2, 0, 0.1, 0.4, 0, 0))),
+    "dyadic": ClassicalHiddenVariable(JointDistribution3(
+        (0.125, 0.25, 0.0625, 0.0625, 0.125, 0.25, 0.0625, 0.0625))),
+    "quantum": QuantumUnpolarized(WITNESS),
+}
+
+
+class TestIntegerThresholds:
+    """The kernel compares each 53-bit draw with ``streams.thresholds(p)``, which
+    must decide exactly as the uniform rule ``bits * 2**-53 >= p``."""
+
+    def test_thresholds_decide_as_the_float_rule(self):
+        rng = np.random.default_rng(28)
+        p = np.concatenate([rng.random(2000) ** 2, rng.random(2000) * 1e-9,  # not on 2**-53's grid
+                            rng.integers(0, 2**53, 2000) * 2.0**-53,
+                            [0.0, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0]])
+        thresholds = streams.thresholds(p)
+        assert thresholds.dtype == np.uint64
+        assert (thresholds.astype(float) * 2.0**-53 != p).sum() > 3000  # most p round up
+        for offset in (-1, 0, 1):
+            bits = thresholds.astype(np.int64) + offset
+            drawn = (bits >= 0) & (bits < 2**53)  # every draw is in [0, 2**53)
+            bits = bits[drawn].astype(np.uint64)
+            assert np.array_equal(bits >= thresholds[drawn],
+                                  bits.astype(float) * 2.0**-53 >= p[drawn]), offset
+
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    @pytest.mark.parametrize("kind", ["plateaus", "dyadic"])
+    def test_counter_draws_match_the_reference(self, variant, kind):
+        pop, design = THRESHOLD_POPULATIONS[kind], ProtocolDesign(variant, 500)
+        assert np.cumsum(pop.joint.weights)[-1] == 1.0
+        for seed in (0, 2**64 - 1):
+            assert np.array_equal(run_protocol(pop, design, seed).cells,
+                                  reference_cells(pop, design, seed))
+
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    @pytest.mark.parametrize("kind", sorted(THRESHOLD_POPULATIONS))
+    def test_draws_next_to_each_threshold_match_the_reference(self, monkeypatch, variant, kind):
+        pop = THRESHOLD_POPULATIONS[kind]
+        if kind == "quantum":  # every Born weight a route can use, and the fair coin
+            angles = np.array([[q.phi for q in WITNESS]])
+            p = np.concatenate([born(angles, angles.T), born_after_no(angles, angles.T), [[0.5]]],
+                               axis=None)
+        else:
+            p = np.cumsum(pop.joint.weights)
+        near = np.add.outer(streams.thresholds(p).astype(np.int64), [-1, 0, 1])
+        candidates = np.unique(near.clip(0, 2**53 - 1)).astype(np.uint64)
+
+        def crafted(keys, words):  # each draw a candidate, picked by its true draw
+            picks = keyed_bits(keys, words) % np.uint64(len(candidates))
+            return candidates.take(picks.astype(np.intp))
+
+        def uniforms(seed, stream, index, slot):
+            keys = stream_keys(seed, np.array([stream], dtype=np.uint64))
+            return crafted(keys, streams.counter_words(index, np.uint64(slot))) * 2.0**-53
+
+        design = ProtocolDesign(variant, 500)
+        monkeypatch.setattr(streams, "keyed_bits", crafted)
+        cells = run_protocol(pop, design, seed=3).cells
+        monkeypatch.undo()
+        assert np.array_equal(cells, reference_cells(pop, design, 3, uniforms))
 
 
 MAX_SEED = 2**64 - 1
