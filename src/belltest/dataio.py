@@ -10,13 +10,14 @@ serialize to identical bytes.
 
 A dataset holds no ids.  ``format_dataset`` writes row k's id as ``r`` and
 the zero-padded k, as ``run_protocol`` numbers agents, so a parsed file is
-written back renumbered; it fills one uint8 array a block at a time.
-``parse_dataset`` checks that ids are non-empty, comma-free and unique, and
-keeps only the cells.  ASCII text of at least ``_PIECE`` bytes that starts
-with the exact header line and ends in a newline takes the byte path: per
-piece, cut after a newline, it checks for line breaks but ``\n`` (only where
-bytes below 0x20 outnumber newlines), each row's 13-byte tail by a 64-slot
-perfect hash (question tokens in either case) and each id (up to
+written back renumbered; it fills one uint8 array a block at a time, with
+each row's tail, one of 20, taken by its cell code.  ``parse_dataset``
+checks that ids are non-empty, comma-free and unique, and keeps only the
+cells.  ASCII text of at least ``_PIECE`` bytes that starts with the exact
+header line and ends in a newline takes the byte path: per piece, cut after
+a newline, it checks for line breaks but ``\n`` (only where bytes below 0x20
+outnumber newlines), each row's 13-byte tail by a 64-slot perfect hash of
+the 20 (question tokens in either case) and each id (up to
 ``_LONGEST_BYTE_ID`` bytes); then that no two ids share a 64-bit key, as equal
 ids do.  It holds the text plus 9 bytes per 15 of it.  Other text (CRLF rows,
 non-ASCII ids, a bad row) goes whole to the per-line loop, the only code that
@@ -31,8 +32,7 @@ from functools import cache
 from types import SimpleNamespace
 
 from .errors import DegenerateVariance, DuplicateRespondent, FormatError
-from .protocol import (CELL_FIELDS, CONSISTENT_CELLS, Branch, FrequencyTable, ResponseDataset,
-                       SymmetryReport)
+from .protocol import CELL_FIELDS, Branch, FrequencyTable, ResponseDataset, SymmetryReport
 from .probability import Outcome, VariableIndex
 from .stats import TestResult
 
@@ -49,7 +49,7 @@ _ROW_TAILS = tuple(
     for b, q1, a1, q2, a2 in CELL_FIELDS
 )
 # The fields after the id that a well-formed row may hold, and their cells.
-_CELL_OF_FIELDS = {_ROW_TAILS[cell][1:-1]: cell for cell in CONSISTENT_CELLS}
+_CELL_OF_FIELDS = {tail[1:-1]: cell for cell, tail in enumerate(_ROW_TAILS)}
 
 _HEADER_LINE = CSV_HEADER + "\n"
 _TAIL = len(_ROW_TAILS[0]) - 1  # a tail is 13 bytes and "\n"
@@ -81,10 +81,9 @@ def _tables() -> SimpleNamespace:
     # Byte 4 of both tail words is a question token: ORing 0x20 into it maps "A"/"B"/"C"
     # to "a"/"b"/"c", as the per-line loop reads them, and no other ASCII byte to one.
     t.lower_q = np.uint64(0x20 << 32)
-    # A 64-slot perfect hash of the consistent tails' words: slot (fold key >> shift) & 63
-    # holds a cell and its words; an empty slot holds 0, no row's word (byte 4 >= 0x20).
-    cells = np.array(sorted(CONSISTENT_CELLS))
-    lo, hi = t.tail_lo[cells], t.tail_hi[cells]
+    # A 64-slot perfect hash of the tails' words: slot (fold key >> shift) & 63 holds
+    # a cell and its words; an empty slot holds 0, no row's word (byte 4 >= 0x20).
+    lo, hi, cells = t.tail_lo, t.tail_hi, np.arange(len(_ROW_TAILS))
     keys = lo * t.fold + hi
     t.shift = next(s for s in range(59) if len(set(keys >> s & 63)) == len(keys))
     slots = keys >> t.shift & 63

@@ -16,12 +16,15 @@ one pass over a survey's agents in file order, in fixed blocks of agents;
 counter-based random streams make the result independent of the blocks,
 and each answer compares a 53-bit draw with ``ceil(p * 2**53)``.
 
-A dataset is its cells, one per response: an index into the count tensor
-over (branch, first question, first answer, second question, second
-answer).  The estimators and the symmetry check read its consistent cells
-from a flat table of counts built once per dataset: from a list of cells,
-as a short parsed file has, in plain Python, without numpy; from an array
-with ``np.bincount``.  numpy, ``qubit`` and ``streams`` are imported only
+A dataset is its cells, one per response: the code 4 * branch code + 2 *
+first answer code + second answer code, an index into the (branch, first
+answer, second answer) count table.  Each branch is one context: it fixes
+the first question and the second after each answer, so each of the 20
+codes is a response that some branch produces (see ``CELL_FIELDS``).  The
+constructor refuses any other code.  The estimators and the symmetry check
+read a flat table of the 20 counts built once per dataset: from a list of
+cells, as a short parsed file has, in plain Python, without numpy; from an
+array with ``np.bincount``.  numpy, ``qubit`` and ``streams`` are imported only
 where the arrays, the quantum population and the kernel first need them, so
 counting a parsed file loads none of them and a warm call imports nothing.
 """
@@ -94,12 +97,13 @@ class QuantumUnpolarized(record("QuantumUnpolarized", "questions")):
 
     @cached_property
     def _second_yes(self) -> np.ndarray:
-        """Per route (see ``_ROUTE_CELL``): the Born chance of a second "yes"."""
+        """Per route, 2 * branch code + first answer code: the Born chance of a
+        second "yes"."""
         np = _numpy()
         from .qubit import born, born_after_no
         q = self.questions
         angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
-        first, second = angles[_FIRST_Q].repeat(2), angles[_SECOND_Q]
+        first, second = angles[[(q1, q2) for _, q1, _, q2, _ in CELL_FIELDS[::2]]].T
         return np.where(np.arange(len(first)) % 2, born_after_no(first, second),
                         born(first, second))  # odd routes follow a first "no"
 
@@ -112,23 +116,36 @@ class QuantumUnpolarized(record("QuantumUnpolarized", "questions")):
 PopulationModel = Union[ClassicalHiddenVariable, QuantumUnpolarized]
 
 
-#: Count tensor axes: branch, first question, first answer, second question,
-#: second answer.  Branches and questions keep their enum order; answer
-#: code 0 is +1 and code 1 is -1.
-COUNT_SHAPE = (len(Branch), 3, 2, 3, 2)
+_THREE, _TWO = DesignVariant
+# Per branch, in ``Branch`` order: its design, its agents per ``n_per_branch``, its
+# first question, and its second after a "yes" and after a "no" (VariableIndex
+# values); only S1 routes by the answer.  S1 holds twice as many agents so its
+# routed sub-ensembles are comparable in size to the dedicated branches.
+_BRANCHES = ((_THREE, 1, 1, 0, 0), (_THREE, 1, 1, 2, 2), (_THREE, 1, 2, 0, 0),
+             (_TWO, 2, 1, 0, 2), (_TWO, 1, 2, 0, 0))
+_DESIGN_SIZES = {variant: tuple(k if v is variant else 0 for v, k, *_ in _BRANCHES)
+                 for variant in DesignVariant}  # per design: each branch's agents per n
+
+#: Count table axes: branch (in enum order), first answer, second answer;
+#: answer code 0 is +1 and code 1 is -1.
+COUNT_SHAPE = (len(Branch), 2, 2)
 
 #: The response fields of each cell, in flat (C) order of COUNT_SHAPE.
 CELL_FIELDS: tuple[tuple[Branch, VariableIndex, Outcome, VariableIndex, Outcome], ...] = tuple(
-    product(Branch, VariableIndex, (Outcome.PLUS, Outcome.MINUS),
-            VariableIndex, (Outcome.PLUS, Outcome.MINUS))
+    (branch, VariableIndex(first), a1, VariableIndex(second), a2)
+    for branch, (_, _, first, *seconds) in zip(Branch, _BRANCHES)
+    for a1, second in zip(Outcome, seconds) for a2 in Outcome
 )
+_CELLS = len(CELL_FIELDS)  # the cell codes are [0, _CELLS)
 
 
 class ResponseDataset:
-    """Survey responses stored column-wise: ``cells`` holds one cell index (see
-    ``COUNT_SHAPE``) per response, as a list of ints, which is counted without
-    numpy, or as an array of integers in [0, 256).  A dataset holds no respondent
-    ids: written out, its rows are ``r`` and the zero-padded row number.
+    """Survey responses stored column-wise: ``cells`` holds one cell code (see
+    ``CELL_FIELDS``) per response, as a list of ints, which is counted without
+    numpy, or as a one-dimensional array of integers.  The constructor raises
+    ValueError naming the first row that holds no code in [0, 20), and for an
+    array that is not one-dimensional.  A dataset holds no respondent ids:
+    written out, its rows are ``r`` and the zero-padded row number.
     """
 
     def __init__(self, cells):
@@ -147,17 +164,10 @@ class ResponseDataset:
 
     @cached_property
     def _table(self) -> list[int]:
-        """Responses per cell, flat in the C order of ``COUNT_SHAPE``.  Raises
-        ValueError naming the first cell outside ``CONSISTENT_CELLS``."""
+        """Responses per cell code."""
         if isinstance(self._cells, list):
-            table = list(map(Counter(self._cells).__getitem__, range(len(CELL_FIELDS))))
-        else:
-            table = _numpy().bincount(self._cells, minlength=len(CELL_FIELDS)).tolist()
-        if sum(_CONSISTENT_COUNTS(table)) != len(self):
-            row, cell = next(pair for pair in enumerate(self._cells)
-                             if pair[1] not in CONSISTENT_CELLS)
-            raise ValueError(f"row {row} holds cell {cell}, which no survey branch produces")
-        return table
+            return list(map(Counter(self._cells).__getitem__, range(_CELLS)))
+        return _numpy().bincount(self._cells, minlength=_CELLS).tolist()
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -170,23 +180,26 @@ class ResponseDataset:
 
 def _cell_list(cells: list) -> list:
     """A copy of ``cells``.  Raises ValueError naming the first element that is
-    not an int, as a float or bool equal to a cell index would count as it."""
-    if set(map(type, cells)) - {int}:
-        row = next(row for row, cell in enumerate(cells) if type(cell) is not int)
+    no int in [0, 20): a float or bool equal to a cell code would count as it."""
+    if set(map(type, cells)) - {int} or not set(cells) <= set(range(_CELLS)):
+        row = next(row for row, cell in enumerate(cells)
+                   if type(cell) is not int or not 0 <= cell < _CELLS)
         raise _not_a_cell(row, cells[row])
     return list(cells)
 
 
 def _cell_array(cells) -> np.ndarray:
     """``cells`` as a uint8 array that only the dataset holds: a view, or an
-    array that is still writeable, is copied.  Raises ValueError naming the
-    first row that holds no integer in [0, 256), where a cast would wrap or
-    truncate."""
+    array that is still writeable, is copied.  Raises ValueError for an array
+    that is not one-dimensional, or naming the first row that holds no
+    integer in [0, 20); a uint8 array takes one reduction to check."""
     np = _numpy()
     array = np.asarray(cells)
-    if array.dtype != np.uint8:
+    if array.ndim != 1:
+        raise ValueError(f"cells must be a one-dimensional array, got shape {array.shape}")
+    if array.dtype != np.uint8 or array.max(initial=0) >= _CELLS:
         integers = array.dtype.kind in "iu"
-        bad = (array < 0) | (array > 255) if integers else np.ones(len(array), bool)
+        bad = (array < 0) | (array >= _CELLS) if integers else np.ones(len(array), bool)
         if bad.any():
             row = int(bad.argmax())
             raise _not_a_cell(row, array[row].item())
@@ -194,7 +207,7 @@ def _cell_array(cells) -> np.ndarray:
 
 
 def _not_a_cell(row: int, value) -> ValueError:
-    return ValueError(f"row {row} holds {value!r}, which is not a cell index in [0, 256)")
+    return ValueError(f"row {row} holds {value!r}, which is not a cell code in [0, {_CELLS})")
 
 
 class FrequencyTable(record("FrequencyTable",
@@ -234,31 +247,21 @@ class SymmetryReport(NamedTuple):
 # --- simulation -------------------------------------------------------------
 
 
-# Per branch code (BA, BC, CA, S1, S2): the first question, then the second
-# after a "yes" and after a "no" (VariableIndex values); only S1 routes by the
-# answer.  Per route, 2 * branch code + first answer code: the second question
-# and the cell of a second "yes" (a second "no" is the next cell).
-_QUESTIONS = ((1, 0, 0), (1, 2, 2), (2, 0, 0), (1, 0, 2), (2, 0, 0))
-_FIRST_Q = [first for first, *_ in _QUESTIONS]
-_SECOND_Q = [second for _, *seconds in _QUESTIONS for second in seconds]
-_ROUTE_CELL = [CELL_FIELDS.index((branch, first, answer, second, Outcome.PLUS))
-               for branch, (first, *seconds) in zip(Branch, _QUESTIONS)
-               for answer, second in zip(Outcome, seconds)]
-# Per 8 * branch code + atom index: a classical agent's cell.  An answer's code
-# is 1 where the atom's sign for its question is -1.
-_ATOM_CELL = [_ROUTE_CELL[route] + (SIGNS[_SECOND_Q[route]][atom] < 0)
-              for code, first in enumerate(_FIRST_Q) for atom in range(8)
-              for route in [2 * code + (SIGNS[first][atom] < 0)]]
+# Per 8 * branch code + atom index: a classical agent's cell, the one of its
+# branch whose two questions read the atom's signs.
+_ATOM_CELL = [cell for code, atom in product(range(len(Branch)), range(8))
+              for cell, (_, q1, a1, q2, a2) in enumerate(CELL_FIELDS[4 * code:][:4], 4 * code)
+              if SIGNS[q1][atom] == a1 and SIGNS[q2][atom] == a2]
 
 
 @cache
 def _kernel() -> tuple:
     """Built on first use: ``streams``, whose functions the kernel looks up per call,
-    stream ids 1-5 of branch codes 0-4, route and atom cells, and the fair coin's 2**52."""
+    stream ids 1-5 of branch codes 0-4, atom cells, and the fair coin's 2**52."""
     from . import streams
     np = _numpy()
-    return (streams, np.arange(1, 6, dtype=np.uint64), np.array(_ROUTE_CELL, np.uint8),
-            np.array(_ATOM_CELL, np.uint8), streams.thresholds(0.5))
+    return (streams, np.arange(1, 6, dtype=np.uint64), np.array(_ATOM_CELL, np.uint8),
+            streams.thresholds(0.5))
 
 
 #: Agents per kernel call; bounds the simulation's working memory.
@@ -269,37 +272,23 @@ def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
                     words: np.ndarray) -> np.ndarray:
     """Cells of the agents with branch ``codes`` (uint8) and counter ``words`` (a row
     per draw slot); ``keys`` holds each branch code's stream key.  (``take`` is the
-    faster gather on arrays this small.)"""
-    streams, _, route_cell, atom_cell, half = _kernel()
+    faster gather on arrays this small.)  A quantum agent's cell is 2 * route +
+    second answer code, all uint8."""
+    streams, _, atom_cell, half = _kernel()
     if isinstance(pop, ClassicalHiddenVariable):  # inverse CDF: the atom of each draw
         first = streams.keyed_bits(keys.take(codes), words[0])
         return atom_cell.take(8 * codes + pop._cdf_bits.searchsorted(first, side="right"))
     first, second = streams.keyed_bits(keys.take(codes), words)
     route = 2 * codes + (first >= half)  # unpolarized: a fair first answer
-    return route_cell.take(route) + (second >= pop._second_yes_bits.take(route))
-
-
-# Per design: agents per ``n_per_branch`` in each branch code; its branches
-# are those with agents.  S1 holds twice as many so its routed sub-ensembles
-# are comparable in size to the dedicated branches.
-_DESIGN_SIZES = {DesignVariant.THREE_ENSEMBLE: (1, 1, 1, 0, 0),
-                 DesignVariant.TWO_ENSEMBLE: (0, 0, 0, 2, 1)}
-
-
-#: The cells a survey can produce: each branch's own question order.
-CONSISTENT_CELLS = frozenset(_ROUTE_CELL + [cell + 1 for cell in _ROUTE_CELL])
+    return 2 * route + (second >= pop._second_yes_bits.take(route))
 
 
 def _counts(*pattern) -> itemgetter:
-    """The getter of a count table's entries at the consistent cells whose fields
-    start with ``pattern`` (None matches any); a tuple, as each pattern used here
-    matches two cells or more."""
-    return itemgetter(*(cell for cell in sorted(CONSISTENT_CELLS)
-                        if all(p in (None, f) for p, f in zip(pattern, CELL_FIELDS[cell]))))
-
-
-_CONSISTENT_COUNTS = _counts()
-_BRANCH_COUNTS = tuple(map(_counts, Branch))
+    """The getter of a count table's entries at the cells whose fields start with
+    ``pattern`` (None matches any); a tuple, as each pattern used here matches
+    two cells or more."""
+    return itemgetter(*(cell for cell, fields in enumerate(CELL_FIELDS)
+                        if all(p in (None, f) for p, f in zip(pattern, fields))))
 
 
 @lru_cache(maxsize=1)  # one block at most (1.1 MiB): a survey's last, or a replicate's only one
@@ -341,13 +330,14 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
 def infer_design(data: ResponseDataset) -> DesignVariant:
     """The design whose branches hold every response; three-ensemble for a
     dataset with none.  Raises ValueError when the branches mix designs."""
-    per_branch = [sum(counts(data._table)) for counts in _BRANCH_COUNTS]
-    for variant, sizes in _DESIGN_SIZES.items():
-        if not any(n for n, size in zip(per_branch, sizes) if not size):
-            return variant
-    used = ", ".join(b.value for b, n in zip(Branch, per_branch) if n)
-    raise ValueError("dataset mixes the three-ensemble and two-ensemble designs (branches"
-                     f" {used}); test each design on its own")
+    table = data._table
+    per_branch = [sum(table[cell:cell + 4]) for cell in range(0, len(table), 4)]
+    variants = {variant for (variant, *_), n in zip(_BRANCHES, per_branch) if n}
+    if len(variants) > 1:
+        used = ", ".join(b.value for b, n in zip(Branch, per_branch) if n)
+        raise ValueError("dataset mixes the three-ensemble and two-ensemble designs (branches"
+                         f" {used}); test each design on its own")
+    return next(iter(variants), _THREE)
 
 
 # --- estimation -------------------------------------------------------------
@@ -360,7 +350,7 @@ _CONDITIONALS = tuple((_counts(None, q1, a1, q2, 1), _counts(None, q1, a1, q2, -
                                                 (2, 1, 0, "a|c+")))
 # Per question that a branch asks first: the counts of a first "yes" and a first "no".
 _FIRST_ANSWERS = tuple((q, _counts(None, q, 1), _counts(None, q, -1))
-                       for q in map(VariableIndex, sorted(set(_FIRST_Q))))
+                       for q in sorted({q1 for _, q1, *_ in CELL_FIELDS}))
 
 
 def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:

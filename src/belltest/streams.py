@@ -63,13 +63,9 @@ def thresholds(p) -> np.ndarray:
     return np.ceil(np.multiply(p, 2.0**53)).astype(np.uint64)
 
 
-def keyed_uniforms(keys: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) variates: the draws ``keyed_bits(keys, words)`` times 2**-53."""
-    return keyed_bits(keys, words) * 2.0**-53
-
-
 def counter_uniforms(seed: int, stream: int, indices: np.ndarray, draw: int) -> np.ndarray:
-    """Uniform [0, 1) variates addressed by (seed, stream, index, draw)."""
+    """Uniform [0, 1) variates addressed by (seed, stream, index, draw): the
+    53-bit draws ``keyed_bits`` gives, times 2**-53."""
     keys = stream_keys(seed, np.array([stream], dtype=np.uint64))
     words = counter_words(np.asarray(indices, dtype=np.uint64), np.uint64(draw))
-    return keyed_uniforms(keys, words)
+    return keyed_bits(keys, words) * 2.0**-53

@@ -12,6 +12,7 @@ the default piece size and at every size from 1 to 80 bytes, and the
 import gc
 import string
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -34,14 +35,22 @@ from belltest import (
 from belltest import dataio
 from belltest.cli import main
 from belltest.dataio import CSV_HEADER, _parse_bytes, format_dataset, parse_dataset
-from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
+from belltest.protocol import CELL_FIELDS
 
-TAILS = [",".join(("", b.value, q1.token(), a1.token(), q2.token(), a2.token())) + "\n"
-         for b, q1, a1, q2, a2 in CELL_FIELDS]
-CELL_OF_FIELDS = {TAILS[cell][1:-1]: cell for cell in CONSISTENT_CELLS}
+
+def tail(b, q1, a1, q2, a2):
+    return ",".join(("", b.value, q1.token(), a1.token(), q2.token(), a2.token())) + "\n"
+
+
+TAILS = [tail(*fields) for fields in CELL_FIELDS]
+CELLS = range(len(CELL_FIELDS))
+CELL_OF_FIELDS = {TAILS[cell][1:-1]: cell for cell in CELLS}
+# Every (branch, q1, a1, q2, a2) once, in the order cells were once numbered:
+# a tail whose fields no cell holds is one that no survey branch produces.
+ALL_FIELDS = list(product(Branch, VariableIndex, (Outcome.PLUS, Outcome.MINUS), VariableIndex,
+                          (Outcome.PLUS, Outcome.MINUS)))
 CELLS_OF_DESIGN = {
-    variant: sorted(cell for cell in CONSISTENT_CELLS
-                    if CELL_FIELDS[cell][0].value in branches)
+    variant: [cell for cell in CELLS if CELL_FIELDS[cell][0].value in branches]
     for variant, branches in ((DesignVariant.THREE_ENSEMBLE, ("BA", "BC", "CA")),
                               (DesignVariant.TWO_ENSEMBLE, ("S1", "S2")))
 }
@@ -237,7 +246,7 @@ def test_byte_path_takes_every_clean_file():
     text = H + BODY + "\n" + "".join(rid + ",S2,c,+1,a,-1\n" for rid in near)
     # Each consistent row under new ids, with its first, its second or both
     # question tokens in upper case.
-    text += "".join(f"{case}{cell}{tail}" for cell in sorted(CONSISTENT_CELLS)
+    text += "".join(f"{case}{cell}{tail}" for cell in CELLS
                     for case, tail in (("f", TAILS[cell][:5].upper() + TAILS[cell][5:]),
                                        ("s", TAILS[cell][:5] + TAILS[cell][5:].upper()),
                                        ("u", TAILS[cell].upper())))
@@ -247,7 +256,7 @@ def test_byte_path_takes_every_clean_file():
 
 
 # 200 rows of one length, 18 bytes each: pieces of 90 bytes hold five rows.
-ONE_LENGTH = format_dataset(ResponseDataset(np.resize(sorted(CONSISTENT_CELLS), 200)))
+ONE_LENGTH = format_dataset(ResponseDataset(np.resize(CELLS, 200)))
 
 
 @pytest.mark.parametrize("byte", ["\n", "\r", "\x0c", "\t", ",", "A", "B", "x", "+", "9"])
@@ -260,12 +269,13 @@ def test_rows_of_one_length_with_one_byte_changed(column, byte):
 
 
 @pytest.mark.parametrize("case", ["lower", "upper"])
-@pytest.mark.parametrize("cell", sorted(set(range(len(CELL_FIELDS))) - CONSISTENT_CELLS))
+@pytest.mark.parametrize("cell", [k for k, fields in enumerate(ALL_FIELDS)
+                                  if fields not in CELL_FIELDS])
 def test_byte_path_declines_every_inconsistent_tail(monkeypatch, cell, case):
     # A tail of no survey branch, its question tokens in either case, on line
     # 14 of 26, in a later piece than the first: only the tail lookup fails.
-    tail = TAILS[cell].upper() if case == "upper" else TAILS[cell]
-    text = H + LONG + "k99" + tail + LONG.replace("k", "m")
+    bad = tail(*ALL_FIELDS[cell])
+    text = H + LONG + "k99" + (bad.upper() if case == "upper" else bad) + LONG.replace("k", "m")
     monkeypatch.setattr(dataio, "_PIECE", 48)
     assert _parse_bytes(text) is None
     expected = outcome(reference_parse, text)
@@ -343,7 +353,7 @@ BYTES = st.integers(0, 255).map(chr)
 @st.composite
 def corrupted_datasets(draw):
     ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=30), max_size=40, unique=True))
-    cells = draw(st.lists(st.sampled_from(sorted(CONSISTENT_CELLS)),
+    cells = draw(st.lists(st.sampled_from(CELLS),
                           min_size=len(ids), max_size=len(ids)))
     text = reference_format(cells, ids)
     if draw(st.booleans()):
@@ -360,7 +370,7 @@ def test_parse_matches_reference_on_corrupted_datasets(text):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["r0", "r1", "x", "subject-0000000017"]),
-                          st.sampled_from(sorted(CONSISTENT_CELLS))), max_size=6))
+                          st.sampled_from(CELLS)), max_size=6))
 def test_parse_matches_reference_with_repeated_ids(rows):
     assert_parity(reference_format([cell for _, cell in rows], [rid for rid, _ in rows]))
 
@@ -381,7 +391,17 @@ def test_format_matches_reference_join(variant, rows):
 @pytest.mark.parametrize("rows", [1, 9, 10, 11, 99, 100, 101, 1001])
 def test_format_in_blocks_matches_reference_join(monkeypatch, piece, rows):
     monkeypatch.setattr(dataio, "_PIECE", piece)
-    cells = np.random.default_rng(rows).choice(sorted(CONSISTENT_CELLS), size=rows)
+    cells = np.random.default_rng(rows).choice(CELLS, size=rows)
     width = len(str(rows))
     expected = reference_format(cells.tolist(), [f"r%0{width}d" % k for k in range(rows)])
     assert format_dataset(ResponseDataset(cells)) == expected
+
+
+def test_every_cell_code_survives_format_and_parse():
+    # Every code is a row that parse_dataset reads back, on the per-line loop
+    # and, in a file of one piece or more, on the byte path.
+    for cells in (list(CELLS), np.resize(CELLS, 60_000).astype(np.uint8)):
+        text = format_dataset(ResponseDataset(cells))
+        assert parse_dataset(text).cells.tolist() == list(cells)
+    assert len(text) >= dataio._PIECE
+

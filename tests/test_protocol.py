@@ -28,7 +28,7 @@ from belltest import (
 )
 from belltest import protocol, streams
 from belltest.probability import ATOMS, atom_index, event_probability
-from belltest.protocol import CELL_FIELDS, CONSISTENT_CELLS
+from belltest.protocol import CELL_FIELDS
 from belltest.qubit import born, born_after_no, predicted_conditionals
 from belltest.streams import _mix, counter_uniforms, keyed_bits, stream_keys
 
@@ -188,7 +188,7 @@ class TestSimulationKernel:
                 sent = {}
                 for k, w in enumerate(joint.weights):
                     sent.setdefault(protocol._ATOM_CELL[8 * code + k], []).append(w)
-                cells = [cell for cell in CONSISTENT_CELLS if CELL_FIELDS[cell][0] is branch]
+                cells = [cell for cell, fields in enumerate(CELL_FIELDS) if fields[0] is branch]
                 assert set(sent) <= set(cells)
                 for cell in cells:
                     _, q1, a1, q2, a2 = CELL_FIELDS[cell]
@@ -196,11 +196,29 @@ class TestSimulationKernel:
                     assert math.fsum(sent.get(cell, [])) == expected, (branch, cell)
 
     def test_consistent_cells_are_the_simulated_cells(self):
+        # Every cell code is a response that some branch produces.
         seen = set()
         for variant in (THREE, TWO):
             seen.update(run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(variant, 500),
                                      seed=5).cells.tolist())
-        assert seen == CONSISTENT_CELLS
+        assert seen == set(range(len(CELL_FIELDS)))
+
+    @pytest.mark.parametrize("variant", [THREE, TWO])
+    @pytest.mark.parametrize("kind", sorted(POPULATIONS))
+    def test_dataset_holds_the_kernels_own_uint8_array(self, monkeypatch, variant, kind):
+        # A one-block survey's cells reach the dataset as the kernel returned
+        # them: uint8 arithmetic throughout (on numpy 1.x too), so no cast copy.
+        returned = []
+
+        def recording(*args):
+            returned.append(simulate(*args))
+            return returned[-1]
+
+        simulate = protocol._simulate_block
+        monkeypatch.setattr(protocol, "_simulate_block", recording)
+        data = run_protocol(POPULATIONS[kind], ProtocolDesign(variant, 50), seed=1)
+        assert len(returned) == 1 and returned[0].dtype == np.uint8
+        assert data._cells is returned[0]
 
 
 class TestBlockLayoutCache:
@@ -308,7 +326,11 @@ SURVEY_POPULATIONS = {
 }
 SMALL_SURVEY_SEEDS = (0, 12345, MAX_SEED)
 # Per (population, design, n per branch): the SHA-256 of the simulated cells
-# at each of SMALL_SURVEY_SEEDS.  test_golden.py pins the CLI at n = 2 000 only.
+# at each of SMALL_SURVEY_SEEDS, each cell written as the index of its fields in
+# the full product below, as cells were once numbered.  test_golden.py pins the
+# CLI at n = 2 000 only.
+ALL_FIELDS = list(product(Branch, VariableIndex, (PLUS, MINUS), VariableIndex, (PLUS, MINUS)))
+PRODUCT_INDEX = np.array([ALL_FIELDS.index(fields) for fields in CELL_FIELDS], np.uint8)
 SMALL_SURVEY_DIGESTS = {
     ("quantum", THREE, 1): (
         "4c7dcd56b395285e377a3d90addb118e8d574b4656511c1a45f2f50db18c1e25",
@@ -380,8 +402,9 @@ class TestSmallSurveys:
     @pytest.mark.parametrize("kind, variant, n", list(SMALL_SURVEY_DIGESTS))
     def test_cells_match_digests(self, kind, variant, n):
         digests = tuple(
-            hashlib.sha256(run_protocol(SURVEY_POPULATIONS[kind](), ProtocolDesign(variant, n),
-                                        seed).cells.tobytes()).hexdigest()
+            hashlib.sha256(PRODUCT_INDEX.take(run_protocol(
+                SURVEY_POPULATIONS[kind](), ProtocolDesign(variant, n), seed).cells).tobytes()
+            ).hexdigest()
             for seed in SMALL_SURVEY_SEEDS)
         assert digests == SMALL_SURVEY_DIGESTS[kind, variant, n]
 
@@ -433,7 +456,7 @@ class TestRejectsBadArguments:
         def draw(*args):
             raise AssertionError("drew before validating")
         monkeypatch.setattr(streams, "stream_keys", draw)
-        monkeypatch.setattr(streams, "keyed_uniforms", draw)
+        monkeypatch.setattr(streams, "keyed_bits", draw)
 
     @pytest.mark.parametrize("seed", [1.5, True, "1", -1, 2**64])
     def test_bad_seed(self, seed):
@@ -479,7 +502,7 @@ class TestRunProtocol:
             else:
                 assert branch is Branch.S2
                 assert (q1, q2) == (C, A)
-        per_branch = dict(zip(Branch, data.counts.sum(axis=(1, 2, 3, 4)).tolist()))
+        per_branch = dict(zip(Branch, data.counts.sum(axis=(1, 2)).tolist()))
         assert (per_branch[Branch.S1], per_branch[Branch.S2]) == (100, 50)
 
     def test_deterministic_agents_give_exact_frequencies(self):
@@ -531,9 +554,16 @@ class TestRunProtocol:
 
 
 def answer_pairs(data, q1, q2):
-    """Counts of (first answer, second answer) codes over every branch that
-    asks q1 then q2, as a 2x2 array; code 0 is "yes" and 1 is "no"."""
-    return data.counts[:, q1, :, q2, :].sum(axis=0)
+    """Counts of (first answer, second answer) codes over every branch and
+    first answer after which q1 then q2 are asked, as a 2x2 array; code 0 is
+    "yes" and 1 is "no"."""
+    pairs = np.zeros((2, 2), np.int64)
+    for code, branch in enumerate(Branch):
+        first, *seconds = BRANCH_QUESTIONS[branch]
+        for a1, second in enumerate(seconds):
+            if (first, second) == (q1, q2):
+                pairs[a1] += data.counts[code, a1]
+    return pairs
 
 
 class TestCollapse:
@@ -547,8 +577,8 @@ class TestCollapse:
         # on that answer's eigenstate, so every second answer repeats it.
         pop = QuantumUnpolarized(QuestionTriple.from_floats(1.1, 1.1, 1.1))
         counts = run_protocol(pop, ProtocolDesign(variant, 2_000), seed=0).counts
-        assert counts[:, :, 0, :, 1].sum() == counts[:, :, 1, :, 0].sum() == 0
-        assert counts[:, :, 0, :, 0].sum() > 0 and counts[:, :, 1, :, 1].sum() > 0
+        assert counts[:, 0, 1].sum() == counts[:, 1, 0].sum() == 0
+        assert counts[:, 0, 0].sum() > 0 and counts[:, 1, 1].sum() > 0
 
     @pytest.mark.parametrize("variant", [THREE, TWO])
     def test_opposite_question_flips_the_answer(self, variant):
@@ -563,7 +593,7 @@ class TestCollapse:
         # Questions far from the witness, so no angle makes 1/2 a coincidence.
         pop = QuantumUnpolarized(QuestionTriple.from_floats(0.3, 2.9, 4.4))
         data = run_protocol(pop, ProtocolDesign(variant, 50_000), seed=2)
-        by_branch = data.counts.sum(axis=(1, 3, 4))  # (branch, first answer)
+        by_branch = data.counts.sum(axis=2)  # (branch, first answer)
         asked = by_branch.sum(axis=1) > 0
         assert asked.sum() == (3 if variant is THREE else 2)
         plus = by_branch[asked, 0] / by_branch[asked].sum(axis=1)
@@ -719,7 +749,7 @@ class TestCheckSymmetry:
 
 class TestCountTable:
     """The flat count table against numpy axis sums over an independent
-    ``np.bincount``, and its refusal of cells that no branch produces."""
+    ``np.bincount``, and the constructor's refusal of codes outside [0, 20)."""
 
     CONSISTENT = (
         (Branch.BA, B, PLUS, A, MINUS),
@@ -729,23 +759,32 @@ class TestCountTable:
 
     def test_cell_of_no_branch_is_rejected(self):
         assert estimate_frequencies(dataset(*self.CONSISTENT)).nu_a_given_b_plus == (0, 1)
-        # A CA row that asks b first: no survey branch produces it.
-        bad_row = (Branch.CA, B, PLUS, A, PLUS)
-        cell = CELL_FIELDS.index(bad_row)
-        assert cell not in CONSISTENT_CELLS
-        for count in (estimate_frequencies, protocol.infer_design, check_symmetry):
-            with pytest.raises(ValueError, match=rf"^row 3 holds cell {cell}, which no survey"
-                                                 " branch produces$"):
-                count(dataset(*self.CONSISTENT, bad_row))
+        # Cell 4 * branch + 2 * a1 + a2 holds the questions its branch asks
+        # after a1, so a row that no branch's question order produces, such as
+        # a CA row that asks b first, has no cell.
+        assert list(CELL_FIELDS) == [
+            (branch, first, a1, second, a2) for branch, (first, *seconds) in
+            BRANCH_QUESTIONS.items() for a1, second in zip((PLUS, MINUS), seconds)
+            for a2 in (PLUS, MINUS)]
+        assert (Branch.CA, B, PLUS, A, PLUS) not in CELL_FIELDS
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
     def test_cell_beyond_the_table_is_rejected(self, as_array):
-        cells = [CELL_FIELDS.index(row) for row in self.CONSISTENT] + [200, 7]
-        data = ResponseDataset(np.array(cells, np.uint8) if as_array else cells)
-        with pytest.raises(ValueError, match="^row 3 holds cell 200, which"):
-            data.counts
-        with pytest.raises(ValueError, match="^row 3 holds cell 200, which"):
-            estimate_frequencies(data)
+        # At construction, for every code a uint8 holds past the 20 cells.
+        for code in range(len(CELL_FIELDS), 256):
+            cells = [CELL_FIELDS.index(row) for row in self.CONSISTENT] + [code, 7]
+            with pytest.raises(ValueError, match=rf"^row 3 holds {code}, which is not a cell"
+                                                 r" code in \[0, 20\)$"):
+                ResponseDataset(np.array(cells, np.uint8) if as_array else cells)
+
+    @pytest.mark.parametrize("cells", [np.full((2, 3), 12, np.uint8), np.full((1, 1), 12),
+                                       np.array(12), np.uint8(12)],
+                             ids=["2-d", "1x1", "0-d", "scalar"])
+    def test_cell_array_that_is_not_one_dimensional_is_rejected(self, cells):
+        # Its len would count rows, and its counts would fail when first read.
+        with pytest.raises(ValueError, match=r"^cells must be a one-dimensional array, got"
+                                             rf" shape {re.escape(str(np.shape(cells)))}$"):
+            ResponseDataset(cells)
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
     def test_cells_are_read_only_once_counted(self, as_array):
@@ -766,7 +805,7 @@ class TestCountTable:
     def test_estimators_equal_numpy_axis_sums(self, seed, variant, as_array):
         rng = np.random.default_rng(seed)
         branches = {branch for branch, _ in DESIGN_BRANCHES[variant]}
-        design_cells = [c for c in sorted(CONSISTENT_CELLS) if CELL_FIELDS[c][0] in branches]
+        design_cells = [c for c, fields in enumerate(CELL_FIELDS) if fields[0] in branches]
         # Few rows leave some conditioning events empty; many rows fill them.
         n = int(rng.choice([1, 3, 8, 40, 500]))
         picked = rng.choice(design_cells, size=n, p=rng.dirichlet(np.ones(len(design_cells))))
@@ -774,14 +813,13 @@ class TestCountTable:
         counts = np.bincount(np.asarray(picked), minlength=len(CELL_FIELDS)).reshape(
             protocol.COUNT_SHAPE)
         assert np.array_equal(data.counts, counts)
-        per_branch = counts.sum(axis=(1, 2, 3, 4))
+        per_branch = counts.sum(axis=(1, 2))
         assert set(np.flatnonzero(per_branch).tolist()) <= {list(Branch).index(b)
                                                             for b in branches}
         assert protocol.infer_design(data) is variant
-        pooled = counts.sum(axis=0)
         expected = []
         for q1, a1, q2 in ((B, 0, A), (B, 1, C), (C, 0, A)):
-            plus, minus = pooled[q1, a1, q2].tolist()
+            plus, minus = answer_pairs(data, q1, q2)[a1].tolist()
             expected.append((plus, plus + minus) if plus + minus else None)
         if None in expected:
             with pytest.raises(EmptyConditioningBranch):
@@ -790,7 +828,10 @@ class TestCountTable:
             table = estimate_frequencies(data)
             assert [table.nu_a_given_b_plus, table.nu_c_given_b_minus,
                     table.nu_a_given_c_plus] == expected
-        first = counts.sum(axis=(0, 3, 4)).tolist()  # (first question, first answer)
+        first = np.zeros((3, 2), np.int64)  # (first question, first answer)
+        for code, branch in enumerate(Branch):
+            first[BRANCH_QUESTIONS[branch][0]] += counts[code].sum(axis=1)
+        first = first.tolist()
         entries = check_symmetry(data, tolerance=0.1).entries
         assert [(e.question, e.plus_fraction, e.n_first_asked, e.flagged) for e in entries] == [
             (q, plus / (plus + minus), plus + minus, abs(plus / (plus + minus) - 0.5) > 0.1)
@@ -807,11 +848,11 @@ class TestCountTable:
     def test_cell_array_that_a_cast_would_change_is_rejected(self, cells, row, value):
         # Not read as cells: a uint8 cast wraps out-of-range values and truncates
         # fractions, and a float or bool array is no array of cell indices.
-        message = rf"^row {row} holds {re.escape(value)}, which is not a cell index in \[0, 256\)$"
+        message = rf"^row {row} holds {re.escape(value)}, which is not a cell code in \[0, 20\)$"
         with pytest.raises(ValueError, match=message):
             ResponseDataset(cells)
         with pytest.raises(ValueError, match=message):
-            ResponseDataset(cells.tolist()).cells
+            ResponseDataset(cells.tolist())
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8, np.uint8])
     def test_integer_cell_arrays_in_a_byte_are_accepted(self, dtype):
@@ -829,11 +870,9 @@ class TestCountTable:
     def test_cell_list_of_other_than_ints_is_rejected(self, cells, row, value):
         # Counted, a float or bool equal to a cell index would count as that
         # cell, where an array of the same values is refused.
-        message = rf"^row {row} holds {re.escape(value)}, which is not a cell index in \[0, 256\)$"
+        message = rf"^row {row} holds {re.escape(value)}, which is not a cell code in \[0, 20\)$"
         with pytest.raises(ValueError, match=message):
-            ResponseDataset(cells)._table
-        with pytest.raises(ValueError, match=message):
-            estimate_frequencies(ResponseDataset(cells))
+            ResponseDataset(cells)
 
     @pytest.mark.parametrize("given", ["array", "view", "read-only view", "list"])
     def test_writes_by_the_caller_do_not_reach_the_dataset(self, given):
