@@ -8,6 +8,8 @@ quantile moved to the standard library, which moved the last bits of
 `p_value` and of the Wilson bounds.  The 6 000-row
 cases fit in one parse piece, so one case of 3 x 200 000 agents pins the byte
 paths: 6-digit ids, a format of many blocks and a parse of many pieces.
+The `run_protocol` cell digests over 500 seeds were recorded before the
+kernel's stream keys and branch bases moved into a cached per-design plan.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import math
 
 import pytest
 
+from belltest import (ClassicalHiddenVariable, DesignVariant, JointDistribution3, ProtocolDesign,
+                      QuantumUnpolarized, QuestionTriple, protocol, run_protocol)
 from belltest.cli import main
 
 WITNESS_ARGS = f"0,{2 * math.pi / 3},{math.pi / 3}"
@@ -105,3 +109,51 @@ SEARCH_GOLDEN = "3083153c3b2d44b850680ac56e60a1b8dd1a709d0aa398057bcdf1da36d3a89
 def test_search_stdout_matches_golden(capsys):
     assert main(SEARCH_ARGS) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SEARCH_GOLDEN
+
+
+
+# run_protocol's cells over many seeds, spread across [0, 2**64) by the golden
+# ratio step, at 50 agents per branch: the witness quantum population, a
+# classical law with every atom weighted, and one whose zero-weight atoms give
+# its CDF plateaus.  One digest per (population, design), over the cells of all
+# the seeds in order, plus one survey of two blocks (3 x 30 000 agents).
+MANY_SEEDS = [k * 0x9E3779B97F4A7C15 % 2**64 for k in range(500)]
+CELL_POPULATIONS = {
+    "quantum-witness": lambda: QuantumUnpolarized(
+        QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3)),
+    "classical-interior": lambda: ClassicalHiddenVariable(
+        JointDistribution3((0.3, 0.2, 0.1, 0.05, 0.05, 0.1, 0.1, 0.1))),
+    "classical-plateaus": lambda: ClassicalHiddenVariable(
+        JointDistribution3((0, 0.3, 0.2, 0, 0.1, 0.4, 0, 0))),
+}
+MANY_SEED_GOLDEN = {
+    ("quantum-witness", "three"):
+        "668da430e645d20ddc9d2024628f905a31982b2c43d8750cba358a506edea993",
+    ("quantum-witness", "two"):
+        "c28c7ef13c77aa7954cb885cb0e19a3bba2f7168e77dd969579c4d61646c82b0",
+    ("classical-interior", "three"):
+        "31b71b0d6b025d53a372da1822b38133a2bc8d153fb7b5b9a79a7bc99573dd20",
+    ("classical-interior", "two"):
+        "a2701b0122adcda073d068bf890f983b50e5f441911f79284b9e6b3706ebe228",
+    ("classical-plateaus", "three"):
+        "c12a9042e4bde2cd751093afbab1fbf8fc418a9157cd4ed701269739202a6ee7",
+    ("classical-plateaus", "two"):
+        "79a96d375efffb2c377aefe5b518e5b7ebd1bfecf1bbac826910c122575c323f",
+}
+TWO_BLOCK_GOLDEN = "942c14b36e3e329c7f1f75497a6385898fdc219f790ac60a76a35e08d5731107"
+
+
+@pytest.mark.parametrize("name, design", sorted(MANY_SEED_GOLDEN))
+def test_cells_over_many_seeds_match_golden(name, design):
+    pop, survey = CELL_POPULATIONS[name](), ProtocolDesign(DesignVariant(design), 50)
+    digest = hashlib.sha256()
+    for seed in MANY_SEEDS:
+        digest.update(run_protocol(pop, survey, seed).cells.tobytes())
+    assert digest.hexdigest() == MANY_SEED_GOLDEN[name, design]
+
+
+def test_two_block_cells_match_golden():
+    design = ProtocolDesign(DesignVariant.THREE_ENSEMBLE, 30_000)
+    assert protocol._BLOCK < 3 * 30_000 <= 2 * protocol._BLOCK
+    cells = run_protocol(CELL_POPULATIONS["quantum-witness"](), design, seed=2**64 - 1).cells
+    assert hashlib.sha256(cells.tobytes()).hexdigest() == TWO_BLOCK_GOLDEN
