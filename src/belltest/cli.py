@@ -7,8 +7,8 @@ Subcommands:
     search     find the angle triple with the most negative predicted margin
     interference  classify an observed probability against additivity
 
-Exit codes: 0 success, 2 validation error, 3 degenerate/inconclusive.  ``main``
-maps every error to 2 or 3; ``test``'s code follows its report's verdict.
+Exit codes: 0 success, 2 validation error or out of memory, 3 degenerate/inconclusive.
+``main`` maps every error to 2 or 3; ``test``'s code follows its report's verdict.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (BellTestError, ValueError, OSError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except (BellTestError, ValueError, OSError, MemoryError) as exc:
+        print(f"{args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         degenerate = isinstance(exc, (EmptyConditioningBranch, DegenerateAlternatives))
         return EXIT_DEGENERATE if degenerate else EXIT_VALIDATION
 

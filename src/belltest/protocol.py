@@ -14,7 +14,8 @@ law, so their answers do not depend on question order.  Quantum agents
 start unpolarized and collapse after each answer.  ``run_protocol`` makes
 one pass over a survey's agents in file order, in fixed blocks of agents;
 counter-based random streams make the result independent of the blocks,
-and each answer compares a 53-bit draw with ``ceil(p * 2**53)``.
+and each answer compares a 53-bit draw with ``ceil(p * 2**53)``.  A cached
+plan per design names the branches with agents, whose streams alone are keyed.
 
 A dataset is its cells, one per response: the code 4 * branch code + 2 *
 first answer code + second answer code, an index into the (branch, first
@@ -123,8 +124,6 @@ _THREE, _TWO = DesignVariant
 # routed sub-ensembles are comparable in size to the dedicated branches.
 _BRANCHES = ((_THREE, 1, 1, 0, 0), (_THREE, 1, 1, 2, 2), (_THREE, 1, 2, 0, 0),
              (_TWO, 2, 1, 0, 2), (_TWO, 1, 2, 0, 0))
-_DESIGN_SIZES = {variant: tuple(k if v is variant else 0 for v, k, *_ in _BRANCHES)
-                 for variant in DesignVariant}  # per design: each branch's agents per n
 
 #: Count table axes: branch (in enum order), first answer, second answer;
 #: answer code 0 is +1 and code 1 is -1.
@@ -257,29 +256,27 @@ _ATOM_CELL = [cell for code, atom in product(range(len(Branch)), range(8))
 @cache
 def _kernel() -> tuple:
     """Built on first use: ``streams``, whose functions the kernel looks up per call,
-    stream ids 1-5 of branch codes 0-4, atom cells, and the fair coin's 2**52."""
+    atom cells, and the fair coin's 2**52."""
     from . import streams
-    np = _numpy()
-    return (streams, np.arange(1, 6, dtype=np.uint64), np.array(_ATOM_CELL, np.uint8),
-            streams.thresholds(0.5))
+    return streams, _numpy().array(_ATOM_CELL, "uint8"), streams.thresholds(0.5)
 
 
 #: Agents per kernel call; bounds the simulation's working memory.
 _BLOCK = 1 << 16
 
 
-def _simulate_block(pop: PopulationModel, keys: np.ndarray, codes: np.ndarray,
-                    words: np.ndarray) -> np.ndarray:
-    """Cells of the agents with branch ``codes`` (uint8) and counter ``words`` (a row
-    per draw slot); ``keys`` holds each branch code's stream key.  (``take`` is the
-    faster gather on arrays this small.)  A quantum agent's cell is 2 * route +
-    second answer code, all uint8."""
-    streams, _, atom_cell, half = _kernel()
+def _simulate_block(pop: PopulationModel, keys: np.ndarray, counts: np.ndarray,
+                    base2: np.ndarray, base8: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Cells of agents in file order whose counter ``words`` have a row per draw slot;
+    ``keys`` holds the stream key of each branch with agents, ``counts`` its agents in
+    the block, ``base2`` and ``base8`` each agent's 2 and 8 * branch code (uint8).
+    A quantum agent's cell is 2 * route + second answer code, all uint8."""
+    streams, atom_cell, half = _kernel()
     if isinstance(pop, ClassicalHiddenVariable):  # inverse CDF: the atom of each draw
-        first = streams.keyed_bits(keys.take(codes), words[0])
-        return atom_cell.take(8 * codes + pop._cdf_bits.searchsorted(first, side="right"))
-    first, second = streams.keyed_bits(keys.take(codes), words)
-    route = 2 * codes + (first >= half)  # unpolarized: a fair first answer
+        first = streams.keyed_bits(keys.repeat(counts), words[0])
+        return atom_cell.take(base8 + pop._cdf_bits.searchsorted(first, side="right"))
+    first, second = streams.keyed_bits(keys.repeat(counts), words)
+    route = base2 + (first >= half)  # unpolarized: a fair first answer
     return 2 * route + (second >= pop._second_yes_bits.take(route))
 
 
@@ -293,17 +290,28 @@ def _counts(*pattern) -> itemgetter:
 
 @lru_cache(maxsize=1)  # one block at most (1.1 MiB): a survey's last, or a replicate's only one
 def _block_layout(sizes: tuple[int, ...], start: int, stop: int) -> tuple:
-    """The read-only branch codes and seed-free words (a row per draw slot) of
-    agents [start, stop) of a survey with ``sizes`` agents per branch code."""
+    """Read-only arrays of agents [start, stop) of a survey with ``sizes`` agents per
+    branch code: the agents of each branch that has any, each agent's 2 and 8 *
+    branch code, and the seed-free words (a row per draw slot)."""
     np, streams = _numpy(), _kernel()[0]
     ends = list(accumulate(sizes))
     starts = [end - size for end, size in zip(ends, sizes)]  # code c: rows [starts[c], ends[c])
     in_block = [max(0, min(end, stop) - max(first, start)) for first, end in zip(starts, ends)]
     codes = np.arange(len(Branch), dtype=np.uint8).repeat(in_block)
     indices = (np.arange(start, stop) - np.array(starts).repeat(in_block)).view(np.uint64)
-    words = streams.counter_words(indices, np.arange(2, dtype=np.uint64).reshape(2, 1))
-    codes.flags.writeable = words.flags.writeable = False
-    return codes, words
+    layout = (np.array([n for n, size in zip(in_block, sizes) if size]), 2 * codes, 8 * codes,
+              streams.counter_words(indices, np.arange(2, dtype=np.uint64).reshape(2, 1)))
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+@lru_cache(maxsize=8)
+def _plan(variant: DesignVariant, n_per_branch: int) -> tuple:
+    """A design's agents per branch code, their total, and the stream ids (branch
+    code + 1) of the branches that hold agents, which are the only ones keyed."""
+    sizes = tuple(k * int(n_per_branch) if v is variant else 0 for v, k, *_ in _BRANCHES)
+    return sizes, sum(sizes), tuple(code + 1 for code, size in enumerate(sizes) if size)
 
 
 def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> ResponseDataset:
@@ -313,9 +321,8 @@ def run_protocol(pop: PopulationModel, design: ProtocolDesign, seed: int) -> Res
     require_instance("population", pop, ClassicalHiddenVariable, QuantumUnpolarized)
     require_instance("design", design, ProtocolDesign)
     require_int("seed", seed, 0, 2**64, "in [0, 2**64)")
-    streams, stream_ids, *_ = _kernel()
-    sizes = tuple(k * int(design.n_per_branch) for k in _DESIGN_SIZES[design.variant])
-    keys, total = streams.stream_keys(seed, stream_ids), sum(sizes)
+    sizes, total, ids = _plan(*design)
+    keys = _kernel()[0].stream_keys(seed, ids)
     if total <= _BLOCK:  # as in a replicate study: the kernel's own array, not a copy
         cells = _simulate_block(pop, keys, *_block_layout(sizes, 0, total))
     else:

@@ -95,9 +95,8 @@ def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
     proportion is exactly 0 or 1, since the normal approximation collapses.
     """
     validate_alpha(alpha)
-    counts = (table.nu_a_given_b_plus, table.nu_c_given_b_minus, table.nu_a_given_c_plus)
-    (_, n1), (_, n2), (_, n3) = counts
-    p1, p2, p3 = table.proportions()
+    (s1, n1), (s2, n2), (s3, n3) = table  # checked by FrequencyTable
+    p1, p2, p3 = s1 / n1, s2 / n2, s3 / n3
     margin = p1 + p2 - p3
     # Added left to right on every Python: 3.12's float sum() compensates.
     variance = p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2 + p3 * (1.0 - p3) / n3
@@ -106,7 +105,6 @@ def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
     se = math.sqrt(variance)
     z = margin / se
     p_value = _ndtr(z)
-    # FrequencyTable has already checked the counts.
     z_wilson = _wilson_quantile(1.0 - alpha)
-    intervals = tuple(_wilson(num, den, z_wilson) for num, den in counts)
+    intervals = (_wilson(s1, n1, z_wilson), _wilson(s2, n2, z_wilson), _wilson(s3, n3, z_wilson))
     return TestResult(margin, se, z, p_value, margin < 0.0 and p_value < alpha, intervals)

@@ -14,9 +14,12 @@ import numpy as np
 
 _WORDS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)  # gamma, m1, m2
 _MASK = 2**64 - 1
-# The words and shifts as uint64 scalars, so the arithmetic stays uint64 on any numpy.
-_GAMMA, _M1, _M2 = map(np.uint64, _WORDS)
-_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
+# The words and shifts as read-only 0-d uint64 arrays: the arithmetic stays uint64 on
+# any numpy, and no operation first converts a numpy scalar to an array.
+_GAMMA, _M1, _M2, _S11, _S27, _S30, _S31 = _UINT64 = [np.array(w, np.uint64) for w in
+                                                      (*_WORDS, 11, 27, 30, 31)]
+for _word in _UINT64:
+    _word.flags.writeable = False
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -38,11 +41,11 @@ def _mix_int(z: int) -> int:
     return z ^ z >> 31
 
 
-def stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
-    """The key word of each stream id in the uint64 array ``streams`` under ``seed``:
-    ``_mix(_mix(seed) ^ stream)``, mixed as Python ints."""
+def stream_keys(seed: int, streams) -> np.ndarray:
+    """The key word of each stream id in ``streams`` (integers in [0, 2**64)) under
+    ``seed``: ``_mix(_mix(seed) ^ stream)``, mixed as Python ints."""
     base = _mix_int(int(seed))
-    return np.array([_mix_int(base ^ s) for s in streams.tolist()], dtype=np.uint64)
+    return np.array([_mix_int(base ^ int(s)) for s in streams], dtype=np.uint64)
 
 
 def counter_words(indices: np.ndarray, draws) -> np.ndarray:

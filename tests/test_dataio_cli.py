@@ -255,33 +255,53 @@ class TestCli:
         assert capsys.readouterr().err == "test: dataset is empty\n"
 
     # main maps every command error to its exit code: 3 for an empty
-    # conditioning event or degenerate alternatives, 2 for any other.  Each
-    # prints one "<command>: <message>" line, nothing on stdout and no report.
-    @pytest.mark.parametrize("rows, argv, code, err", [
+    # conditioning event or degenerate alternatives, 2 for any other, a survey
+    # too large to allocate among them.  Each prints one "<command>: <message>"
+    # line, nothing on stdout and no output file.  ``fails`` names a function
+    # of belltest.cli to patch and the error it raises.
+    @pytest.mark.parametrize("rows, argv, code, err, fails", [
         pytest.param(ONE_ROW, [], 3, "test: no respondent reached the c|b- conditioning event",
-                     id="empty-conditioning-branch"),
+                     None, id="empty-conditioning-branch"),
         pytest.param(None, ["interference", "--p", "0.5", "--p1", "0", "--p2", "0.5"], 3,
-                     "interference: p1 * p2 must be positive, got p1=0.0, p2=0.5",
+                     "interference: p1 * p2 must be positive, got p1=0.0, p2=0.5", None,
                      id="degenerate-alternatives"),
         pytest.param(None, ["interference", "--p", "0.5", "--p1", "1e-170", "--p2", "1e-170"], 3,
-                     "interference: p1 * p2 must be positive, got p1=1e-170, p2=1e-170",
+                     "interference: p1 * p2 must be positive, got p1=1e-170, p2=1e-170", None,
                      id="underflowing-product"),
         pytest.param("r0,BA,b,1,a,+1\n", [], 2,
-                     "test: line 2: outcome token must be '+1' or '-1', got '1'", id="format"),
+                     "test: line 2: outcome token must be '+1' or '-1', got '1'", None,
+                     id="format"),
         pytest.param(ONE_ROW + "r0,BA,b,-1,a,-1\n", [], 2,
-                     "test: line 3: duplicate respondent id 'r0'", id="duplicate"),
-        pytest.param(None, [], 2, "test: [Errno 2] No such file or directory: '{dataset}'",
+                     "test: line 3: duplicate respondent id 'r0'", None, id="duplicate"),
+        pytest.param(None, [], 2, "test: [Errno 2] No such file or directory: '{dataset}'", None,
                      id="missing-file"),
         # The one-row file alone exits 3, so alpha is checked before the data.
         *(pytest.param(ONE_ROW, [f"--alpha={alpha}"], 2,
                        f"test: alpha must be in (0, 1) with 1 - alpha < 1, got {float(alpha)}",
-                       id=f"alpha-{alpha}") for alpha in ("2", "0", "nan")),
+                       None, id=f"alpha-{alpha}") for alpha in ("2", "0", "nan")),
+        # numpy's message names the allocation; a bare MemoryError prints its name.
+        pytest.param(ONE_ROW, [], 2, "test: Unable to allocate 6.71 GiB for an array",
+                     ("parse_dataset", MemoryError("Unable to allocate 6.71 GiB for an array")),
+                     id="parse-out-of-memory"),
+        pytest.param(None, ["simulate", "--model", "quantum", "--angles", WITNESS_ARGS,
+                            "--n", "10", "--seed", "1"], 2, "simulate: MemoryError",
+                     ("run_protocol", MemoryError()), id="simulate-out-of-memory"),
     ])
-    def test_exit_code_and_one_stderr_line(self, tmp_path, capsys, rows, argv, code, err):
+    def test_exit_code_and_one_stderr_line(self, tmp_path, capsys, monkeypatch, rows, argv, code,
+                                           err, fails):
         dataset, report = tmp_path / "data.csv", tmp_path / "report.json"
         if rows is not None:
             dataset.write_text(CSV_HEADER + "\n" + rows)
-        if not argv or argv[0] != "interference":
+        if fails is not None:
+            name, error = fails
+
+            def failing(*args, **kwargs):
+                raise error
+
+            monkeypatch.setattr(f"belltest.cli.{name}", failing)
+        if argv[:1] == ["simulate"]:
+            argv = [*argv, "--out", str(report)]
+        elif argv[:1] != ["interference"]:
             argv = ["test", str(dataset), *argv, "--report", str(report)]
         assert main(argv) == code
         assert capsys.readouterr() == ("", err.format(dataset=dataset) + "\n")

@@ -250,6 +250,52 @@ class TestBlockLayoutCache:
         assert protocol._block_layout.cache_info().currsize <= 1
 
 
+
+class TestDesignPlan:
+    """``run_protocol`` takes each design's per-branch sizes, total and used stream
+    ids from a bounded cache, and keys only the streams of branches with agents."""
+
+    @pytest.mark.parametrize("variant, mixes", [(THREE, 4), (TWO, 3)])
+    def test_only_the_used_streams_are_keyed(self, monkeypatch, variant, mixes):
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return mix_int(z)
+
+        mix_int = streams._mix_int
+        monkeypatch.setattr(streams, "_mix_int", counting)
+        run_protocol(POPULATIONS["quantum"], ProtocolDesign(variant, 50), seed=1)
+        assert len(calls) == mixes  # the seed, then one per branch with agents
+
+    def test_a_long_sweep_keeps_the_cache_bounded(self):
+        # A branch's cells at agent index i do not depend on the survey's size, so
+        # each survey is a prefix of each branch of the one at the largest size.
+        largest, seed = 1000, 2**64 - 1
+        full = {(variant, kind): np.split(reference_cells(POPULATIONS[kind],
+                                                          ProtocolDesign(variant, largest), seed),
+                                          np.cumsum([k * largest for _, k in branches])[:-1])
+                for variant, branches in DESIGN_BRANCHES.items() for kind in POPULATIONS}
+        for n in range(1, largest + 1):
+            variant, kind = (THREE, TWO)[n % 2], sorted(POPULATIONS)[n // 2 % 2]
+            data = run_protocol(POPULATIONS[kind], ProtocolDesign(variant, n), seed)
+            info = protocol._plan.cache_info()
+            assert info.currsize <= info.maxsize
+            expected = [cells[:k * n] for cells, (_, k) in zip(full[variant, kind],
+                                                               DESIGN_BRANCHES[variant])]
+            assert np.array_equal(data.cells, np.concatenate(expected)), (variant, kind, n)
+
+    def test_cached_bases_are_read_only(self):
+        sizes, total, ids = protocol._plan(TWO, 50)
+        assert (sizes, total, ids) == ((0, 0, 0, 100, 50), 150, (4, 5))
+        counts, base2, base8, _ = protocol._block_layout(sizes, 0, total)
+        codes = np.repeat([3, 4], counts)
+        assert np.array_equal(base2, 2 * codes) and np.array_equal(base8, 8 * codes)
+        for base in (base2, base8):
+            assert base.dtype == np.uint8
+            with pytest.raises(ValueError, match="read-only"):
+                base[0] = 0
+
 # Laws whose CDF has plateaus (zero-weight atoms, the first among them) and ends
 # at 1.0, and whose CDF values are all multiples of 2**-53, beside the witness.
 THRESHOLD_POPULATIONS = {
