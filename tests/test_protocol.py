@@ -257,13 +257,12 @@ class TestDesignPlan:
 
     @pytest.mark.parametrize("variant, mixes", [(THREE, 4), (TWO, 3)])
     def test_only_the_used_streams_are_keyed(self, monkeypatch, variant, mixes):
-        calls = []
+        calls, mix_int = [], streams._mix_int
 
         def counting(z):
             calls.append(z)
             return mix_int(z)
 
-        mix_int = streams._mix_int
         monkeypatch.setattr(streams, "_mix_int", counting)
         run_protocol(POPULATIONS["quantum"], ProtocolDesign(variant, 50), seed=1)
         assert len(calls) == mixes  # the seed, then one per branch with agents
