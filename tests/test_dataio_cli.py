@@ -1,5 +1,10 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,7 @@ from belltest import (
     run_protocol,
     violation_test,
 )
+import belltest.cli as cli
 from belltest import search
 from belltest.cli import main
 from belltest.dataio import (
@@ -470,3 +476,91 @@ class TestCli:
         assert main(["search", "--grid", "36", "--refine-tol", "1e-3",
                      "--floor-samples", "0"]) == 0
         assert "classical_floor" not in json.loads(capsys.readouterr().out)
+
+
+class ProcessExit(Exception):
+    """Raised in place of ``os._exit``, with the code it was called with."""
+
+
+class TestRun:
+    """``run`` is the process entry point: it calls ``main``, flushes stdout and
+    stderr, and ends the process by ``os._exit``, which the in-process cases
+    replace with one that records the code and the output captured so far."""
+
+    @pytest.fixture
+    def exits(self, monkeypatch, capsys):
+        calls = []
+
+        def exit_(code):
+            calls.append((code, capsys.readouterr()))
+            raise ProcessExit(code)
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        return calls
+
+    @staticmethod
+    def run(monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["belltest", *argv])
+        with pytest.raises(ProcessExit):
+            cli.run()
+
+    def test_report_on_stdout_is_flushed_before_exit_0(self, tmp_path, monkeypatch, exits):
+        data, report = TestCli().simulate(tmp_path), tmp_path / "report.json"
+        assert main(["test", str(data), "--report", str(report)]) == 0
+        self.run(monkeypatch, "test", str(data))
+        [(code, (out, err))] = exits
+        assert (code, out.encode(), err) == (0, report.read_bytes(), "")
+
+    def test_degenerate_survey_exits_3(self, tmp_path, monkeypatch, exits):
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--model", "classical", "--atoms", "1", "0", "0", "0", "0",
+                     "0", "0", "0", "--symmetrize", "--n", "500", "--seed", "5",
+                     "--out", str(data)]) == 0
+        self.run(monkeypatch, "test", str(data), "--report", str(tmp_path / "report.json"))
+        assert [code for code, _ in exits] == [3]
+
+    def test_unwritable_report_exits_2(self, tmp_path, monkeypatch, exits):
+        data, report = TestCli().simulate(tmp_path), tmp_path / "no-such-dir" / "report.json"
+        self.run(monkeypatch, "test", str(data), "--report", str(report))
+        [(code, (out, err))] = exits
+        assert code == 2 and out == "" and err.startswith("test: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["test", "--bogus"], 2)])
+    def test_argparse_exit_raises_without_os_exit(self, monkeypatch, exits, argv, code):
+        monkeypatch.setattr(sys, "argv", ["belltest", *argv])
+        with pytest.raises(SystemExit) as raised:
+            cli.run()
+        assert raised.value.code == code
+        assert exits == []
+
+    def test_stdout_that_cannot_flush_exits_2_with_one_line(self, monkeypatch, exits):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe())
+            self.run(patch, "interference", "--p", "0.75", "--p1", "0.25", "--p2", "0.25")
+        [(code, (_, err))] = exits
+        assert (code, err) == (2, "belltest: cannot write output: [Errno 32] Broken pipe\n")
+
+    def test_stdout_closed_at_start_is_not_flushed(self, tmp_path, monkeypatch, exits):
+        # Python sets sys.stdout to None when fd 1 is closed as it starts.
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", None)
+            self.run(patch, "simulate", "--model", "quantum", "--angles", WITNESS_ARGS,
+                     "--n", "10", "--seed", "1", "--out", str(tmp_path / "data.csv"))
+        assert [code for code, _ in exits] == [0]
+
+    def test_piped_report_equals_report_file(self, tmp_path):
+        # Block-buffered stdout, as on a pipe by default: the report reaches the
+        # pipe only through run's flush, since os._exit flushes nothing.
+        data, report = TestCli().simulate(tmp_path), tmp_path / "report.json"
+        assert main(["test", str(data), "--report", str(report)]) == 0
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "belltest.cli", "test", str(data)],
+                              env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, report.read_bytes(), b"")
