@@ -112,6 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
 _MODEL_FLAGS = {"quantum": ("angles",), "classical": ("atoms", "symmetrize")}
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout; raises OSError when stdout was closed as the process started."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    sys.stdout.write(text)
+
+
 def _cmd_simulate(args) -> int:
     from .probability import JointDistribution3, symmetrize
 
@@ -153,7 +160,7 @@ def _cmd_test(args) -> int:
     if args.report is not None:
         args.report.write_text(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return EXIT_DEGENERATE if verdict(test) == VERDICT_DEGENERATE else EXIT_OK
 
 
@@ -184,7 +191,7 @@ def _cmd_search(args) -> int:
             "samples_evaluated": floor.samples_evaluated,
             "skipped": floor.skipped,
         }
-    print(json.dumps(payload, indent=2))
+    _write_stdout(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -192,16 +199,9 @@ def _cmd_interference(args) -> int:
     from .inequalities import interference_coefficient
 
     result = interference_coefficient(args.p, args.p1, args.p2)
-    print(json.dumps(
-        {
-            "p": args.p,
-            "p1": args.p1,
-            "p2": args.p2,
-            "coefficient": result.coefficient,
-            "regime": result.regime.value,
-        },
-        indent=2,
-    ))
+    payload = {"p": args.p, "p1": args.p1, "p2": args.p2,
+               "coefficient": result.coefficient, "regime": result.regime.value}
+    _write_stdout(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 

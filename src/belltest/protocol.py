@@ -22,12 +22,13 @@ first answer code + second answer code, an index into the (branch, first
 answer, second answer) count table.  Each branch is one context: it fixes
 the first question and the second after each answer, so each of the 20
 codes is a response that some branch produces (see ``CELL_FIELDS``).  The
-constructor refuses any other code.  The estimators and the symmetry check
-read a flat table of the 20 counts built once per dataset: from a list of
-cells, as a short parsed file has, in plain Python, without numpy; from an
-array with ``np.bincount``.  numpy, ``qubit`` and ``streams`` are imported only
-where the arrays, the quantum population and the kernel first need them, so
-counting a parsed file loads none of them and a warm call imports nothing.
+constructor counts the cells once, and that count is its check: it refuses
+any other code.  The estimators and the symmetry check read that flat table
+of 20 counts, which a list of cells, as a short parsed file has, gets in plain
+Python, and an array by ``np.bincount``, a block at a time.  numpy, ``qubit``
+and ``streams`` are imported only where the arrays, the quantum population and
+the kernel first need them, so counting a parsed file loads none of them and
+a warm call imports nothing.
 """
 
 from __future__ import annotations
@@ -136,37 +137,32 @@ CELL_FIELDS: tuple[tuple[Branch, VariableIndex, Outcome, VariableIndex, Outcome]
     for a1, second in zip(Outcome, seconds) for a2 in Outcome
 )
 _CELLS = len(CELL_FIELDS)  # the cell codes are [0, _CELLS)
+#: Agents per kernel call and cells per count; bounds the working memory of both.
+_BLOCK = 1 << 16
 
 
 class ResponseDataset:
     """Survey responses stored column-wise: ``cells`` holds one cell code (see
-    ``CELL_FIELDS``) per response, as a list of ints, which is counted without
-    numpy, or as a one-dimensional array of integers.  The constructor raises
+    ``CELL_FIELDS``) per response, as a list of ints or a one-dimensional array
+    of integers, which the constructor counts once (a list without numpy); it raises
     ValueError naming the first row that holds no code in [0, 20), and for an
     array that is not one-dimensional.  A dataset holds no respondent ids:
     written out, its rows are ``r`` and the zero-padded row number.
     """
 
     def __init__(self, cells):
-        # A copy, so that no write by the caller reaches the cached counts.
-        self._cells = _cell_list(cells) if isinstance(cells, list) else _cell_array(cells)
+        # A copy, so that no write by the caller reaches the counts.
+        self._cells, self._table = (_cell_list if isinstance(cells, list) else _cell_array)(cells)
 
     @property
     def cells(self) -> np.ndarray:
-        """The cells as a read-only uint8 array, since the counts are cached; a
+        """The cells as a read-only uint8 array, since the counts are kept; a
         list of cells becomes one when first read."""
         if isinstance(self._cells, list):
-            self._cells = _cell_array(self._cells)
+            self._cells = _numpy().array(self._cells, "uint8")
         view = self._cells.view()
         view.flags.writeable = False
         return view
-
-    @cached_property
-    def _table(self) -> list[int]:
-        """Responses per cell code."""
-        if isinstance(self._cells, list):
-            return list(map(Counter(self._cells).__getitem__, range(_CELLS)))
-        return _numpy().bincount(self._cells, minlength=_CELLS).tolist()
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -177,32 +173,47 @@ class ResponseDataset:
         return len(self._cells)
 
 
-def _cell_list(cells: list) -> list:
-    """A copy of ``cells``.  Raises ValueError naming the first element that is
-    no int in [0, 20): a float or bool equal to a cell code would count as it."""
-    if set(map(type, cells)) - {int} or not set(cells) <= set(range(_CELLS)):
+def _cell_list(cells: list) -> tuple[list, list[int]]:
+    """A copy of ``cells`` and its count per code.  Raises ValueError naming the first
+    element that is no int in [0, 20): a float or bool equal to a cell code would count as it."""
+    if set(map(type, cells)) - {int} or not set(counter := Counter(cells)) <= set(range(_CELLS)):
         row = next(row for row, cell in enumerate(cells)
                    if type(cell) is not int or not 0 <= cell < _CELLS)
         raise _not_a_cell(row, cells[row])
-    return list(cells)
+    return list(cells), list(map(counter.__getitem__, range(_CELLS)))
 
 
-def _cell_array(cells) -> np.ndarray:
-    """``cells`` as a uint8 array that only the dataset holds: a view, or an
-    array that is still writeable, is copied.  Raises ValueError for an array
-    that is not one-dimensional, or naming the first row that holds no
-    integer in [0, 20); a uint8 array takes one reduction to check."""
+def _cell_array(cells) -> tuple[np.ndarray, list[int]]:
+    """``cells`` as a uint8 array that only the dataset holds (a view, or an
+    array that is still writeable, is copied) and its responses per cell code.
+    Raises ValueError for an array that is not one-dimensional, or naming the
+    first row that holds no integer in [0, 20); a uint8 array's count is its check."""
     np = _numpy()
     array = np.asarray(cells)
     if array.ndim != 1:
         raise ValueError(f"cells must be a one-dimensional array, got shape {array.shape}")
-    if array.dtype != np.uint8 or array.max(initial=0) >= _CELLS:
+    table = _bincount(array) if array.dtype.char == "B" else None
+    if table is None or len(table) > _CELLS:  # a code >= 20 lengthens a uint8 count
         integers = array.dtype.kind in "iu"
         bad = (array < 0) | (array >= _CELLS) if integers else np.ones(len(array), bool)
         if bad.any():
             row = int(bad.argmax())
             raise _not_a_cell(row, array[row].item())
-    return array.astype(np.uint8, copy=array.flags.writeable or not array.flags.owndata)
+    if table is None or array.flags.writeable or not array.flags.owndata:
+        array = array.astype(np.uint8)
+    return array, (_bincount(array) if table is None else table).tolist()
+
+
+def _bincount(array: np.ndarray) -> np.ndarray:
+    """Responses per code of a uint8 ``array``, a block at a time, so that
+    bincount's intp copy stays one block: 20 counts unless a code is >= 20."""
+    np = _numpy()
+    if len(array) <= _BLOCK:
+        return np.bincount(array, minlength=_CELLS)
+    table = np.zeros(256, np.intp)
+    for start in range(0, len(array), _BLOCK):
+        table += np.bincount(array[start:start + _BLOCK], minlength=256)
+    return table if table[_CELLS:].any() else table[:_CELLS]
 
 
 def _not_a_cell(row: int, value) -> ValueError:
@@ -218,7 +229,7 @@ class FrequencyTable(record("FrequencyTable",
 
     def __new__(cls, nu_a_given_b_plus: tuple[int, int], nu_c_given_b_minus: tuple[int, int],
                 nu_a_given_c_plus: tuple[int, int]):
-        self = super().__new__(cls, nu_a_given_b_plus, nu_c_given_b_minus, nu_a_given_c_plus)
+        self = tuple.__new__(cls, (nu_a_given_b_plus, nu_c_given_b_minus, nu_a_given_c_plus))
         for num, den in self:
             require_counts(num, den)
         return self
@@ -260,9 +271,6 @@ def _kernel() -> tuple:
     from . import streams
     return streams, _numpy().array(_ATOM_CELL, "uint8"), streams.thresholds(0.5)
 
-
-#: Agents per kernel call; bounds the simulation's working memory.
-_BLOCK = 1 << 16
 
 
 def _simulate_block(pop: PopulationModel, keys: np.ndarray, counts: np.ndarray,
@@ -382,10 +390,10 @@ def check_symmetry(data: ResponseDataset, tolerance: float = 0.05) -> SymmetryRe
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    table, entries = data._table, []
+    table, entries, new = data._table, [], tuple.__new__  # packs a record, no Python __new__
     for q, plus_counts, minus_counts in _FIRST_ANSWERS:
         plus = sum(plus_counts(table))
         n = plus + sum(minus_counts(table))
         if n:
-            entries.append(SymmetryEntry(q, plus / n, n, abs(plus / n - 0.5) > tolerance))
-    return SymmetryReport(tuple(entries), tolerance)
+            entries.append(new(SymmetryEntry, (q, plus / n, n, abs(plus / n - 0.5) > tolerance)))
+    return new(SymmetryReport, (tuple(entries), tolerance))

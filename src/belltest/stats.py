@@ -107,4 +107,5 @@ def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
     p_value = _ndtr(z)
     z_wilson = _wilson_quantile(1.0 - alpha)
     intervals = (_wilson(s1, n1, z_wilson), _wilson(s2, n2, z_wilson), _wilson(s3, n3, z_wilson))
-    return TestResult(margin, se, z, p_value, margin < 0.0 and p_value < alpha, intervals)
+    return tuple.__new__(TestResult,
+                         (margin, se, z, p_value, margin < 0.0 and p_value < alpha, intervals))

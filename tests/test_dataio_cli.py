@@ -552,6 +552,40 @@ class TestRun:
                      "--n", "10", "--seed", "1", "--out", str(tmp_path / "data.csv"))
         assert [code for code, _ in exits] == [0]
 
+    STDOUT_ARGS = {"search": ["--grid", "36", "--refine-tol", "1e-3"],
+                   "interference": ["--p", "0.75", "--p1", "0.25", "--p2", "0.25"]}
+
+    @pytest.mark.parametrize("command", ["test", "search", "interference"])
+    def test_stdout_closed_at_start_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                           command):
+        # Every command that writes to stdout fails through main, as any other
+        # unwritable output does, rather than losing its output or raising.
+        args = self.STDOUT_ARGS.get(command) or [str(TestCli().simulate(tmp_path))]
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", None)
+            code = main([command, *args])
+        assert (code, capsys.readouterr().err) == (2, f"{command}: stdout is closed\n")
+
+    def test_report_file_with_stdout_closed_at_start_exits_0(self, tmp_path, monkeypatch,
+                                                              exits):
+        data, report = TestCli().simulate(tmp_path), tmp_path / "report.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", None)
+            self.run(patch, "test", str(data), "--report", str(report))
+        assert [(code, err) for code, (_, err) in exits] == [(0, "")]
+        assert json.loads(report.read_text())["verdict"] == "quantum-like-violation"
+
+    def test_process_with_stdout_closed_exits_2_without_traceback(self, tmp_path):
+        # fd 1 closed before Python starts, so sys.stdout is None in the process.
+        data = TestCli().simulate(tmp_path)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(["sh", "-c", 'exec "$0" -m belltest.cli test "$1" >&-',
+                               sys.executable, str(data)],
+                              env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (2, b"test: stdout is closed\n")
+
     def test_piped_report_equals_report_file(self, tmp_path):
         # Block-buffered stdout, as on a pipe by default: the report reaches the
         # pipe only through run's flush, since os._exit flushes nothing.

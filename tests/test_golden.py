@@ -10,15 +10,21 @@ cases fit in one parse piece, so one case of 3 x 200 000 agents pins the byte
 paths: 6-digit ids, a format of many blocks and a parse of many pieces.
 The `run_protocol` cell digests over 500 seeds were recorded before the
 kernel's stream keys and branch bases moved into a cached per-design plan.
+Over the same seeds, the analysis records equal those that their public
+constructors build from the same fields.
 """
 
 import hashlib
 import math
+import pickle
 
 import pytest
 
-from belltest import (ClassicalHiddenVariable, DesignVariant, JointDistribution3, ProtocolDesign,
-                      QuantumUnpolarized, QuestionTriple, protocol, run_protocol)
+from belltest import (ClassicalHiddenVariable, DegenerateVariance, DesignVariant,
+                      EmptyConditioningBranch, FrequencyTable, JointDistribution3, ProtocolDesign,
+                      QuantumUnpolarized, QuestionTriple, SymmetryReport, check_symmetry,
+                      estimate_frequencies, protocol, run_protocol, stats, violation_test)
+from belltest.protocol import SymmetryEntry
 from belltest.cli import main
 
 WITNESS_ARGS = f"0,{2 * math.pi / 3},{math.pi / 3}"
@@ -157,3 +163,30 @@ def test_two_block_cells_match_golden():
     assert protocol._BLOCK < 3 * 30_000 <= 2 * protocol._BLOCK
     cells = run_protocol(CELL_POPULATIONS["quantum-witness"](), design, seed=2**64 - 1).cells
     assert hashlib.sha256(cells.tobytes()).hexdigest() == TWO_BLOCK_GOLDEN
+
+
+@pytest.mark.parametrize("design", ["three", "two"])
+@pytest.mark.parametrize("name", sorted(CELL_POPULATIONS))
+def test_analysis_records_equal_their_public_constructors(name, design):
+    pop, survey = CELL_POPULATIONS[name](), ProtocolDesign(DesignVariant(design), 50)
+    tested = 0
+    for seed in MANY_SEEDS:
+        data = run_protocol(pop, survey, seed)
+        symmetry = check_symmetry(data)
+        records = [(symmetry, SymmetryReport(
+            tuple(SymmetryEntry(*tuple(entry)) for entry in symmetry.entries),
+            symmetry.tolerance))]
+        try:
+            table = estimate_frequencies(data)
+            records.append((table, FrequencyTable(*map(tuple, table))))
+            test = violation_test(table)
+            records.append((test, stats.TestResult(*tuple(test))))
+            tested += 1
+        except (EmptyConditioningBranch, DegenerateVariance):
+            pass
+        for record, rebuilt in records:
+            for got in (record, pickle.loads(pickle.dumps(record))):
+                assert got == rebuilt
+                assert type(got) is type(rebuilt)
+                assert repr(got) == repr(rebuilt)
+    assert tested > len(MANY_SEEDS) // 2

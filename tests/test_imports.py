@@ -154,8 +154,10 @@ def test_simulate_loads_the_kernel_modules_but_not_inequalities(tmp_path):
 
 @pytest.mark.parametrize("block", [64, 1 << 16])
 def test_warm_calls_run_no_import_statement(monkeypatch, block):
-    """`run_protocol` (both populations, both designs, one block or several) and
-    `predicted_conditional_triple` import what they need on their first call only."""
+    """`run_protocol` (both populations, both designs, one block or several),
+    `predicted_conditional_triple`, a dataset built from an array (counted in one
+    block or several) and the analysis of a survey import what they need on
+    their first call only."""
     import numpy as np
     from belltest import protocol
     witness = belltest.QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3)
@@ -164,6 +166,12 @@ def test_warm_calls_run_no_import_statement(monkeypatch, block):
     calls = [partial(belltest.run_protocol, pop, belltest.ProtocolDesign(variant, 50), seed=7)
              for pop in populations for variant in belltest.DesignVariant]
     calls.append(partial(belltest.predicted_conditional_triple, witness))
+    data = calls[0]()
+    owned = data.cells.copy()
+    owned.flags.writeable = False
+    calls += [partial(belltest.ResponseDataset, cells) for cells in (data.cells, owned)]
+    calls += [partial(belltest.check_symmetry, data), partial(belltest.estimate_frequencies, data),
+              partial(belltest.violation_test, belltest.estimate_frequencies(data))]
     monkeypatch.setattr(protocol, "_BLOCK", block)
     for call in calls:
         call()

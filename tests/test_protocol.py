@@ -947,3 +947,31 @@ class TestCountTable:
         assert np.shares_memory(ResponseDataset(cells).cells, cells)
         data = run_protocol(QuantumUnpolarized(WITNESS), ProtocolDesign(THREE, 10), seed=1)
         assert not data._cells.flags.writeable and data._cells.flags.owndata
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, 0), (1, 1), (3, 7)])
+    @pytest.mark.parametrize("read_only", [False, True], ids=["writeable", "read-only"])
+    def test_blocked_count_equals_bincount(self, blocks, extra, read_only):
+        # An array is counted once, at construction, a block at a time.
+        cells = np.random.default_rng(blocks + extra).integers(
+            0, len(CELL_FIELDS), blocks * protocol._BLOCK + extra, dtype=np.uint8)
+        cells.flags.writeable = not read_only
+        expected = np.bincount(cells, minlength=len(CELL_FIELDS))
+        data = ResponseDataset(cells)
+        assert data._table == expected.tolist()
+        assert np.array_equal(data.counts, expected.reshape(protocol.COUNT_SHAPE))
+        assert np.array_equal(data.cells, cells)
+
+    @pytest.mark.parametrize("code", [len(CELL_FIELDS), 255])
+    def test_bad_code_in_the_last_block_is_rejected(self, code):
+        cells = np.full(3 * protocol._BLOCK + 7, 12, np.uint8)
+        row = len(cells) - 3
+        cells[row] = code
+        with pytest.raises(ValueError, match=rf"^row {row} holds {code}, which is not a cell"
+                                             r" code in \[0, 20\)$"):
+            ResponseDataset(cells)
+
+    def test_cell_list_is_checked_before_it_is_counted(self):
+        # An element that cannot be counted, such as a list, is named like any other.
+        with pytest.raises(ValueError, match=r"^row 1 holds \[3\], which is not a cell code"
+                                             r" in \[0, 20\)$"):
+            ResponseDataset([3, [3]])
