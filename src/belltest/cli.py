@@ -48,6 +48,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 
+# The flags that only one --model reads; giving one with the other model is an error.
+_MODEL_FLAGS = {"quantum": ("angles",), "classical": ("atoms", "symmetrize")}
+
 
 def _angles(text: str) -> QuestionTriple:
     from .qubit import QuestionTriple
@@ -70,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate a survey, write a CSV dataset")
-    sim.add_argument("--model", choices=["quantum", "classical"], required=True)
+    sim.set_defaults(run=_cmd_simulate)
+    sim.add_argument("--model", choices=list(_MODEL_FLAGS), required=True)
     sim.add_argument("--angles", type=_angles, help="question angles a,b,c in radians")
     sim.add_argument(
         "--atoms", type=float, nargs=8, metavar="W",
@@ -78,13 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--symmetrize", action="store_true",
                      help="average the classical law with its global sign flip")
-    sim.add_argument("--design", choices=["three", "two"], default="three")
+    sim.add_argument("--design", choices=[v.value for v in DesignVariant], default="three")
     sim.add_argument("--n", type=int, required=True, help="agents per branch")
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--workers", type=int, default=1, help="at least 1; no effect on output")
     sim.add_argument("--out", type=Path, required=True)
 
     tst = sub.add_parser("test", help="analyze a CSV dataset, write a JSON report")
+    tst.set_defaults(run=_cmd_test)
     tst.add_argument("dataset", type=Path)
     tst.add_argument("--alpha", type=float, default=0.05)
     tst.add_argument("--seed", type=int, default=None,
@@ -93,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report path (default: stdout)")
 
     sea = sub.add_parser("search", help="maximize the predicted quantum violation")
+    sea.set_defaults(run=_cmd_search)
     sea.add_argument("--grid", type=int, default=360)
     sea.add_argument("--refine-tol", type=float, default=1e-9)
     sea.add_argument("--floor-samples", type=int, default=0,
@@ -101,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--seed", type=int, default=0)
 
     inter = sub.add_parser("interference", help="classify an interference coefficient")
+    inter.set_defaults(run=_cmd_interference)
     inter.add_argument("--p", type=float, required=True)
     inter.add_argument("--p1", type=float, required=True)
     inter.add_argument("--p2", type=float, required=True)
@@ -108,18 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The flags that only one --model reads; giving one with the other model is an error.
-_MODEL_FLAGS = {"quantum": ("angles",), "classical": ("atoms", "symmetrize")}
-
-
-def _write_stdout(text: str) -> None:
-    """Write ``text`` to stdout; raises OSError when stdout was closed as the process started."""
-    if sys.stdout is None:
-        raise OSError("stdout is closed")
-    sys.stdout.write(text)
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, str | None]:
     from .probability import JointDistribution3, symmetrize
 
     if args.workers < 1:
@@ -140,15 +136,16 @@ def _cmd_simulate(args) -> int:
     design = ProtocolDesign(variant=DesignVariant(args.design), n_per_branch=args.n)
     data = run_protocol(pop, design, seed=args.seed)
     args.out.write_text(format_dataset(data))
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args) -> tuple[int, str | None]:
     validate_alpha(args.alpha)
     if args.seed is not None:
         # run_protocol's bounds: a report echoes no seed that simulate rejects.
         require_int("seed", args.seed, 0, 2**64, "in [0, 2**64)")
-    data = parse_dataset(args.dataset.read_text())
+    # UTF-8 whatever the locale; a spreadsheet export's leading BOM is dropped.
+    data = parse_dataset(args.dataset.read_text(encoding="utf-8-sig"))
     design = infer_design(data).value
     symmetry = check_symmetry(data)
     table = estimate_frequencies(data)
@@ -159,12 +156,11 @@ def _cmd_test(args) -> int:
     text = emit_report(test, table, symmetry, seed=args.seed, design=design, alpha=args.alpha)
     if args.report is not None:
         args.report.write_text(text)
-    else:
-        _write_stdout(text)
-    return EXIT_DEGENERATE if verdict(test) == VERDICT_DEGENERATE else EXIT_OK
+        text = None
+    return EXIT_DEGENERATE if verdict(test) == VERDICT_DEGENERATE else EXIT_OK, text
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[int, str | None]:
     import numpy as np
     from .search import classical_margin_floor, maximize_quantum_violation
 
@@ -173,49 +169,33 @@ def _cmd_search(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     result = maximize_quantum_violation(grid_steps=args.grid, refine_tol=args.refine_tol)
-    payload = {
-        "best_angles": {
-            "a": result.best_angles.a.phi,
-            "b": result.best_angles.b.phi,
-            "c": result.best_angles.c.phi,
-        },
-        "best_margin": result.best_margin,
-        "evaluations": result.evaluations,
-        "refinement_tolerance": result.refinement_tolerance,
-    }
+    angles = {q: angle.phi for q, angle in result.best_angles._asdict().items()}
+    payload = result._replace(best_angles=angles)._asdict()
     if args.floor_samples > 0:
         rng = np.random.default_rng(args.seed)
-        floor = classical_margin_floor(args.floor_samples, rng)
-        payload["classical_floor"] = {
-            "min_margin": floor.min_margin,
-            "samples_evaluated": floor.samples_evaluated,
-            "skipped": floor.skipped,
-        }
-    _write_stdout(json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+        payload["classical_floor"] = classical_margin_floor(args.floor_samples, rng)._asdict()
+    return EXIT_OK, json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_interference(args) -> int:
+def _cmd_interference(args) -> tuple[int, str | None]:
     from .inequalities import interference_coefficient
 
     result = interference_coefficient(args.p, args.p1, args.p2)
     payload = {"p": args.p, "p1": args.p1, "p2": args.p2,
                "coefficient": result.coefficient, "regime": result.regime.value}
-    _write_stdout(json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_OK, json.dumps(payload, indent=2) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "test": _cmd_test,
-        "search": _cmd_search,
-        "interference": _cmd_interference,
-    }
     try:
-        return handlers[args.command](args)
+        code, text = args.run(args)
+        if text is not None:
+            if sys.stdout is None:  # fd 1 was closed as the process started
+                raise OSError("stdout is closed")
+            sys.stdout.write(text)
+        return code
     except (BellTestError, ValueError, OSError, MemoryError) as exc:
         print(f"{args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         degenerate = isinstance(exc, (EmptyConditioningBranch, DegenerateAlternatives))

@@ -75,8 +75,8 @@ _ATOMS_WHERE = {
     events: tuple(k for k in range(8) if all(SIGNS[v][k] == s for v, s in events))
     for n in (1, 2) for events in product(product(range(3), (1, -1)), repeat=n)
 }
-#: _SIGN_PRODUCTS[i][j][k] = SIGNS[i][k] * SIGNS[j][k].
-_SIGN_PRODUCTS = tuple(tuple(tuple(map(mul, si, sj)) for sj in SIGNS) for si in SIGNS)
+#: _SIGN_PRODUCTS[i, j][k] = SIGNS[i][k] * SIGNS[j][k].
+_SIGN_PRODUCTS = {(i, j): tuple(map(mul, SIGNS[i], SIGNS[j])) for i in range(3) for j in range(3)}
 
 
 class JointDistribution3(record("JointDistribution3", "weights")):
@@ -127,12 +127,20 @@ def atom_index(triple: tuple[int, int, int]) -> int:
 
 def covariance(joint: JointDistribution3, i: VariableIndex, j: VariableIndex) -> float:
     """E[xi_i * xi_j] over the 8 atoms; always in [-1, 1]."""
-    return math.fsum(map(mul, _SIGN_PRODUCTS[i][j], joint.weights))
+    try:
+        signs = _SIGN_PRODUCTS[i, j]
+    except (KeyError, TypeError):  # TypeError: an unhashable index
+        raise ValueError(f"i and j must be variable indices in 0-2, got {i!r}, {j!r}") from None
+    return math.fsum(map(mul, signs, joint.weights))
 
 
 def event_probability(joint: JointDistribution3, *events: tuple[VariableIndex, Outcome]) -> float:
     """P(each of one or two (variable, outcome) events holds), exactly rounded."""
-    return math.fsum(map(joint.weights.__getitem__, _ATOMS_WHERE[events]))
+    try:
+        atoms = _ATOMS_WHERE[events]
+    except (KeyError, TypeError):
+        raise ValueError(f"events must be one or two (0-2, +1/-1) pairs, got {events!r}") from None
+    return math.fsum(map(joint.weights.__getitem__, atoms))
 
 
 class CondTriple(record("CondTriple", "p_a_given_b_plus p_c_given_b_minus p_a_given_c_plus")):

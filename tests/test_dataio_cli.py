@@ -156,6 +156,19 @@ class TestCli:
         assert main(["test", str(out), "--seed", "17"]) == 0
         assert capsys.readouterr().out.encode() == report_path.read_bytes()
 
+    # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.  The
+    # 6 000-row file takes the per-line loop, the 60 000-row one the byte path.
+    @pytest.mark.parametrize("n", ["2000", "20000"])
+    def test_leading_bom_gives_the_same_report(self, tmp_path, n):
+        plain, bom = tmp_path / "data.csv", tmp_path / "bom.csv"
+        assert main(["simulate", "--model", "quantum", "--angles", WITNESS_ARGS, "--n", n,
+                     "--seed", "17", "--out", str(plain)]) == 0
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for data in (plain, bom):
+            assert main(["test", str(data), "--report", str(data.with_suffix(".json"))]) == 0
+        assert plain.with_suffix(".json").read_bytes() == bom.with_suffix(".json").read_bytes()
+        assert (plain.stat().st_size >= 1 << 20) == (n == "20000")
+
     def test_simulate_classical_symmetrized(self, tmp_path):
         out = tmp_path / "data.csv"
         code = main([
@@ -192,12 +205,15 @@ class TestCli:
         ])
         assert code == 2
 
-    def test_missing_model_parameters_exit_2(self, tmp_path):
+    def test_missing_model_parameters_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
         code = main([
             "simulate", "--model", "quantum", "--design", "three",
-            "--n", "10", "--seed", "0", "--out", str(tmp_path / "x.csv"),
+            "--n", "10", "--seed", "0", "--out", str(out),
         ])
         assert code == 2
+        assert capsys.readouterr().err == "simulate: --angles is required with --model quantum\n"
+        assert not out.exists()
 
     def test_classical_without_atoms_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

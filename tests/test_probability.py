@@ -119,6 +119,32 @@ class TestCovariance:
                 assert -1.0 - 1e-12 <= covariance(joint, i, j) <= 1.0 + 1e-12
 
 
+# Each scalar helper names its bad argument: a variable outside 0-2, an
+# outcome other than +1/-1, or a count of events other than one or two.
+COVARIANCE_ERROR = "i and j must be variable indices in 0-2, got"
+EVENTS_ERROR = "events must be one or two"
+
+
+@pytest.mark.parametrize("helper, args, message", [
+    pytest.param(covariance, (A, -1), COVARIANCE_ERROR, id="covariance-j=-1"),
+    pytest.param(covariance, (A, 3), COVARIANCE_ERROR, id="covariance-j=3"),
+    pytest.param(covariance, (3, A), COVARIANCE_ERROR, id="covariance-i=3"),
+    pytest.param(covariance, ([0], A), COVARIANCE_ERROR, id="covariance-unhashable"),
+    pytest.param(event_probability, (), EVENTS_ERROR, id="no-events"),
+    pytest.param(event_probability, ((A, PLUS), (B, PLUS), (C, PLUS)), EVENTS_ERROR,
+                 id="three-events"),
+    pytest.param(event_probability, ((3, PLUS),), EVENTS_ERROR, id="variable-3"),
+    pytest.param(event_probability, ((-1, PLUS),), EVENTS_ERROR, id="variable-minus-1"),
+    pytest.param(event_probability, ((A, 0),), EVENTS_ERROR, id="outcome-0"),
+    pytest.param(event_probability, ((A, PLUS), (B, 2)), EVENTS_ERROR, id="second-outcome-2"),
+    pytest.param(conditional, ((A, PLUS), (3, PLUS)), EVENTS_ERROR, id="conditional-given"),
+    pytest.param(conditional, ((A, 0), (B, PLUS)), EVENTS_ERROR, id="conditional-target"),
+])
+def test_bad_arguments_raise_value_error(helper, args, message):
+    with pytest.raises(ValueError, match=message):
+        helper(PERFECT, *args)
+
+
 class TestMarginalPlus:
     def test_uniform_is_half(self):
         assert event_probability(JointDistribution3.uniform(), (B, PLUS)) == 0.5
