@@ -62,7 +62,10 @@ def _angles(text: str) -> QuestionTriple:
         a, b, c = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric angle in {text!r}") from None
-    return QuestionTriple.from_floats(a, b, c)
+    try:
+        return QuestionTriple.from_floats(a, b, c)
+    except ValueError as exc:  # a non-finite angle: BlochAngle's message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,11 +43,20 @@ VERDICT_QUANTUM = "quantum-like-violation"
 VERDICT_DEGENERATE = "inconclusive-degenerate"
 
 
+# The CSV vocabulary: the tokens each field after the id may hold, with the value
+# each spells and the message for any other token.  The fields hold a branch,
+# then twice a question (in either case) and its answer.
+_BRANCHES = {b.value: b for b in Branch}, "{!r} is not a valid Branch"
+_QUESTIONS = ({t: q for q in VariableIndex for t in (q.name, q.name.lower())},
+              "question token must be a/b/c, got {!r}")
+_ANSWERS = {f"{a:+d}": a for a in Outcome}, "outcome token must be '+1' or '-1', got {!r}"
+_FIELD_TOKENS = (_BRANCHES, _QUESTIONS, _ANSWERS, _QUESTIONS, _ANSWERS)
+# Each field's written token for a value: its last above, so a question in lower case.
+_SPELLINGS = tuple({value: t for t, value in tokens.items()} for tokens, _ in _FIELD_TOKENS)
+
 # Each cell's row after the respondent id: ",branch,q1,a1,q2,a2" and newline.
-_ROW_TAILS = tuple(
-    ",".join(("", b.value, q1.token(), a1.token(), q2.token(), a2.token())) + "\n"
-    for b, q1, a1, q2, a2 in CELL_FIELDS
-)
+_ROW_TAILS = tuple(",".join(("", *map(dict.get, _SPELLINGS, fields))) + "\n"
+                   for fields in CELL_FIELDS)
 # The fields after the id that a well-formed row may hold, and their cells.
 _CELL_OF_FIELDS = {tail[1:-1]: cell for cell, tail in enumerate(_ROW_TAILS)}
 
@@ -212,25 +221,23 @@ def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
     fields = line.split(",")
     if len(fields) != 6:
         raise FormatError(lineno, f"expected 6 fields, got {len(fields)}")
-    rid, branch_tok, q1_tok, a1_tok, q2_tok, a2_tok = fields
+    rid, *tokens = fields
     if rid == "":
         raise FormatError(lineno, "empty respondent id")
     if rid in seen:
         raise DuplicateRespondent(rid, lineno)
-    try:
-        # Left to right, so the first bad field names the error.
-        _, q1, _, q2, _ = (Branch(branch_tok), VariableIndex.from_token(q1_tok),
-                           Outcome.from_token(a1_tok), VariableIndex.from_token(q2_tok),
-                           Outcome.from_token(a2_tok))
-    except ValueError as exc:
-        raise FormatError(lineno, str(exc)) from None
-    if q1 == q2:
+    values = []
+    # Left to right, so the first bad field names the error.
+    for token, (spells, message) in zip(tokens, _FIELD_TOKENS):
+        if token not in spells:
+            raise FormatError(lineno, message.format(token))
+        values.append(spells[token])
+    if values[1] == values[3]:
         raise FormatError(lineno, "an agent is never asked the same question twice")
-    tokens = (branch_tok, q1.token(), a1_tok, q2.token(), a2_tok)
-    cell = _CELL_OF_FIELDS.get(",".join(tokens))
+    cell = _CELL_OF_FIELDS.get(",".join(map(dict.get, _SPELLINGS, values)))
     if cell is None:
-        raise FormatError(
-            lineno, f"branch {branch_tok} does not ask {q1_tok}, then {q2_tok} after {a1_tok}")
+        b, q1, a1, q2, _ = tokens
+        raise FormatError(lineno, f"branch {b} does not ask {q1}, then {q2} after {a1}")
     return cell
 
 
@@ -261,31 +268,23 @@ def emit_report(
     echoes ``seed``, ``design`` and ``alpha``.  ``test`` is ``violation_test``'s
     result or the DegenerateVariance it raised; the latter reports its exact
     margin, a zero standard error, no z, p-value or Wilson intervals."""
-    degenerate = isinstance(test, DegenerateVariance)
-    intervals = (None, None, None) if degenerate else test.term_intervals
+    outcome = verdict(test)
+    if isinstance(test, DegenerateVariance):
+        test = TestResult(test.margin, 0.0, None, None, False, (None,) * 3)
     report = {
-        "nu": {
-            "a_given_b_plus": _nu_entry(table.nu_a_given_b_plus, intervals[0]),
-            "c_given_b_minus": _nu_entry(table.nu_c_given_b_minus, intervals[1]),
-            "a_given_c_plus": _nu_entry(table.nu_a_given_c_plus, intervals[2]),
-        },
-        "margin": test.margin if degenerate else test.margin_estimate,
-        "standard_error": 0.0 if degenerate else test.standard_error,
-        "z": None if degenerate else test.z_statistic,
-        "p_value": None if degenerate else test.p_value,
+        "nu": {field.removeprefix("nu_"): _nu_entry(counts, interval)
+               for field, counts, interval in zip(table._fields, table, test.term_intervals)},
+        "margin": test.margin_estimate,
+        "standard_error": test.standard_error,
+        "z": test.z_statistic,
+        "p_value": test.p_value,
         "alpha": alpha,
-        "verdict": verdict(test),
+        "verdict": outcome,
         "symmetry_check": {
             "tolerance": symmetry.tolerance,
             "passed": symmetry.passed,
-            "questions": {
-                e.question.token(): {
-                    "plus_fraction": e.plus_fraction,
-                    "n_first_asked": e.n_first_asked,
-                    "flagged": e.flagged,
-                }
-                for e in symmetry.entries
-            },
+            "questions": {_SPELLINGS[1][e.question]: dict(zip(e._fields[1:], e[1:]))
+                          for e in symmetry.entries},
         },
         "seed": seed,
         "design": design,

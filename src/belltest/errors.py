@@ -1,7 +1,7 @@
 """Exception hierarchy and argument checks shared across the package."""
 
 from collections import namedtuple
-from numbers import Integral
+from numbers import Integral, Real
 
 
 def record(typename: str, field_names: str) -> type:
@@ -19,6 +19,12 @@ def _is_integer(value) -> bool:
     """True for an int or a numpy integer, not for a bool; an int skips the
     slow ABC check."""
     return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number, not a bool; numbers.Real excludes numpy bools,
+    and a float skips its slow ABC check."""
+    return isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
 
 
 def require_int(name: str, value, low: int, high: float, bounds: str) -> None:

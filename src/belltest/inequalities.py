@@ -25,7 +25,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DegenerateAlternatives
+from .errors import DegenerateAlternatives, is_real
 from .probability import (CondTriple, JointDistribution3, Outcome, VariableIndex, covariance,
                           event_probability)
 
@@ -97,12 +97,12 @@ def interference_coefficient(p: float, p1: float, p2: float) -> InterferenceResu
 
     |coefficient| <= 1 can be realized as cos(theta) (trigonometric regime);
     larger magnitudes fall outside that parameterization (hyperbolic).
-    Each probability must lie in [0, 1] (ValueError, which NaN fails too);
-    a product p1 * p2 that is 0, as when p1 or p2 is 0 or the product
-    underflows, raises DegenerateAlternatives.
+    Each probability must be a number, not a bool, in [0, 1] (ValueError,
+    which NaN fails too); a product p1 * p2 that is 0, as when p1 or p2 is 0
+    or the product underflows, raises DegenerateAlternatives.
     """
     for label, value in (("p", p), ("p1", p1), ("p2", p2)):
-        if not (0.0 <= value <= 1.0):
+        if not (is_real(value) and 0.0 <= value <= 1.0):
             raise ValueError(f"{label} must be in [0, 1], got {value!r}")
     if p1 * p2 == 0.0:
         raise DegenerateAlternatives(f"p1 * p2 must be positive, got p1={p1!r}, p2={p2!r}")

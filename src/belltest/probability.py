@@ -20,7 +20,7 @@ from functools import reduce
 from itertools import product
 from operator import add, mul
 
-from .errors import ZeroConditioningEvent, record, require_instance
+from .errors import ZeroConditioningEvent, is_real, record, require_instance
 
 NORMALIZATION_TOL = 1e-12
 
@@ -31,18 +31,6 @@ class Outcome(IntEnum):
     PLUS = +1
     MINUS = -1
 
-    @classmethod
-    def from_token(cls, token: str) -> "Outcome":
-        # Parse boundary: only the two explicit-sign spellings are accepted.
-        if token == "+1":
-            return cls.PLUS
-        if token == "-1":
-            return cls.MINUS
-        raise ValueError(f"outcome token must be '+1' or '-1', got {token!r}")
-
-    def token(self) -> str:
-        return "+1" if self is Outcome.PLUS else "-1"
-
 
 class VariableIndex(IntEnum):
     """Which of the three questions a value refers to; ordered A < B < C."""
@@ -50,16 +38,6 @@ class VariableIndex(IntEnum):
     A = 0
     B = 1
     C = 2
-
-    @classmethod
-    def from_token(cls, token: str) -> "VariableIndex":
-        try:
-            return cls[token.upper()]
-        except KeyError:
-            raise ValueError(f"question token must be a/b/c, got {token!r}") from None
-
-    def token(self) -> str:
-        return self.name.lower()
 
 
 #: Canonical atom order, sign triples (s_a, s_b, s_c).
@@ -152,7 +130,7 @@ class CondTriple(record("CondTriple", "p_a_given_b_plus p_c_given_b_minus p_a_gi
                 p_a_given_c_plus: float):
         self = super().__new__(cls, p_a_given_b_plus, p_c_given_b_minus, p_a_given_c_plus)
         for name, p in zip(self._fields, self):
-            if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+            if not (is_real(p) and 0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
         return self
 
@@ -167,7 +145,7 @@ def conditional(
     if p_given == 0.0:
         j, oj = given
         raise ZeroConditioningEvent(
-            f"P(xi_{j.token()} = {int(oj):+d}) = 0; conditional undefined"
+            f"P(xi_{VariableIndex(j).name.lower()} = {int(oj):+d}) = 0; conditional undefined"
         )
     return min(event_probability(joint, target, given) / p_given, 1.0)
 

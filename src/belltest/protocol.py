@@ -39,12 +39,11 @@ from enum import Enum
 from functools import cache, cached_property, lru_cache, partial
 from importlib import import_module
 from itertools import accumulate, product
-from numbers import Real
 from operator import itemgetter
 from typing import NamedTuple, Union
 
-from .errors import (EmptyConditioningBranch, record, require_counts, require_instance,
-                     require_int)
+from .errors import (EmptyConditioningBranch, is_real, record, require_counts,
+                     require_instance, require_int)
 from .probability import SIGNS, JointDistribution3, Outcome, VariableIndex
 
 _numpy = cache(partial(import_module, "numpy"))  # on first use; no import statement after
@@ -384,9 +383,7 @@ def estimate_frequencies(data: ResponseDataset) -> FrequencyTable:
 def check_symmetry(data: ResponseDataset, tolerance: float = 0.05) -> SymmetryReport:
     """Flag questions whose first-answer "yes" fraction strays from 1/2 by
     more than ``tolerance``, which must be a finite number >= 0, not a bool."""
-    # numbers.Real excludes numpy bools; a float skips its slow ABC check.
-    if not (isinstance(tolerance, float) or isinstance(tolerance, Real)
-            and not isinstance(tolerance, bool)) or not 0.0 <= tolerance < math.inf:
+    if not (is_real(tolerance) and 0.0 <= tolerance < math.inf):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if len(data) == 0:
         raise ValueError("dataset is empty")

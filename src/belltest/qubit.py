@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import record
+from .errors import is_real, record
 from .probability import CondTriple
 
 TWO_PI = 2.0 * math.pi
@@ -27,7 +27,7 @@ class BlochAngle(record("BlochAngle", "phi")):
     __slots__ = ()
 
     def __new__(cls, phi: float):
-        if not math.isfinite(phi):
+        if not (is_real(phi) and math.isfinite(phi)):
             raise ValueError(f"angle must be finite, got {phi!r}")
         phi = float(phi) % TWO_PI  # a tiny negative phi rounds up to TWO_PI
         return super().__new__(cls, 0.0 if phi == TWO_PI else phi)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import require_instance, require_int
+from .errors import is_real, require_instance, require_int
 from .probability import atom_index
 from .qubit import TWO_PI, QuestionTriple, predicted_conditionals
 
@@ -60,7 +60,7 @@ def maximize_quantum_violation(
     """
     require_int("grid_steps", grid_steps, 8, np.inf, "an integer of at least 8")
     require_int("grid_steps", grid_steps, 8, _MAX_GRID_STEPS + 1, f"at most {_MAX_GRID_STEPS}")
-    if isinstance(refine_tol, (bool, np.bool_)) or not 0.0 < refine_tol < np.inf:
+    if not (is_real(refine_tol) and 0.0 < refine_tol < np.inf):
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol!r}")
 
     gaps = np.arange(grid_steps) * (TWO_PI / grid_steps)

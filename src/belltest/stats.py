@@ -17,7 +17,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DegenerateVariance, require_counts
+from .errors import DegenerateVariance, is_real, require_counts
 from .protocol import FrequencyTable
 
 
@@ -42,7 +42,7 @@ def _ndtr(z: float) -> float:
 
 @lru_cache
 def _wilson_quantile(confidence: float) -> float:
-    if not (0.0 < confidence < 1.0):
+    if not (is_real(confidence) and 0.0 < confidence < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     p = 0.5 + 0.5 * confidence
     if p == 1.0:
@@ -84,7 +84,7 @@ def _wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
 def validate_alpha(alpha: float) -> None:
     """Raise ValueError unless ``alpha`` is a usable test size: in (0, 1),
     and large enough that the Wilson confidence ``1 - alpha`` is below 1."""
-    if not (0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
+    if not (is_real(alpha) and 0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1) with 1 - alpha < 1, got {alpha!r}")
 
 

@@ -85,6 +85,26 @@ class TestParseDataset:
             parse_dataset(bad)
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("good_rows", [0, 60_000])
+    @pytest.mark.parametrize("fields, message", [
+        ("XX,b,+1,a,+1", "'XX' is not a valid Branch"),
+        ("BA,d,+1,a,+1", "question token must be a/b/c, got 'd'"),
+        ("BA,b,1,a,+1", "outcome token must be '+1' or '-1', got '1'"),
+        ("BA,b,+1,ab,+1", "question token must be a/b/c, got 'ab'"),
+        ("BA,b,+1,a,yes", "outcome token must be '+1' or '-1', got 'yes'"),
+        ("BA,B,+1,b,+1", "an agent is never asked the same question twice"),
+        ("BA,c,-1,A,+1", "branch BA does not ask c, then A after -1"),
+    ])
+    def test_per_line_messages(self, fields, message, good_rows):
+        # The long text passes a parse piece, so the byte path reads it before
+        # the per-line loop finds its last row bad.
+        good = "".join(f"r{k},BA,b,+1,a,+1\n" for k in range(good_rows))
+        text = f"{CSV_HEADER}\n{good}bad,{fields}\n"
+        assert good_rows == 0 or len(text) >= 1 << 20
+        with pytest.raises(FormatError) as excinfo:
+            parse_dataset(text)
+        assert str(excinfo.value) == f"line {good_rows + 2}: {message}"
+
     def test_accepts_upper_case_question_tokens(self):
         data = parse_dataset(CSV_HEADER + "\nr0,BA,B,-1,A,+1\n")
         assert format_dataset(data) == CSV_HEADER + "\nr0,BA,b,-1,a,+1\n"
@@ -226,6 +246,8 @@ class TestCli:
     @pytest.mark.parametrize("angles, message", [
         ("0,1", "expected three comma-separated angles"),
         ("0,x,1", "non-numeric angle in '0,x,1'"),
+        ("0,inf,1", "simulate: error: argument --angles: angle must be finite, got inf\n"),
+        ("0,nan,1", "simulate: error: argument --angles: angle must be finite, got nan\n"),
     ])
     def test_malformed_angles_exit_2(self, tmp_path, capsys, angles, message):
         out = tmp_path / "x.csv"

@@ -38,8 +38,28 @@ from belltest.dataio import CSV_HEADER, _parse_bytes, format_dataset, parse_data
 from belltest.protocol import CELL_FIELDS
 
 
+# The reference's own answer and question tokens, spelled out here, not taken from the package.
+OUTCOME_OF = {"+1": Outcome.PLUS, "-1": Outcome.MINUS}
+QUESTION_OF = {"a": VariableIndex.A, "b": VariableIndex.B, "c": VariableIndex.C}
+OUTCOME_TOKEN = {v: t for t, v in OUTCOME_OF.items()}
+QUESTION_TOKEN = {v: t for t, v in QUESTION_OF.items()}
+
+
+def reference_outcome(token):
+    if token not in OUTCOME_OF:
+        raise ValueError(f"outcome token must be '+1' or '-1', got {token!r}")
+    return OUTCOME_OF[token]
+
+
+def reference_question(token):
+    if token.lower() not in QUESTION_OF:
+        raise ValueError(f"question token must be a/b/c, got {token!r}")
+    return QUESTION_OF[token.lower()]
+
+
 def tail(b, q1, a1, q2, a2):
-    return ",".join(("", b.value, q1.token(), a1.token(), q2.token(), a2.token())) + "\n"
+    tokens = (b.value, QUESTION_TOKEN[q1], OUTCOME_TOKEN[a1], QUESTION_TOKEN[q2], OUTCOME_TOKEN[a2])
+    return ",".join(("", *tokens)) + "\n"
 
 
 TAILS = [tail(*fields) for fields in CELL_FIELDS]
@@ -83,14 +103,14 @@ def reference_checked_cell(lineno, line, seen):
     if rid in seen:
         raise DuplicateRespondent(rid, lineno)
     try:
-        _, q1, _, q2, _ = (Branch(branch_tok), VariableIndex.from_token(q1_tok),
-                           Outcome.from_token(a1_tok), VariableIndex.from_token(q2_tok),
-                           Outcome.from_token(a2_tok))
+        _, q1, _, q2, _ = (Branch(branch_tok), reference_question(q1_tok),
+                           reference_outcome(a1_tok), reference_question(q2_tok),
+                           reference_outcome(a2_tok))
         if q1 == q2:
             raise ValueError("an agent is never asked the same question twice")
     except ValueError as exc:
         raise FormatError(lineno, str(exc)) from None
-    tokens = (branch_tok, q1.token(), a1_tok, q2.token(), a2_tok)
+    tokens = (branch_tok, QUESTION_TOKEN[q1], a1_tok, QUESTION_TOKEN[q2], a2_tok)
     cell = CELL_OF_FIELDS.get(",".join(tokens))
     if cell is None:
         raise FormatError(

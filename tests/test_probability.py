@@ -170,8 +170,15 @@ class TestConditional:
 
     def test_zero_conditioning_event(self):
         joint = JointDistribution3.point_mass((-1, -1, -1))
-        with pytest.raises(ZeroConditioningEvent):
+        with pytest.raises(ZeroConditioningEvent,
+                           match=r"^P\(xi_b = \+1\) = 0; conditional undefined$"):
             conditional(joint, (A, PLUS), (B, PLUS))
+
+    def test_zero_conditioning_event_on_plain_ints(self):
+        # The events are looked up by value, so plain ints name the same event.
+        joint = JointDistribution3.point_mass((-1, -1, -1))
+        with pytest.raises(ZeroConditioningEvent, match=r"^P\(xi_b = \+1\) = 0"):
+            conditional(joint, (0, 1), (1, 1))
 
     @given(joints)
     def test_sums_to_one_over_target_outcomes(self, joint):

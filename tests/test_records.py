@@ -28,7 +28,11 @@ from belltest import (
     SearchResult,
     SymmetryReport,
     VariableIndex,
+    interference_coefficient,
+    maximize_quantum_violation,
     random_joint,
+    violation_test,
+    wilson_interval,
 )
 from belltest import stats
 from belltest.protocol import SymmetryEntry
@@ -144,3 +148,17 @@ def test_replace_runs_the_checks():
     with pytest.raises(ValueError, match="must be a BlochAngle, got 1.0"):
         QuestionTriple._make([BlochAngle(0.0), 1.0, BlochAngle(2.0)])
     assert BlochAngle(1.0)._replace(phi=7.0) == BlochAngle(7.0)
+
+
+@pytest.mark.parametrize("value", ["x", None, True, np.True_], ids=repr)
+@pytest.mark.parametrize("check, message", [
+    (lambda v: violation_test(FrequencyTable((1, 2), (1, 2), (1, 2)), alpha=v), "alpha must be"),
+    (lambda v: wilson_interval(1, 2, v), "confidence must be"),
+    (lambda v: maximize_quantum_violation(8, refine_tol=v), "refine_tol must be"),
+    (lambda v: interference_coefficient(v, 0.25, 0.25), "p must be"),
+    (lambda v: CondTriple(0.5, v, 0.5), "p_c_given_b_minus must be"),
+    (BlochAngle, "angle must be"),
+], ids=["alpha", "confidence", "refine_tol", "interference", "CondTriple", "BlochAngle"])
+def test_number_checks_refuse_a_non_number_with_their_value_error(check, message, value):
+    with pytest.raises(ValueError, match=message):
+        check(value)
