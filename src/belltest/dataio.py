@@ -13,14 +13,15 @@ the zero-padded k, as ``run_protocol`` numbers agents, so a parsed file is
 written back renumbered; it fills one uint8 array a block at a time, with
 each row's tail, one of 20, taken by its cell code.  ``parse_dataset``
 checks that ids are non-empty, comma-free and unique, and keeps only the
-cells.  ASCII text of at least ``_PIECE`` bytes that starts with the exact
-header line and ends in a newline takes the byte path: per piece, cut after
-a newline, it checks for line breaks but ``\n`` (only where bytes below 0x20
-outnumber newlines), each row's 13-byte tail by a 64-slot perfect hash of
-the 20 (question tokens in either case) and each id (up to
-``_LONGEST_BYTE_ID`` bytes); then that no two ids share a 64-bit key, as equal
-ids do.  It holds the text plus 9 bytes per 15 of it.  Other text (CRLF rows,
-non-ASCII ids, a bad row) goes whole to the per-line loop, the only code that
+cells.  Text of at least ``_PIECE`` characters that starts with the exact
+header line and holds no non-ASCII line break takes the byte path (its last
+row may lack a newline): per piece, cut after a newline and in UTF-8, it
+checks for line breaks but ``\n`` (only where bytes below 0x20 outnumber
+newlines), each row's 13-byte tail by a 64-slot perfect hash of the 20
+(question tokens in either case) and each id (up to ``_LONGEST_BYTE_ID``
+bytes); then that no two ids share a 64-bit key, as equal ids do.  It holds
+the text plus 9 bytes per 15 of it.  Other text (CRLF rows, a longer id, a
+bad row, a repeated id) goes whole to the per-line loop, the only code that
 raises, which accepts exactly the same files and needs about 8 times the text.
 Text under a piece takes that loop alone, without numpy.
 """
@@ -34,7 +35,7 @@ from types import SimpleNamespace
 from .errors import DegenerateVariance, DuplicateRespondent, FormatError
 from .protocol import CELL_FIELDS, Branch, FrequencyTable, ResponseDataset, SymmetryReport
 from .probability import Outcome, VariableIndex
-from .stats import TestResult
+from .stats import TestResult, wilson_interval
 
 CSV_HEADER = "respondent_id,branch,first_question,first_answer,second_question,second_answer"
 
@@ -136,16 +137,19 @@ def parse_dataset(text: str) -> ResponseDataset:
 def _parse_bytes(text: str) -> ResponseDataset | None:
     """The dataset in ``text`` by array operations on its bytes, one piece at
     a time, or None when any row needs the per-line loop."""
-    if not (text.isascii() and text.startswith(_HEADER_LINE) and text.endswith("\n")):
+    if not (text.startswith(_HEADER_LINE)  # nor a non-ASCII line break of str.splitlines
+            and (text.isascii() or not any(map(text.__contains__, "\x85\u2028\u2029")))):
         return None
     import numpy as np
     # A row takes 15 bytes or more: an id, its tail and a newline.
     cells, keys = np.empty(len(text) // 15, np.uint8), np.empty(len(text) // 15, np.uint64)
     n, at = 0, len(_HEADER_LINE) - 1
-    while at < len(text) - 1:
-        # Cut at the last newline in _PIECE bytes, or at the next if none.
+    while 0 <= at < len(text) - 1:
+        # Cut at the last newline in _PIECE characters, or at the next if none.
+        # A last row without one is cut at -1, read as if it had one, and ends the loop.
         cut = max(text.rfind("\n", at + 1, at + _PIECE), text.find("\n", at + 1))
-        rows = _piece_rows(np.frombuffer(text[at:cut + 1].encode("ascii"), np.uint8))
+        piece = (text[at:cut + 1] or text[at:] + "\n").encode(errors="surrogatepass")
+        rows = _piece_rows(np.frombuffer(piece, np.uint8))
         if rows is None:
             return None
         end = n + len(rows[0])
@@ -241,10 +245,12 @@ def _checked_cell(lineno: int, line: str, seen: dict[str, int]) -> int:
     return cell
 
 
-def _nu_entry(counts: tuple[int, int], interval: tuple[float, float] | None) -> dict:
+def _nu_entry(counts: tuple[int, int], confidence: float | None) -> dict:
     num, den = counts
     entry = {"numerator": num, "denominator": den, "estimate": num / den}
-    return entry if interval is None else {**entry, "wilson_interval": list(interval)}
+    if confidence is None:
+        return entry
+    return {**entry, "wilson_interval": list(wilson_interval(num, den, confidence))}
 
 
 def verdict(test: TestResult | DegenerateVariance) -> str:
@@ -268,12 +274,12 @@ def emit_report(
     echoes ``seed``, ``design`` and ``alpha``.  ``test`` is ``violation_test``'s
     result or the DegenerateVariance it raised; the latter reports its exact
     margin, a zero standard error, no z, p-value or Wilson intervals."""
-    outcome = verdict(test)
+    outcome, confidence = verdict(test), 1.0 - alpha
     if isinstance(test, DegenerateVariance):
-        test = TestResult(test.margin, 0.0, None, None, False, (None,) * 3)
+        test, confidence = TestResult(test.margin, 0.0, None, None, False), None
     report = {
-        "nu": {field.removeprefix("nu_"): _nu_entry(counts, interval)
-               for field, counts, interval in zip(table._fields, table, test.term_intervals)},
+        "nu": {field.removeprefix("nu_"): _nu_entry(counts, confidence)
+               for field, counts in zip(table._fields, table)},
         "margin": test.margin_estimate,
         "standard_error": test.standard_error,
         "z": test.z_statistic,

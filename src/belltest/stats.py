@@ -3,8 +3,8 @@
 The three conditional frequencies come from disjoint sub-ensembles, so they
 are independent binomial proportions.  The margin nu1 + nu2 - nu3 therefore
 has a first-order-exact standard error, and a one-sided normal test in the
-violation direction is the natural decision rule.  Wilson intervals are
-reported per term because they stay sensible near 0 and 1.  The normal tail
+violation direction is the natural decision rule.  The report adds each
+term's `wilson_interval`, which stays sensible near 0 and 1.  The normal tail
 comes from `math.erfc` and the quantile from the C function behind
 `statistics.NormalDist.inv_cdf`, called without importing `statistics` (whose
 imports cost about 5 ms per `test` process), so no command needs SciPy; they
@@ -14,7 +14,6 @@ match `scipy.special.ndtr` and `ndtri` in all but the last bits.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateVariance, is_real, require_counts
@@ -27,7 +26,6 @@ class TestResult(NamedTuple):
     z_statistic: float
     p_value: float
     significant_violation: bool
-    term_intervals: tuple[tuple[float, float], ...]
 
 
 # z * sqrt(1/2) rounds to Cephes's erfc argument, so the tail stays within
@@ -40,7 +38,6 @@ def _ndtr(z: float) -> float:
     return 0.5 * math.erfc(-z * _SQRT1_2)
 
 
-@lru_cache
 def _wilson_quantile(confidence: float) -> float:
     if not (is_real(confidence) and 0.0 < confidence < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
@@ -59,11 +56,7 @@ def _wilson_quantile(confidence: float) -> float:
 def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     require_counts(successes, trials)
-    return _wilson(successes, trials, _wilson_quantile(confidence))
-
-
-def _wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
-    """Wilson interval at normal quantile `z`, for counts already checked."""
+    z = _wilson_quantile(confidence)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
@@ -83,7 +76,7 @@ def _wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
 
 def validate_alpha(alpha: float) -> None:
     """Raise ValueError unless ``alpha`` is a usable test size: in (0, 1),
-    and large enough that the Wilson confidence ``1 - alpha`` is below 1."""
+    and large enough that the report's Wilson confidence ``1 - alpha`` is below 1."""
     if not (is_real(alpha) and 0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1) with 1 - alpha < 1, got {alpha!r}")
 
@@ -105,7 +98,4 @@ def violation_test(table: FrequencyTable, alpha: float = 0.05) -> TestResult:
     se = math.sqrt(variance)
     z = margin / se
     p_value = _ndtr(z)
-    z_wilson = _wilson_quantile(1.0 - alpha)
-    intervals = (_wilson(s1, n1, z_wilson), _wilson(s2, n2, z_wilson), _wilson(s3, n3, z_wilson))
-    return tuple.__new__(TestResult,
-                         (margin, se, z, p_value, margin < 0.0 and p_value < alpha, intervals))
+    return tuple.__new__(TestResult, (margin, se, z, p_value, margin < 0.0 and p_value < alpha))

@@ -2,7 +2,7 @@
 
 Parsing works through the text in pieces and keeps a cell byte and an 8-byte
 id key per row, so its peak stays below the length of the text, with question
-tokens in either case.  Formatting holds the uint8 rows and the output string,
+tokens in either case, a non-ASCII id or no newline after the last row.  Formatting holds the uint8 rows and the output string,
 plus one block of row numbers and tails, so its peak stays just above twice
 the length of the output.
 """
@@ -20,7 +20,7 @@ from belltest import (
     QuestionTriple,
     run_protocol,
 )
-from belltest.dataio import CSV_HEADER, format_dataset, parse_dataset
+from belltest.dataio import CSV_HEADER, _parse_bytes, format_dataset, parse_dataset
 
 WITNESS = QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3)
 
@@ -54,6 +54,31 @@ def test_parse_peak_with_upper_case_tokens_is_below_the_text_length(survey):
     parsed, peak = traced_peak(parse_dataset, text)
     assert np.array_equal(parsed.counts, data.counts)
     assert peak <= 1.0 * len(text)
+
+
+def accented(text):
+    """``text`` with the first row's id starting with a non-ASCII letter."""
+    at = len(CSV_HEADER) + 1
+    return text[:at] + "é" + text[at + 1:]
+
+
+@pytest.mark.parametrize("edit", [lambda text: text[:-1], accented,
+                                  lambda text: accented(text)[:-1]],
+                         ids=["no final newline", "non-ASCII id", "both"])
+def test_byte_path_takes_text_without_a_final_newline_or_with_a_non_ascii_id(survey, edit):
+    data, text = survey
+    text = edit(text)
+    assert _parse_bytes(text) is not None
+    parsed, peak = traced_peak(parse_dataset, text)
+    assert np.array_equal(parsed.counts, data.counts)
+    assert peak <= 1.0 * len(text)
+
+
+def test_byte_path_declines_an_id_holding_a_line_separator(survey):
+    # str.splitlines, and so the per-line loop, breaks the row at U+2028.
+    _, text = survey
+    at = len(CSV_HEADER) + 2
+    assert _parse_bytes(text[:at] + "\u2028" + text[at:]) is None
 
 
 def test_format_peak_is_near_twice_the_output_length(survey):

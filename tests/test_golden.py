@@ -8,6 +8,8 @@ quantile moved to the standard library, which moved the last bits of
 `p_value` and of the Wilson bounds.  The 6 000-row
 cases fit in one parse piece, so one case of 3 x 200 000 agents pins the byte
 paths: 6-digit ids, a format of many blocks and a parse of many pieces.
+At other alphas than 0.05, the report's Wilson intervals are checked
+against `wilson_interval` rather than pinned.
 The `run_protocol` cell digests over 500 seeds were recorded before the
 kernel's stream keys and branch bases moved into a cached per-design plan.
 Over the same seeds, the analysis records equal those that their public
@@ -15,6 +17,7 @@ constructors build from the same fields.
 """
 
 import hashlib
+import json
 import math
 import pickle
 
@@ -23,7 +26,8 @@ import pytest
 from belltest import (ClassicalHiddenVariable, DegenerateVariance, DesignVariant,
                       EmptyConditioningBranch, FrequencyTable, JointDistribution3, ProtocolDesign,
                       QuantumUnpolarized, QuestionTriple, SymmetryReport, check_symmetry,
-                      estimate_frequencies, protocol, run_protocol, stats, violation_test)
+                      estimate_frequencies, protocol, run_protocol, stats, violation_test,
+                      wilson_interval)
 from belltest.protocol import SymmetryEntry
 from belltest.cli import main
 
@@ -70,6 +74,22 @@ def test_simulate_and_test_bytes_match_golden(tmp_path, model, seed):
     assert main(["test", str(csv), "--seed", str(seed), "--report", str(report)]) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv, report))
     assert digests == GOLDEN[model, seed]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.2])
+def test_report_intervals_are_wilson_intervals_at_one_minus_alpha(tmp_path, alpha):
+    # The report digests pin alpha = 0.05 alone; at any alpha, each term's
+    # interval is wilson_interval's at confidence 1 - alpha, bit for bit.
+    csv, report = tmp_path / "data.csv", tmp_path / "report.json"
+    assert main(["simulate", *MODELS["quantum-three"], "--n", "2000", "--seed", "1",
+                 "--out", str(csv)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN["quantum-three", 1][0]
+    assert main(["test", str(csv), f"--alpha={alpha!r}", "--report", str(report)]) == 0
+    out = json.loads(report.read_text())
+    assert out["alpha"] == alpha
+    for entry in out["nu"].values():
+        want = wilson_interval(entry["numerator"], entry["denominator"], 1 - alpha)
+        assert [bound.hex() for bound in entry["wilson_interval"]] == [b.hex() for b in want]
 
 
 BYTE_PATH_ARGS = ["--model", "quantum", "--angles", "0,2.0943951,1.0471976", "--design", "three",

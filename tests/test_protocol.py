@@ -25,6 +25,7 @@ from belltest import (
     random_joint,
     run_protocol,
     violation_test,
+    wilson_interval,
 )
 from belltest import protocol, streams
 from belltest.probability import ATOMS, atom_index, event_probability
@@ -476,10 +477,13 @@ class TestSmallSurveys:
              (0.26665638881067355, 0.6293266813020123)))),
     ])
     def test_violation_test_fields_at_fifty_per_branch(self, kind, variant, seed, expected):
+        # The test's five fields, then each estimated term's 95 % Wilson interval.
         data = run_protocol(SURVEY_POPULATIONS[kind](), ProtocolDesign(variant, 50), seed)
-        result = violation_test(estimate_frequencies(data), alpha=0.05)
+        table = estimate_frequencies(data)
+        result = violation_test(table, alpha=0.05)
+        intervals = tuple(wilson_interval(s, n, 0.95) for s, n in table)
         assert (result.margin_estimate, result.standard_error, result.z_statistic,
-                result.p_value, result.significant_violation, result.term_intervals) == expected
+                result.p_value, result.significant_violation, intervals) == expected
 
     @pytest.mark.parametrize("kind", sorted(SURVEY_POPULATIONS))
     def test_reused_population_equals_fresh_one(self, kind):

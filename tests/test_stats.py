@@ -262,9 +262,9 @@ class TestNormalTailMatchesScipyStats:
             monkeypatch.setitem(sys.modules, "_statistics", None)  # its import now fails
         confidences = np.linspace(0.0, 1.0, 4001)[1:-1].tolist() + [0.9, 0.95, 0.99]
         confidences += (1.0 - np.logspace(-15, -1, 200)).tolist() + [1e-300, 1e-12]
-        quantile = _wilson_quantile.__wrapped__  # uncached, so each call takes the path
-        mismatches = [(c, quantile(c)) for c in confidences
-                      if not self.same_bits(quantile(c), NormalDist().inv_cdf(0.5 + 0.5 * c))]
+        mismatches = [(c, _wilson_quantile(c)) for c in confidences
+                      if not self.same_bits(_wilson_quantile(c),
+                                            NormalDist().inv_cdf(0.5 + 0.5 * c))]
         assert mismatches == []
 
     def test_violation_test_p_value_close_to_norm_cdf(self):
