@@ -60,7 +60,7 @@ class InterferenceResult(NamedTuple):
 def _report(
     kind: InequalityKind, lhs_terms: tuple[float, ...], rhs: float, margin: float
 ) -> InequalityReport:
-    return InequalityReport(kind, lhs_terms, rhs, margin, violated=margin < -TOLERANCE)
+    return tuple.__new__(InequalityReport, (kind, lhs_terms, rhs, margin, margin < -TOLERANCE))
 
 
 def bell_covariance_check(joint: JointDistribution3) -> InequalityReport:

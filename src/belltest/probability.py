@@ -158,12 +158,18 @@ def _flat_dirichlet(rng: np.random.Generator) -> list[float]:
     return [x * scale for x in draws]
 
 
+def _normalized(w: list[float]) -> JointDistribution3:
+    """``JointDistribution3(tuple(w))`` for 8 floats known to make a law, unchecked."""
+    total = math.fsum(w)
+    return tuple.__new__(JointDistribution3, (tuple([x / total for x in w]),))
+
+
 def random_joint(rng: np.random.Generator) -> JointDistribution3:
     """Sample a joint law uniformly on the simplex of the 8 atom weights (a
     Dirichlet with every parameter 1).  Deterministic given the generator state."""
     import numpy as np
     require_instance("rng", rng, np.random.Generator)
-    return JointDistribution3(tuple(_flat_dirichlet(rng)))
+    return _normalized(_flat_dirichlet(rng))
 
 
 def symmetrize(joint: JointDistribution3) -> JointDistribution3:
@@ -172,5 +178,5 @@ def symmetrize(joint: JointDistribution3) -> JointDistribution3:
     The flip maps atom k to atom 7-k, so the result is invariant under
     negating all three variables and every marginal is exactly 1/2.
     """
-    w = joint.weights
-    return JointDistribution3(tuple([0.5 * (w[k] + w[7 - k]) for k in range(8)]))
+    require_instance("joint", joint, JointDistribution3)  # so its weights make a law
+    return _normalized([0.5 * (x + y) for x, y in zip(joint.weights, joint.weights[::-1])])

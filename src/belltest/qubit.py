@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import is_real, record
+from .errors import is_real, record, require_instance
 from .probability import CondTriple
 
 TWO_PI = 2.0 * math.pi
@@ -45,7 +45,7 @@ class QuestionTriple(record("QuestionTriple", "a b c")):
 
     @classmethod
     def from_floats(cls, a: float, b: float, c: float) -> "QuestionTriple":
-        return cls(BlochAngle(a), BlochAngle(b), BlochAngle(c))
+        return tuple.__new__(cls, (BlochAngle(a), BlochAngle(b), BlochAngle(c)))
 
 
 def born(x, y):
@@ -71,4 +71,5 @@ def predicted_conditionals(a, b, c):
 
 def predicted_conditional_triple(q: QuestionTriple) -> CondTriple:
     """Analytic conditional probabilities for the two-question protocol."""
-    return CondTriple(*map(float, predicted_conditionals(q.a.phi, q.b.phi, q.c.phi)))
+    require_instance("q", q, QuestionTriple)  # finite angles: squares of sines in [0, 1]
+    return tuple.__new__(CondTriple, map(float, predicted_conditionals(q.a.phi, q.b.phi, q.c.phi)))

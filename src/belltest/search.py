@@ -10,11 +10,17 @@ symmetrized simplex vertices, checked on many symmetrized random laws too.
 Symmetrized, a law's margin is 2 * (w(++-) + w(--+)), so each random law is
 scored from its unnormalised exponentials, and none can fall below 0, in
 work arrays allocated once per call: the floor's cost is mostly its draws.
+
+Both sweeps use two threads, as numpy releases the GIL in their array work.
+Grid blocks hold half the cells, so the two in flight hold what one did, and
+a tie between blocks goes to the lower cell; the floor scores a block while
+the calling thread, the generator's only user, draws the next into a second
+buffer.  So thread timing moves no bit of either result.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -46,9 +52,7 @@ def _margin(beta, gamma):
     return p1 + p2 - p3
 
 
-def maximize_quantum_violation(
-    grid_steps: int = 360, refine_tol: float = 1e-9
-) -> SearchResult:
+def maximize_quantum_violation(grid_steps: int = 360, refine_tol: float = 1e-9) -> SearchResult:
     """Most negative predicted margin over question-angle gaps.
 
     Exhaustive grid over (b - a, c - a) in [0, 2*pi)^2, keeping the first
@@ -64,13 +68,17 @@ def maximize_quantum_violation(
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol!r}")
 
     gaps = np.arange(grid_steps) * (TWO_PI / grid_steps)
-    rows = max(1, _BLOCK_CELLS // grid_steps)
-    best_margin, flat = np.inf, 0
-    for start in range(0, grid_steps, rows):
+    rows = max(1, _BLOCK_CELLS // 2 // grid_steps)  # half a block: two are in flight
+
+    def block_minimum(start):
         margins = _margin(gaps[start:start + rows, None], gaps)
         k = int(np.argmin(margins))  # row-major: the block's first minimum
-        if margins.flat[k] < best_margin:  # strict: earlier blocks win ties
-            best_margin, flat = float(margins.flat[k]), start * grid_steps + k
+        return float(margins.flat[k]), start * grid_steps + k
+
+    starts = range(0, grid_steps, rows)  # a tie goes to the lower cell, whichever ends first
+    with ThreadPoolExecutor(2) as pool:  # 32 blocks submitted at a time: few futures alive
+        best_margin, flat = min(min(pool.map(block_minimum, starts[i:i + 32]))
+                                for i in range(0, len(starts), 32))
     evaluations = int(grid_steps) ** 2
     best = (gaps[flat // grid_steps], gaps[flat % grid_steps])
 
@@ -83,17 +91,12 @@ def maximize_quantum_violation(
             m = _margin(*cand)
             evaluations += 1
             if m < best_margin:
-                best, best_margin = cand, m
-                moved = True
+                best, best_margin, moved = cand, m, True
         if not moved:
             step *= 0.5
 
-    return SearchResult(
-        best_angles=QuestionTriple.from_floats(0.0, best[0], best[1]),
-        best_margin=float(_margin(*best)),
-        evaluations=evaluations,
-        refinement_tolerance=refine_tol,
-    )
+    return SearchResult(QuestionTriple.from_floats(0.0, *best), float(_margin(*best)),
+                        evaluations, refine_tol)
 
 
 class FloorCertificate(NamedTuple):
@@ -122,13 +125,17 @@ def classical_margin_floor(
 
     rows = _BLOCK_CELLS // 8  # draws go row by row: blocks keep the rows and rng state
     size = max(rows, len(_VERTICES))
-    x, *work = (np.empty(shape) for shape in ((size, 8), (size, 4), (size, 2), size))
-    # Every block reuses x: min scores each one before the next draw overwrites it.
-    draws = (rng.standard_exponential(out=x[:min(rows, samples - start)])
-             for start in range(0, samples, rows))
-    min_margin = min(float(np.min(_closed_form_margins(block, *work)))
-                     for block in chain([_VERTICES], draws))
-    return FloorCertificate(min_margin=min_margin, samples_evaluated=int(samples) + 8, skipped=0)
+    draws = [np.empty((size, 8)) for _ in range(2)]
+    work = [np.empty(shape) for shape in ((size, 4), (size, 2), size)]
+    # Draw block k into one buffer while the helper scores block k - 1 in the other.
+    with ThreadPoolExecutor(1) as pool:
+        scored, minima = pool.submit(_closed_form_margins, _VERTICES, *work), []
+        for k, start in enumerate(range(0, samples, rows)):
+            block = rng.standard_exponential(out=draws[k % 2][:min(rows, samples - start)])
+            minima.append(float(np.min(scored.result())))
+            scored = pool.submit(_closed_form_margins, block, *work)
+        minima.append(float(np.min(scored.result())))
+    return FloorCertificate(min_margin=min(minima), samples_evaluated=int(samples) + 8, skipped=0)
 
 
 def _closed_form_margins(x, quads, pairs, sums):

@@ -10,7 +10,8 @@ piece and `interference` run without it, and `simulate`, `search` and `test`
 on a larger CSV import it where they first need arrays.  Importing
 `belltest.cli` defaults `OPENBLAS_NUM_THREADS` to 1, so whichever command
 loads numpy runs without the OpenBLAS thread pool, and keeps a value already
-set.  Only the `search` command loads `belltest.search`.  Records are named
+set.  Only the `search` command loads `belltest.search`, and with it the
+`concurrent.futures` thread pool of its two sweeps.  Records are named
 tuples, so no module imports `dataclasses` (or the `inspect` it pulls in), and
 the model modules `qubit`, `inequalities` and `streams` load only in the
 commands and functions that use them: neither `import belltest.cli` nor `test`
@@ -107,6 +108,7 @@ def test_data_commands_do_not_load_search(tmp_path, entry):
     loaded = run_fresh(command_code(tmp_path, entry))
     assert "belltest.dataio" in loaded
     assert "belltest.search" not in loaded
+    assert "concurrent.futures" not in loaded  # the search sweeps' thread pool
 
 
 def test_package_import_loads_no_submodule_or_numpy():

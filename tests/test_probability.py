@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -296,6 +297,7 @@ class TestFlatDirichlet:
         for _ in range(10_000):
             expected = reference.dirichlet(np.ones(8))
             drawn = random_joint(rng)
+            assert type(drawn) is JointDistribution3
             assert drawn.weights == JointDistribution3(tuple(expected)).weights
         assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -333,6 +335,21 @@ class TestSymmetrize:
         sym = symmetrize(joint)
         for i in (A, B, C):
             assert abs(event_probability(sym, (i, PLUS)) - 0.5) < 1e-15
+
+    @given(joints)
+    def test_packed_law_is_the_constructed_law(self, joint):
+        # symmetrize packs its record without the constructor's checks; the
+        # weights are still the constructor's, bit for bit.
+        w = joint.weights
+        built = JointDistribution3(tuple(0.5 * (w[k] + w[7 - k]) for k in range(8)))
+        sym = symmetrize(joint)
+        assert type(sym) is JointDistribution3 and sym.weights == built.weights
+
+    def test_rejects_a_non_law(self):
+        # It would have packed weights that sum to 4 into a law.
+        fake = namedtuple("Law", "weights")((0.5,) * 8)
+        with pytest.raises(ValueError, match="^joint must be a JointDistribution3, got Law"):
+            symmetrize(fake)
 
     @given(joints)
     def test_idempotent(self, joint):

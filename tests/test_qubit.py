@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from belltest import (
     BlochAngle,
+    CondTriple,
     QuestionTriple,
     predicted_conditional_triple,
     wigner_conditional_check,
@@ -52,6 +54,8 @@ class TestQuestionTriple:
     def test_from_floats_builds_angles(self):
         triple = QuestionTriple.from_floats(0.0, 1.0, 2.0 + 2 * math.pi)
         assert triple == QuestionTriple(BlochAngle(0.0), BlochAngle(1.0), BlochAngle(2.0))
+        assert type(triple) is QuestionTriple
+        assert [type(angle) for angle in triple] == [BlochAngle] * 3
 
 
 class TestTransitionProbability:
@@ -80,6 +84,22 @@ class TestTransitionProbability:
 
 
 class TestPredictedConditionalTriple:
+    @given(angles, angles, angles)
+    def test_packed_triple_is_the_constructed_triple(self, a, b, c):
+        # The triple is packed without CondTriple's range checks: each value
+        # is the square of a sine or cosine at finite angles, in [0, 1].
+        q = QuestionTriple.from_floats(a, b, c)
+        triple = predicted_conditional_triple(q)
+        built = CondTriple(*map(float, predicted_conditionals(q.a.phi, q.b.phi, q.c.phi)))
+        assert type(triple) is CondTriple and tuple(triple) == tuple(built)
+        assert [type(p) for p in triple] == [float] * 3
+
+    def test_rejects_a_non_triple(self):
+        # Angles that are not BlochAngles need not be finite.
+        fake = namedtuple("Angles", "a b c")(*[namedtuple("Angle", "phi")(math.nan)] * 3)
+        with pytest.raises(ValueError, match="^q must be a QuestionTriple, got Angles"):
+            predicted_conditional_triple(fake)
+
     def test_degenerate_questions(self):
         triple = predicted_conditional_triple(QuestionTriple.from_floats(0.1, 0.1, 0.1))
         assert tuple(triple) == pytest.approx((1.0, 0.0, 1.0), abs=1e-15)

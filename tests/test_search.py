@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -176,6 +179,156 @@ class TestBlockedGrid:
         expected = whole_grid_reference(36, 1e-6)
         monkeypatch.setattr(search, "_BLOCK_CELLS", block_cells)
         assert maximize_quantum_violation(36, 1e-6) == expected
+
+    # Which optimum each grid returns: the first, (2 pi/3, pi/3), as grid cells;
+    # the second, (4 pi/3, 5 pi/3), to 1e-7 rad; or neither exactly but the
+    # first to 1e-7 rad.
+    OPTIMUM = {8: "second", 42: "second", 77: "neither", 360: "first", 500: "second",
+               1000: "neither", 1440: "first"}
+
+    @pytest.mark.parametrize("grid", sorted(OPTIMUM))
+    @pytest.mark.parametrize("blocks", [1, 2, 3, "odd"])
+    def test_threaded_blocks_give_the_single_block_result(self, monkeypatch, grid, blocks):
+        # Blocks hold _BLOCK_CELLS // 2 cells in whole rows; "odd" is the fewest
+        # rows a block that make an odd count of blocks, more than the 32 that
+        # one map call takes for every grid above 42.
+        counts = {rows: -(-grid // rows) for rows in range(1, grid + 1)}  # blocks of rows
+        rows = next(r for r, n in counts.items() if (n % 2 if blocks == "odd" else n == blocks))
+        monkeypatch.setattr(search, "_BLOCK_CELLS", 2 * grid * grid)
+        single = maximize_quantum_violation(grid, 1e-9)
+        monkeypatch.setattr(search, "_BLOCK_CELLS", 2 * grid * rows)
+        assert maximize_quantum_violation(grid, 1e-9) == single
+        gaps = (single.best_angles.b.phi, single.best_angles.c.phi)
+        first, second = (2 * math.pi / 3, math.pi / 3), (4 * math.pi / 3, 5 * math.pi / 3)
+        near = second if self.OPTIMUM[grid] == "second" else first
+        assert gaps == pytest.approx(near, abs=1e-7)
+        assert (gaps == first) == (self.OPTIMUM[grid] == "first") and gaps != second
+
+    def test_tie_across_blocks_goes_to_the_lower_cell_when_the_later_block_ends_first(
+            self, monkeypatch):
+        # At grid 36 the two optima, in rows 12 and 24, have the same rounded
+        # margin and no other cell reaches it.  With 18 rows a block they sit
+        # in different blocks, and the first block is held back until the
+        # second has been scored.
+        gaps = np.arange(36) * (TWO_PI / 36)
+        margins = search._margin(gaps[:, None], gaps)
+        assert margins[12, 6] == margins[24, 30] == margins.min()
+        assert (margins == margins.min()).sum() == 2
+        monkeypatch.setattr(search, "_BLOCK_CELLS", 2 * 36 * 36)
+        single = maximize_quantum_violation(36, 1.0)
+        margin, scored = search._margin, []
+
+        def second_block_first(beta, gamma):
+            if np.ndim(beta) and beta[0, 0] == 0.0:
+                time.sleep(0.2)  # the first block's margins wait for the second's
+            scored.append(float(np.min(beta)))
+            return margin(beta, gamma)
+
+        monkeypatch.setattr(search, "_margin", second_block_first)
+        monkeypatch.setattr(search, "_BLOCK_CELLS", 2 * 36 * 18)
+        result = maximize_quantum_violation(36, 1.0)  # no refinement: the grid cell
+        assert scored[:2] == [gaps[18], 0.0]
+        assert result == single
+        assert (result.best_angles.b.phi, result.best_angles.c.phi) == (gaps[12], gaps[6])
+
+
+class Injected(Exception):
+    """The error a patched kernel raises on a later block."""
+
+
+def bounded_call(function, *arguments, timeout=60.0):
+    """``function(*arguments)`` in a daemon thread joined with a timeout, so a
+    deadlock fails the test instead of hanging the suite: (result, error)."""
+    outcome = [None, None]
+
+    def target():
+        try:
+            outcome[0] = function(*arguments)
+        except Exception as exc:  # handed to the test, which checks its type
+            outcome[1] = exc
+
+    threads = threading.active_count()
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{function.__name__} did not return in {timeout} s"
+    assert threading.active_count() == threads  # no sweep thread outlives the call
+    return tuple(outcome)
+
+
+def failing_on_call(function, failing_call):
+    """``function``, raising Injected on its ``failing_call``-th call (1-based)."""
+    calls = iter(range(1, 1 << 30))
+
+    def wrapped(*arguments, **keywords):
+        if next(calls) == failing_call:
+            raise Injected(f"call {failing_call}")
+        return function(*arguments, **keywords)
+    return wrapped
+
+
+class TestThreadedSweeps:
+    @pytest.mark.parametrize("failing_block", [2, 4])
+    def test_grid_error_on_a_later_block_is_raised_by_the_call(self, monkeypatch,
+                                                               failing_block):
+        monkeypatch.setattr(search, "_margin", failing_on_call(search._margin, failing_block))
+        assert -(-360 // (_BLOCK_CELLS // 2 // 360)) >= failing_block  # blocks at grid 360
+        result, error = bounded_call(maximize_quantum_violation, 360, 1e-9)
+        assert result is None and isinstance(error, Injected)
+
+    @pytest.mark.parametrize("failing_call", [1, 3, 6])  # call 1 scores the vertices
+    def test_floor_error_on_a_later_block_is_raised_by_the_call(self, monkeypatch,
+                                                                failing_call):
+        monkeypatch.setattr(search, "_closed_form_margins",
+                            failing_on_call(search._closed_form_margins, failing_call))
+        samples = 5 * (_BLOCK_CELLS // 8)
+        result, error = bounded_call(classical_margin_floor, samples, np.random.default_rng(2))
+        assert result is None and isinstance(error, Injected)
+
+    def test_floor_error_in_a_draw_is_raised_by_the_call(self):
+        # The calling thread's draw fails while the helper scores the block
+        # before it: the error still ends the call, and the helper with it.
+        class FailingGenerator(np.random.Generator):
+            standard_exponential = failing_on_call(np.random.Generator.standard_exponential, 3)
+
+        rng = FailingGenerator(np.random.PCG64(2))
+        result, error = bounded_call(classical_margin_floor, 5 * (_BLOCK_CELLS // 8), rng)
+        assert result is None and isinstance(error, Injected)
+
+    def test_concurrent_calls_under_fast_switching_match_whole_array_runs(self, monkeypatch):
+        # Four threads of floor calls and four of grid calls at once on a
+        # 2-CPU host, with the interpreter switching threads every microsecond
+        # and small blocks: a buffer scored after the next draw overwrote it,
+        # or a grid block merged out of turn, would change a result.  Each
+        # floor call draws two blocks of 7 laws, so a lost block changes its
+        # minimum about half the time; the floor's one vertex, of margin 2,
+        # leaves that minimum to the sampled laws.
+        monkeypatch.setattr(search, "_BLOCK_CELLS", 8 * 7)
+        monkeypatch.setattr(search, "_VERTICES", np.eye(8)[[1]])
+        floors = [sampled_floor_reference(14, np.random.default_rng(seed)) for seed in range(80)]
+        grid = whole_grid_reference(42, 1e-6)
+        results = [[] for _ in range(8)]
+
+        def worker(slot):
+            for seed in range(20 * slot, 20 * slot + 20) if slot < 4 else range(5):
+                results[slot].append(
+                    classical_margin_floor(14, np.random.default_rng(seed)).min_margin
+                    if slot < 4 else maximize_quantum_violation(42, 1e-6))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker, args=(slot,), daemon=True)
+                       for slot in range(8)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert sum(results[:4], []) == floors
+        assert results[4:] == [[grid] * 5] * 4
 
 
 def closed_form_margins(x):
