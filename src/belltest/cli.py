@@ -4,7 +4,7 @@ Subcommands:
 
     simulate   run a survey over a classical or quantum population -> CSV
     test       analyze a CSV dataset -> JSON report
-    search     find the angle triple with the most negative predicted margin
+    search     print the closed-form quantum optimum and classical floor
     interference  classify an observed probability against additivity
 
 Exit codes: 0 success, 2 validation error or out of memory, 3 degenerate/inconclusive.
@@ -100,14 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     tst.add_argument("--report", type=Path, default=None,
                      help="report path (default: stdout)")
 
-    sea = sub.add_parser("search", help="maximize the predicted quantum violation")
+    sea = sub.add_parser("search", help="print the closed-form optimum and classical floor")
     sea.set_defaults(run=_cmd_search)
-    sea.add_argument("--grid", type=int, default=360)
-    sea.add_argument("--refine-tol", type=float, default=1e-9)
-    sea.add_argument("--floor-samples", type=int, default=0,
-                     help="also certify the classical margin floor on N samples"
-                     " (0: no floor)")
-    sea.add_argument("--seed", type=int, default=0)
 
     inter = sub.add_parser("interference", help="classify an interference coefficient")
     inter.set_defaults(run=_cmd_interference)
@@ -164,19 +158,12 @@ def _cmd_test(args) -> tuple[int, str | None]:
 
 
 def _cmd_search(args) -> tuple[int, str | None]:
-    import numpy as np
-    from .search import classical_margin_floor, maximize_quantum_violation
+    from .inequalities import wigner_conditional_check
+    from .qubit import OPTIMUM, predicted_conditional_triple
 
-    if args.floor_samples < 0:
-        raise ValueError(f"--floor-samples must be >= 0, got {args.floor_samples}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    result = maximize_quantum_violation(grid_steps=args.grid, refine_tol=args.refine_tol)
-    angles = {q: angle.phi for q, angle in result.best_angles._asdict().items()}
-    payload = result._replace(best_angles=angles)._asdict()
-    if args.floor_samples > 0:
-        rng = np.random.default_rng(args.seed)
-        payload["classical_floor"] = classical_margin_floor(args.floor_samples, rng)._asdict()
+    angles = {q: angle.phi for q, angle in OPTIMUM._asdict().items()}
+    margin = wigner_conditional_check(predicted_conditional_triple(OPTIMUM)).margin
+    payload = {"best_angles": angles, "best_margin": margin, "classical_floor": 0.0}
     return EXIT_OK, json.dumps(payload, indent=2) + "\n"
 
 

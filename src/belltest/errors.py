@@ -15,10 +15,10 @@ def record(typename: str, field_names: str) -> type:
     return base
 
 
-def _is_integer(value) -> bool:
-    """True for an int or a numpy integer, not for a bool; an int skips the
-    slow ABC check."""
-    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+def is_integer(value) -> bool:
+    """True for an int (an IntEnum member too) or a numpy integer, not for a
+    bool; an int skips the slow ABC check."""
+    return type(value) is not bool if isinstance(value, int) else isinstance(value, Integral)
 
 
 def is_real(value) -> bool:
@@ -29,14 +29,14 @@ def is_real(value) -> bool:
 
 def require_int(name: str, value, low: int, high: float, bounds: str) -> None:
     """Raise ValueError unless ``value`` is an integer, not a bool, in [low, high)."""
-    if not _is_integer(value) or not low <= value < high:
+    if not is_integer(value) or not low <= value < high:
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
 def require_counts(successes, trials) -> None:
     """Raise ValueError unless ``successes`` of ``trials`` are integers, not
     bools, with 0 <= successes <= trials and trials >= 1."""
-    if not (_is_integer(successes) and _is_integer(trials) and 0 <= successes <= trials >= 1):
+    if not (is_integer(successes) and is_integer(trials) and 0 <= successes <= trials >= 1):
         raise ValueError(f"invalid counts ({successes}, {trials})")
 
 

@@ -18,9 +18,9 @@ import math
 from enum import IntEnum
 from functools import reduce
 from itertools import product
-from operator import add, mul
+from operator import add, itemgetter, mul
 
-from .errors import ZeroConditioningEvent, is_real, record, require_instance
+from .errors import ZeroConditioningEvent, is_integer, is_real, record, require_instance
 
 NORMALIZATION_TOL = 1e-12
 
@@ -48,13 +48,14 @@ ATOMS: tuple[tuple[int, int, int], ...] = tuple(
 #: SIGNS[v][k] = sign of variable v in atom k.
 SIGNS: tuple[tuple[int, ...], ...] = tuple(zip(*ATOMS))
 
-#: _ATOMS_WHERE[events] = the atoms in which each of one or two (v, s) events holds.
-_ATOMS_WHERE = {
-    events: tuple(k for k in range(8) if all(SIGNS[v][k] == s for v, s in events))
-    for n in (1, 2) for events in product(product(range(3), (1, -1)), repeat=n)
+#: _WEIGHTS_WHERE[events](w) = w at the atoms where one or two (v, s) events hold: w[0:0] at none.
+_WEIGHTS_WHERE = {
+    e: itemgetter(*[k for k in range(8) if all(SIGNS[v][k] == s for v, s in e)] or [slice(0)])
+    for n in (1, 2) for e in product(product(range(3), (1, -1)), repeat=n)
 }
 #: _SIGN_PRODUCTS[i, j][k] = SIGNS[i][k] * SIGNS[j][k].
 _SIGN_PRODUCTS = {(i, j): tuple(map(mul, SIGNS[i], SIGNS[j])) for i in range(3) for j in range(3)}
+_INTS = frozenset({int, VariableIndex, Outcome})  # index types that need no ``is_integer``
 
 
 class JointDistribution3(record("JointDistribution3", "weights")):
@@ -105,20 +106,22 @@ def atom_index(triple: tuple[int, int, int]) -> int:
 
 def covariance(joint: JointDistribution3, i: VariableIndex, j: VariableIndex) -> float:
     """E[xi_i * xi_j] over the 8 atoms; always in [-1, 1]."""
-    try:
-        signs = _SIGN_PRODUCTS[i, j]
-    except (KeyError, TypeError):  # TypeError: an unhashable index
-        raise ValueError(f"i and j must be variable indices in 0-2, got {i!r}, {j!r}") from None
+    signs = _SIGN_PRODUCTS.get((i, j)) if is_integer(i) and is_integer(j) else None
+    if signs is None:  # a bool or a float equal to an index would find its signs too
+        raise ValueError(f"i and j must be variable indices in 0-2, got {i!r}, {j!r}")
     return math.fsum(map(mul, signs, joint.weights))
 
 
 def event_probability(joint: JointDistribution3, *events: tuple[VariableIndex, Outcome]) -> float:
     """P(each of one or two (variable, outcome) events holds), exactly rounded."""
     try:
-        atoms = _ATOMS_WHERE[events]
-    except (KeyError, TypeError):
+        weights_where = _WEIGHTS_WHERE[events]
+        for v, s in events:  # a bool or a float equal to an index finds the same weights
+            if not (type(v) in _INTS and type(s) in _INTS or is_integer(v) and is_integer(s)):
+                raise KeyError
+    except (KeyError, TypeError):  # TypeError: an unhashable event
         raise ValueError(f"events must be one or two (0-2, +1/-1) pairs, got {events!r}") from None
-    return math.fsum(map(joint.weights.__getitem__, atoms))
+    return math.fsum(weights_where(joint.weights))
 
 
 class CondTriple(record("CondTriple", "p_a_given_b_plus p_c_given_b_minus p_a_given_c_plus")):

@@ -48,6 +48,13 @@ class QuestionTriple(record("QuestionTriple", "a b c")):
         return tuple.__new__(cls, (BlochAngle(a), BlochAngle(b), BlochAngle(c)))
 
 
+#: The questions of the most negative predicted margin, -1/4.  At a = 0 the margin is 1/2 + (cos x
+#: + cos y + cos z)/2 for x = b, y = c - b - pi, z = pi - c, and as x + y + z = 0 the sum is
+#: (|1 + e^{ix} + e^{i(x+y)}|^2 - 3)/2 >= -3/2, equal at (b, c) = (2pi/3, pi/3) and (4pi/3, 5pi/3).
+#: A symmetrized classical law's margin is 2(w(++-) + w(--+)) >= 0, 0 at the six other vertices.
+OPTIMUM = QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3)
+
+
 def born(x, y):
     """Born rule on the real circle: cos^2((x - y) / 2), on radians or arrays."""
     return np.square(np.cos(0.5 * (x - y)))

@@ -1,15 +1,14 @@
-"""Derivative-free searches over the two model spaces.
+"""Brute-force checks of the two closed forms that ``qubit.OPTIMUM`` states.
 
 The quantum objective depends only on the angle gaps (b - a, c - a) because
 a common rotation of all three questions leaves every transition probability
 unchanged, so the search fixes a = 0 and exhausts a 2-D grid, then polishes
 the best cell with a deterministic pattern search.
 
-The classical floor is the conditional-form margin's minimum, 0, at the
-symmetrized simplex vertices, checked on many symmetrized random laws too.
-Symmetrized, a law's margin is 2 * (w(++-) + w(--+)), so each random law is
-scored from its unnormalised exponentials, and none can fall below 0, in
-work arrays allocated once per call: the floor's cost is mostly its draws.
+The classical floor, 0, is checked on the symmetrized simplex vertices and
+on many symmetrized random laws, each scored in that closed form from its
+unnormalised exponentials, so none can fall below 0, in work arrays
+allocated once per call: the floor's cost is mostly its draws.
 
 Both sweeps use two threads, as numpy releases the GIL in their array work.
 Grid blocks hold half the cells, so the two in flight hold what one did, and
@@ -41,7 +40,6 @@ class SearchResult(NamedTuple):
     best_angles: QuestionTriple
     best_margin: float
     evaluations: int
-    refinement_tolerance: float
 
 
 def _margin(beta, gamma):
@@ -95,14 +93,12 @@ def maximize_quantum_violation(grid_steps: int = 360, refine_tol: float = 1e-9) 
         if not moved:
             step *= 0.5
 
-    return SearchResult(QuestionTriple.from_floats(0.0, *best), float(_margin(*best)),
-                        evaluations, refine_tol)
+    return SearchResult(QuestionTriple.from_floats(0.0, *best), float(_margin(*best)), evaluations)
 
 
 class FloorCertificate(NamedTuple):
     min_margin: float
     samples_evaluated: int
-    skipped: int
 
 
 def classical_margin_floor(
@@ -116,8 +112,6 @@ def classical_margin_floor(
     samples)`` would.  The margin is linear in the 8 weights, so its minimum
     over the simplex is at a vertex: the vertex minimum of 0 is the exact
     floor, and a ratio of non-negative numbers cannot fall below it.
-    Symmetrized laws give every conditioning event probability 1/2:
-    ``skipped`` is 0.
     """
     require_int("samples", samples, 0, np.inf, "a non-negative integer")
     if samples > 0 or rng is not None:
@@ -135,7 +129,7 @@ def classical_margin_floor(
             minima.append(float(np.min(scored.result())))
             scored = pool.submit(_closed_form_margins, block, *work)
         minima.append(float(np.min(scored.result())))
-    return FloorCertificate(min_margin=min(minima), samples_evaluated=int(samples) + 8, skipped=0)
+    return FloorCertificate(min_margin=min(minima), samples_evaluated=int(samples) + 8)
 
 
 def _closed_form_margins(x, quads, pairs, sums):

@@ -19,11 +19,13 @@ from belltest import (
     VariableIndex,
     check_symmetry,
     estimate_frequencies,
+    maximize_quantum_violation,
+    predicted_conditional_triple,
     run_protocol,
     violation_test,
+    wigner_conditional_check,
 )
 import belltest.cli as cli
-from belltest import search
 from belltest.cli import main
 from belltest.dataio import (
     CSV_HEADER,
@@ -352,11 +354,33 @@ class TestCli:
         assert not report.exists()
 
     def test_search_command(self, capsys):
-        assert main(["search", "--grid", "90", "--refine-tol", "1e-6",
-                     "--floor-samples", "500"]) == 0
+        assert main(["search"]) == 0
+        assert capsys.readouterr() == (json.dumps({
+            "best_angles": {"a": 0.0, "b": 2.0943951023931953, "c": 1.0471975511965976},
+            "best_margin": -0.2500000000000001, "classical_floor": 0.0}, indent=2) + "\n", "")
+
+    def test_search_prints_what_the_default_sweep_finds(self, capsys):
+        # The closed form against the library's brute-force check at the old
+        # defaults, bit for bit, and the mirror optimum against the same margin.
+        assert main(["search"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["best_margin"] == pytest.approx(-0.25, abs=1e-5)
-        assert payload["classical_floor"]["min_margin"] >= -1e-12
+        result = maximize_quantum_violation(360, 1e-9)
+        assert payload["best_angles"] == {q: angle.phi
+                                          for q, angle in result.best_angles._asdict().items()}
+        assert payload["best_margin"] == result.best_margin
+        mirror = QuestionTriple.from_floats(0.0, 4 * math.pi / 3, 5 * math.pi / 3)
+        assert wigner_conditional_check(predicted_conditional_triple(mirror)).margin == \
+            payload["best_margin"]
+
+    @pytest.mark.parametrize("flag", [["--grid", "360"], ["--refine-tol", "1e-9"],
+                                      ["--floor-samples", "10"], ["--seed", "1"]])
+    def test_search_takes_no_options(self, capsys, flag):
+        # Exit 2 through argparse: its usage, one error line, nothing on stdout.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", *flag])
+        error = f"belltest: error: unrecognized arguments: {' '.join(flag)}\n"
+        assert exit_info.value.code == 2
+        assert capsys.readouterr() == ("", cli.build_parser().format_usage() + error)
 
     def test_interference_command(self, capsys):
         assert main(["interference", "--p", "0.75", "--p1", "0.25",
@@ -467,55 +491,6 @@ class TestCli:
         assert err.startswith("test: ") and err.count("\n") == 1
         assert not report.exists()
 
-    def test_negative_floor_samples_exit_2(self, capsys):
-        assert main(["search", "--grid", "36", "--refine-tol", "1e-3",
-                     "--floor-samples", "-5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("search: --floor-samples must be >= 0")
-
-    def test_negative_seed_exit_2_before_search(self, capsys, monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("the search ran before --seed was checked")
-
-        monkeypatch.setattr(search, "maximize_quantum_violation", no_search)
-        assert main(["search", "--floor-samples", "10", "--seed", "-1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "search: --seed must be >= 0, got -1\n"
-
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
-    def test_refine_tol_not_finite_exit_2(self, capsys, tol):
-        assert main(["search", "--grid", "36", f"--refine-tol={tol}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("search: refine_tol must be positive and finite")
-
-    def test_floor_reports_plain_sample_count(self, capsys):
-        assert main(["search", "--grid", "36", "--refine-tol", "1e-3",
-                     "--floor-samples", "1000", "--seed", "1"]) == 0
-        floor = json.loads(capsys.readouterr().out)["classical_floor"]
-        assert floor["samples_evaluated"] == 1008 and type(floor["samples_evaluated"]) is int
-        assert 0.0 <= floor["min_margin"] < 0.05 and floor["skipped"] == 0
-
-    def test_grid_below_8_exit_2(self, capsys):
-        assert main(["search", "--grid", "4", "--floor-samples", "10"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "search: grid_steps must be an integer of at least 8, got 4\n"
-
-    def test_grid_above_65536_exit_2(self, capsys):
-        assert main(["search", "--grid", "65537", "--floor-samples", "10"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "search: grid_steps must be at most 65536, got 65537\n"
-
-    def test_zero_floor_samples_means_no_floor(self, capsys):
-        assert main(["search", "--grid", "36", "--refine-tol", "1e-3",
-                     "--floor-samples", "0"]) == 0
-        assert "classical_floor" not in json.loads(capsys.readouterr().out)
-
-
 class ProcessExit(Exception):
     """Raised in place of ``os._exit``, with the code it was called with."""
 
@@ -590,7 +565,7 @@ class TestRun:
                      "--n", "10", "--seed", "1", "--out", str(tmp_path / "data.csv"))
         assert [code for code, _ in exits] == [0]
 
-    STDOUT_ARGS = {"search": ["--grid", "36", "--refine-tol", "1e-3"],
+    STDOUT_ARGS = {"search": [],
                    "interference": ["--p", "0.75", "--p1", "0.25", "--p2", "0.25"]}
 
     @pytest.mark.parametrize("command", ["test", "search", "interference"])
@@ -598,7 +573,8 @@ class TestRun:
                                                            command):
         # Every command that writes to stdout fails through main, as any other
         # unwritable output does, rather than losing its output or raising.
-        args = self.STDOUT_ARGS.get(command) or [str(TestCli().simulate(tmp_path))]
+        args = (self.STDOUT_ARGS[command] if command in self.STDOUT_ARGS
+                else [str(TestCli().simulate(tmp_path))])
         with monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", None)
             code = main([command, *args])

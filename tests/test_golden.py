@@ -1,8 +1,8 @@
 """Golden SHA-256 digests of `simulate` CSVs, `test` reports and `search` output.
 
 The CSV and report digests were recorded before the dataset became columnar,
-and the `search` digest before the floor and the grid were evaluated in
-blocks; any change to these bytes for a fixed seed shows up here.  The
+and the `search` digest when `search` came to print the closed form; any
+change to these bytes for a fixed seed shows up here.  The
 `quantum-three` report digests were recorded again when the normal tail and
 quantile moved to the standard library, which moved the last bits of
 `p_value` and of the Wilson bounds.  The 6 000-row
@@ -127,9 +127,8 @@ def test_degenerate_report_bytes_match_golden(tmp_path):
     assert digests == DEGENERATE_GOLDEN
 
 
-SEARCH_ARGS = ["search", "--grid", "360", "--refine-tol", "1e-9",
-               "--floor-samples", "100000", "--seed", "7"]
-SEARCH_GOLDEN = "3083153c3b2d44b850680ac56e60a1b8dd1a709d0aa398057bcdf1da36d3a890"
+SEARCH_ARGS = ["search"]
+SEARCH_GOLDEN = "867f6c5a5c8626bf24b86bae6395118e7c728e82d8fce9f2eda65a309f215970"
 
 
 def test_search_stdout_matches_golden(capsys):

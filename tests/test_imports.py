@@ -10,8 +10,9 @@ piece and `interference` run without it, and `simulate`, `search` and `test`
 on a larger CSV import it where they first need arrays.  Importing
 `belltest.cli` defaults `OPENBLAS_NUM_THREADS` to 1, so whichever command
 loads numpy runs without the OpenBLAS thread pool, and keeps a value already
-set.  Only the `search` command loads `belltest.search`, and with it the
-`concurrent.futures` thread pool of its two sweeps.  Records are named
+set.  No command loads `belltest.search`, nor with it the
+`concurrent.futures` thread pool of its two sweeps: `search` prints the closed
+form from `qubit` and `inequalities`.  Records are named
 tuples, so no module imports `dataclasses` (or the `inspect` it pulls in), and
 the model modules `qubit`, `inequalities` and `streams` load only in the
 commands and functions that use them: neither `import belltest.cli` nor `test`
@@ -82,9 +83,7 @@ def command_code(tmp_path: Path, entry: str) -> str:
     return {
         "import": "import belltest.cli\n",
         "simulate": simulate_code(tmp_path / "data.csv"),
-        "search": ("from belltest.cli import main\n"
-                   "assert main(['search', '--grid', '36', '--refine-tol', '1e-3',"
-                   " '--floor-samples', '10']) == 0\n"),
+        "search": "from belltest.cli import main\nassert main(['search']) == 0\n",
         "test": simulate_code(tmp_path / "data.csv") + (
             f"assert main(['test', {str(tmp_path / 'data.csv')!r},"
             f" '--report', {str(tmp_path / 'r.json')!r}]) == 0\n"),
@@ -103,8 +102,8 @@ def test_entry_points_load_no_scipy(tmp_path, entry):
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
-@pytest.mark.parametrize("entry", ["simulate", "test"])
-def test_data_commands_do_not_load_search(tmp_path, entry):
+@pytest.mark.parametrize("entry", ["simulate", "search", "test"])
+def test_commands_do_not_load_search(tmp_path, entry):
     loaded = run_fresh(command_code(tmp_path, entry))
     assert "belltest.dataio" in loaded
     assert "belltest.search" not in loaded

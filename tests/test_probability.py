@@ -140,10 +140,34 @@ EVENTS_ERROR = "events must be one or two"
     pytest.param(event_probability, ((A, PLUS), (B, 2)), EVENTS_ERROR, id="second-outcome-2"),
     pytest.param(conditional, ((A, PLUS), (3, PLUS)), EVENTS_ERROR, id="conditional-given"),
     pytest.param(conditional, ((A, 0), (B, PLUS)), EVENTS_ERROR, id="conditional-target"),
+    # A bool or a float equal to an index or an outcome hashes as that int does,
+    # so each would find the int's table entry.
+    pytest.param(covariance, (True, 2.0), COVARIANCE_ERROR, id="covariance-bool-and-float"),
+    pytest.param(covariance, (A, False), COVARIANCE_ERROR, id="covariance-j-bool"),
+    pytest.param(covariance, (1.0, C), COVARIANCE_ERROR, id="covariance-i-float"),
+    pytest.param(event_probability, ((A, True),), EVENTS_ERROR, id="outcome-bool"),
+    pytest.param(event_probability, ((False, PLUS),), EVENTS_ERROR, id="variable-bool"),
+    pytest.param(event_probability, ((A, PLUS), (2.0, PLUS)), EVENTS_ERROR,
+                 id="second-variable-float"),
+    pytest.param(event_probability, ((A, -1.0),), EVENTS_ERROR, id="outcome-float"),
+    pytest.param(conditional, ((A, PLUS), (B, True)), EVENTS_ERROR, id="conditional-given-bool"),
+    pytest.param(conditional, ((0.0, PLUS), (B, PLUS)), EVENTS_ERROR,
+                 id="conditional-target-float"),
 ])
 def test_bad_arguments_raise_value_error(helper, args, message):
     with pytest.raises(ValueError, match=message):
         helper(PERFECT, *args)
+
+
+@pytest.mark.parametrize("index", [np.int64, np.uint8])
+def test_numpy_integers_name_the_events_their_values_do(index):
+    w = (0.05, 0.1, 0.15, 0.2, 0.25, 0.1, 0.05, 0.1)
+    joint = JointDistribution3(w)
+    assert covariance(joint, index(0), index(2)) == covariance(joint, A, C)
+    assert event_probability(joint, (index(1), PLUS), (C, MINUS)) == \
+        event_probability(joint, (B, PLUS), (C, MINUS))
+    assert conditional(joint, (index(0), PLUS), (index(2), PLUS)) == \
+        conditional(joint, (A, PLUS), (C, PLUS))
 
 
 class TestMarginalPlus:

@@ -65,9 +65,9 @@ RECORDS = [
     (InterferenceResult, {"coefficient": 0.5, "regime": InterferenceRegime.TRIGONOMETRIC}, 0.0),
     (stats.TestResult, {"margin_estimate": -0.25, "standard_error": 0.1, "z_statistic": -2.5,
                   "p_value": 0.006, "significant_violation": True}, 0.25),
-    (SearchResult, {"best_angles": WITNESS, "best_margin": -0.25, "evaluations": 100,
-                    "refinement_tolerance": 1e-9}, QuestionTriple.from_floats(0.0, 1.0, 2.0)),
-    (FloorCertificate, {"min_margin": 0.0, "samples_evaluated": 8, "skipped": 0}, 0.5),
+    (SearchResult, {"best_angles": WITNESS, "best_margin": -0.25, "evaluations": 100},
+     QuestionTriple.from_floats(0.0, 1.0, 2.0)),
+    (FloorCertificate, {"min_margin": 0.0, "samples_evaluated": 8}, 0.5),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 

@@ -22,7 +22,7 @@ from belltest import (
     wigner_conditional_check,
 )
 from belltest import search
-from belltest.qubit import QuestionTriple, predicted_conditionals
+from belltest.qubit import OPTIMUM, QuestionTriple, predicted_conditionals
 from belltest.search import _BLOCK_CELLS, SearchResult
 
 TWO_PI = 2 * math.pi
@@ -165,7 +165,7 @@ def whole_grid_reference(grid_steps, refine_tol):
         if not moved:
             step *= 0.5
     angles = QuestionTriple.from_floats(0.0, *best)
-    return SearchResult(angles, margin_at(0.0, *best), evaluations, refine_tol)
+    return SearchResult(angles, margin_at(0.0, *best), evaluations)
 
 
 class TestBlockedGrid:
@@ -381,7 +381,6 @@ class TestClassicalMarginFloor:
         cert = classical_margin_floor(0)
         assert cert.min_margin == pytest.approx(0.0, abs=1e-15)
         assert cert.samples_evaluated == 8
-        assert cert.skipped == 0
 
     def test_symmetrized_all_plus_vertex_margin_zero(self):
         sym = symmetrize(JointDistribution3.point_mass((1, 1, 1)))
@@ -536,6 +535,22 @@ class TestRejectsBadArguments:
         finally:
             tracemalloc.stop()
         assert peak < 65537 * 8  # less than the grid's own gap array
+
+
+class TestClosedFormAtScale:
+    """The brute-force checks of ``qubit.OPTIMUM`` and of the classical floor
+    at the sizes that the model-space benchmark runs them."""
+
+    def test_fine_grid_with_tight_refinement_lands_on_the_optimum(self):
+        result = maximize_quantum_violation(1440, 1e-12)
+        assert result.evaluations == 2073732
+        assert result.best_margin == -0.2500000000000001
+        assert result.best_angles == OPTIMUM
+
+    def test_two_million_sampled_laws_stay_on_the_floor(self):
+        cert = classical_margin_floor(2_000_000, np.random.default_rng(1))
+        assert cert.samples_evaluated == 2000008
+        assert cert.min_margin == 0.0
 
 
 def test_quantum_classical_separation():
