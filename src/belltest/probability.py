@@ -76,7 +76,10 @@ class JointDistribution3(record("JointDistribution3", "weights")):
             for k, x in enumerate(w):
                 if not 0.0 <= x < math.inf:
                     raise ValueError(f"atom {k} has invalid weight {x!r}")
-        total = math.fsum(w)
+        try:
+            total = math.fsum(w)
+        except OverflowError:  # finite weights whose sum passes the float range
+            total = math.inf
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within {NORMALIZATION_TOL}")
         return super().__new__(cls, tuple([x / total for x in w]))
@@ -99,7 +102,7 @@ class JointDistribution3(record("JointDistribution3", "weights")):
 
 def atom_index(triple: tuple[int, int, int]) -> int:
     sa, sb, sc = triple
-    if not all(s in (1, -1) for s in triple):
+    if not all(s in (1, -1) and is_integer(s) for s in triple):  # no bool or float sign
         raise ValueError(f"atom signs must be +1/-1, got {triple!r}")
     return 4 * (sa < 0) + 2 * (sb < 0) + (sc < 0)
 
@@ -122,6 +125,13 @@ def event_probability(joint: JointDistribution3, *events: tuple[VariableIndex, O
     except (KeyError, TypeError):  # TypeError: an unhashable event
         raise ValueError(f"events must be one or two (0-2, +1/-1) pairs, got {events!r}") from None
     return math.fsum(weights_where(joint.weights))
+
+
+#: Per ``CondTriple`` field, in field order: the question answered first, its answer,
+#: and the question whose "yes" the conditional is the chance of.
+CONDITIONALS = ((VariableIndex.B, Outcome.PLUS, VariableIndex.A),
+                (VariableIndex.B, Outcome.MINUS, VariableIndex.C),
+                (VariableIndex.C, Outcome.PLUS, VariableIndex.A))
 
 
 class CondTriple(record("CondTriple", "p_a_given_b_plus p_c_given_b_minus p_a_given_c_plus")):

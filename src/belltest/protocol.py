@@ -23,12 +23,12 @@ answer, second answer) count table.  Each branch is one context: it fixes
 the first question and the second after each answer, so each of the 20
 codes is a response that some branch produces (see ``CELL_FIELDS``).  The
 constructor counts the cells once, and that count is its check: it refuses
-any other code.  The estimators and the symmetry check read that flat table
-of 20 counts, which a list of cells, as a short parsed file has, gets in plain
-Python, and an array by ``np.bincount``, a block at a time.  numpy, ``qubit``
-and ``streams`` are imported only where the arrays, the quantum population and
-the kernel first need them, so counting a parsed file loads none of them and
-a warm call imports nothing.
+any other code.  The estimators, one per ``CONDITIONALS`` triple, and the
+symmetry check read that flat table of 20 counts, which a list of cells, as a
+short parsed file has, gets in plain Python, and an array by ``np.bincount``,
+a block at a time.  numpy, ``qubit`` and ``streams`` are imported only where
+the arrays, the quantum population and the kernel first need them, so
+counting a parsed file loads none of them and a warm call imports nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple, Union
 
 from .errors import (EmptyConditioningBranch, is_real, record, require_counts,
                      require_instance, require_int)
-from .probability import SIGNS, JointDistribution3, Outcome, VariableIndex
+from .probability import CONDITIONALS, SIGNS, JointDistribution3, Outcome, VariableIndex
 
 _numpy = cache(partial(import_module, "numpy"))  # on first use; no import statement after
 
@@ -98,15 +98,11 @@ class QuantumUnpolarized(record("QuantumUnpolarized", "questions")):
 
     @cached_property
     def _second_yes(self) -> np.ndarray:
-        """Per route, 2 * branch code + first answer code: the Born chance of a
-        second "yes"."""
-        np = _numpy()
-        from .qubit import born, born_after_no
-        q = self.questions
-        angles = np.array([q.a.phi, q.b.phi, q.c.phi])  # indexed by VariableIndex
-        first, second = angles[[(q1, q2) for _, q1, _, q2, _ in CELL_FIELDS[::2]]].T
-        return np.where(np.arange(len(first)) % 2, born_after_no(first, second),
-                        born(first, second))  # odd routes follow a first "no"
+        """Per route, 2 * branch code + first answer code: ``qubit.second_yes``."""
+        from .qubit import second_yes
+        angles = [angle.phi for angle in self.questions]  # indexed by VariableIndex
+        return _numpy().array([second_yes(angles[q1], angles[q2], a1)
+                               for _, q1, a1, q2, _ in CELL_FIELDS[::2]])
 
     @cached_property
     def _second_yes_bits(self) -> np.ndarray:
@@ -357,11 +353,11 @@ def infer_design(data: ResponseDataset) -> DesignVariant:
 # --- estimation -------------------------------------------------------------
 
 
-# The estimated conditionals: the counts of a second "yes" and of a second
-# "no" after each (first question, first answer, second question).
-_CONDITIONALS = tuple((_counts(None, q1, a1, q2, 1), _counts(None, q1, a1, q2, -1), label)
-                      for q1, a1, q2, label in ((1, 1, 0, "a|b+"), (1, -1, 2, "c|b-"),
-                                                (2, 1, 0, "a|c+")))
+# The estimated conditionals, one per ``CONDITIONALS`` triple: the counts of a
+# second "yes" and of a second "no" after its first question and answer, and its label.
+_CONDITIONALS = tuple((*(_counts(None, q1, a1, q2, a2) for a2 in Outcome),
+                       f"{q2.name.lower()}|{q1.name.lower()}{'+-'[a1 < 0]}")
+                      for q1, a1, q2 in CONDITIONALS)
 # Per question that a branch asks first: the counts of a first "yes" and a first "no".
 _FIRST_ANSWERS = tuple((q, _counts(None, q, 1), _counts(None, q, -1))
                        for q in sorted({q1 for _, q1, *_ in CELL_FIELDS}))

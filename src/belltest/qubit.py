@@ -4,9 +4,9 @@ A question is a direction phi on the circle; its "yes" eigenstate sits at
 phi and its "no" eigenstate at phi + pi.  The chance that a state at angle
 x answers a question at angle y with "yes" is cos^2((x - y) / 2).  Answering
 collapses the state onto the eigenstate of the answer given, which is what
-lets the model step outside every single classical joint law.  This module
-holds the model's formulas on arrays; ``protocol.run_protocol`` is its one
-simulator of collapsing agents.
+lets the model step outside every single classical joint law.  ``second_yes``
+is the one formula of that collapse, on radians or arrays, and
+``protocol.run_protocol`` is the model's one simulator of collapsing agents.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import is_real, record, require_instance
-from .probability import CondTriple
+from .probability import CONDITIONALS, CondTriple
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,28 +55,19 @@ class QuestionTriple(record("QuestionTriple", "a b c")):
 OPTIMUM = QuestionTriple.from_floats(0.0, 2 * math.pi / 3, math.pi / 3)
 
 
-def born(x, y):
-    """Born rule on the real circle: cos^2((x - y) / 2), on radians or arrays."""
-    return np.square(np.cos(0.5 * (x - y)))
-
-
-def born_after_no(q1, q2):
-    """Chance of "yes" to q2 after "no" to q1: the state sits at q1 + pi, so
-    sin^2((q2 - q1) / 2), kept in that form because born(q1 + pi, q2) would
-    round q1 + pi."""
-    return np.square(np.sin(0.5 * (q2 - q1)))
-
-
-def predicted_conditionals(a, b, c):
-    """p(a+|b+), p(c+|b-), p(a+|c+) for questions at angles a, b, c (or arrays).
-
-    After a "yes" to b the state sits at b, so p(a+|b+) = cos^2((a-b)/2);
-    after a "no", p(c+|b-) = sin^2((c-b)/2).
-    """
-    return born(a, b), born_after_no(b, c), born(a, c)
+def second_yes(first, second, first_answer):
+    """Chance of "yes" to the question at angle ``second`` after ``first_answer`` (+1 or
+    -1) to the one at ``first``, on radians or arrays: cos^2((second - first) / 2) after a
+    "yes", as the state sits at ``first``, and sin^2 of the same half gap after a "no", as
+    the state sits at first + pi, which is never rounded."""
+    half = 0.5 * (second - first)
+    root = np.cos(half) if first_answer > 0 else np.sin(half)
+    return root * root  # not ``root ** 2``: on a numpy scalar that calls libm's pow
 
 
 def predicted_conditional_triple(q: QuestionTriple) -> CondTriple:
-    """Analytic conditional probabilities for the two-question protocol."""
+    """Analytic conditional probabilities: ``second_yes`` on each of ``CONDITIONALS``."""
     require_instance("q", q, QuestionTriple)  # finite angles: squares of sines in [0, 1]
-    return tuple.__new__(CondTriple, map(float, predicted_conditionals(q.a.phi, q.b.phi, q.c.phi)))
+    angles = q.a.phi, q.b.phi, q.c.phi  # indexed by VariableIndex
+    return tuple.__new__(CondTriple, [float(second_yes(angles[given], angles[target], answer))
+                                      for given, answer, target in CONDITIONALS])

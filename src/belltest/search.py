@@ -1,9 +1,9 @@
 """Brute-force checks of the two closed forms that ``qubit.OPTIMUM`` states.
 
-The quantum objective depends only on the angle gaps (b - a, c - a) because
-a common rotation of all three questions leaves every transition probability
-unchanged, so the search fixes a = 0 and exhausts a 2-D grid, then polishes
-the best cell with a deterministic pattern search.
+The quantum objective, ``second_yes`` on each of ``CONDITIONALS``, depends
+only on the gaps (b - a, c - a), as a common rotation leaves every transition
+probability unchanged: the search fixes a = 0, exhausts a 2-D grid and
+polishes its best cell by a deterministic pattern search.
 
 The classical floor, 0, is checked on the symmetrized simplex vertices and
 on many symmetrized random laws, each scored in that closed form from its
@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import is_real, require_instance, require_int
-from .probability import atom_index
-from .qubit import TWO_PI, QuestionTriple, predicted_conditionals
+from .probability import CONDITIONALS, atom_index
+from .qubit import TWO_PI, QuestionTriple, second_yes
 
 _BLOCK_CELLS = 1 << 16  # grid cells or floor weights per block, so memory stays bounded
 _MAX_GRID_STEPS = 1 << 16  # one grid row fits in a block, so memory stays bounded
@@ -46,7 +46,9 @@ def _margin(beta, gamma):
     """Predicted conditional-form margin at a = 0, gaps ``beta`` and ``gamma``
     (radians or arrays): the same operations as ``wigner_conditional_check``
     of ``predicted_conditional_triple``, so the same bits."""
-    p1, p2, p3 = predicted_conditionals(0.0, beta % TWO_PI, gamma % TWO_PI)
+    angles = 0.0, beta % TWO_PI, gamma % TWO_PI  # indexed by VariableIndex
+    p1, p2, p3 = [second_yes(angles[given], angles[target], answer)
+                  for given, answer, target in CONDITIONALS]
     return p1 + p2 - p3
 
 

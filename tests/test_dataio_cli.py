@@ -308,6 +308,20 @@ class TestCli:
     @pytest.mark.parametrize("rows, argv, code, err, fails", [
         pytest.param(ONE_ROW, [], 3, "test: no respondent reached the c|b- conditioning event",
                      None, id="empty-conditioning-branch"),
+        # Each conditional's label, in both designs: the estimators name the
+        # first conditioning event, in CondTriple order, that no row reaches.
+        *(pytest.param(rows, [], 3, f"test: no respondent reached the {label} conditioning event",
+                       None, id=f"never-{label}-{design}") for label, design, rows in (
+            ("a|b+", "three", "r0,BC,b,-1,c,+1\nr1,CA,c,+1,a,+1\n"),
+            ("a|b+", "two", "r0,S1,b,-1,c,+1\nr1,S2,c,+1,a,+1\n"),
+            ("c|b-", "two", "r0,S1,b,+1,a,+1\nr1,S2,c,+1,a,+1\n"),
+            ("a|c+", "three", "r0,BA,b,+1,a,+1\nr1,BC,b,-1,c,+1\nr2,CA,c,-1,a,+1\n"),
+            ("a|c+", "two", "r0,S1,b,+1,a,+1\nr1,S1,b,-1,c,+1\nr2,S2,c,-1,a,+1\n"))),
+        # Finite weights whose sum passes the float range: the law's own message.
+        pytest.param(None, ["simulate", "--model", "classical", "--atoms", "1e308", "1e308",
+                            *["0"] * 6, "--n", "1", "--seed", "1"], 2,
+                     "simulate: weights sum to inf, not 1 within 1e-12", None,
+                     id="overflowing-weights"),
         pytest.param(None, ["interference", "--p", "0.5", "--p1", "0", "--p2", "0.5"], 3,
                      "interference: p1 * p2 must be positive, got p1=0.0, p2=0.5", None,
                      id="degenerate-alternatives"),

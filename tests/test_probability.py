@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from belltest import (
     ATOMS,
+    CondTriple,
     JointDistribution3,
     Outcome,
     VariableIndex,
@@ -18,7 +19,7 @@ from belltest import (
     random_joint,
     symmetrize,
 )
-from belltest.probability import SIGNS, _flat_dirichlet, atom_index
+from belltest.probability import CONDITIONALS, SIGNS, _flat_dirichlet, atom_index
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
 PLUS, MINUS = Outcome.PLUS, Outcome.MINUS
@@ -86,9 +87,24 @@ class TestJointDistribution3:
             JointDistribution3((0.5,) * 8)
         assert str(exc.value) == "weights sum to 4.0, not 1 within 1e-12"
 
-    def test_atom_index_rejects_unsigned_entries(self):
+    @pytest.mark.parametrize("weights", [(1e308, 1e308, 0, 0, 0, 0, 0, 0),
+                                         (1.7976931348623157e308,) + (6e291,) * 7])
+    def test_weights_past_the_float_range(self, weights):
+        # math.fsum raised OverflowError on finite weights whose sum overflows,
+        # the second set although its rounded left-to-right sum is finite.
+        with pytest.raises(ValueError) as exc:
+            JointDistribution3(weights)
+        assert str(exc.value) == "weights sum to inf, not 1 within 1e-12"
+
+    @pytest.mark.parametrize("triple", [(1, 0, 1), (True, 1, 1), (1, 1, False), (1.0, 1, -1),
+                                        (1, -1.0, 1), (1, 1, np.float64(1.0))])
+    def test_atom_index_rejects_unsigned_entries(self, triple):
+        # A bool or a float equal to a sign found that sign's atom.
         with pytest.raises(ValueError, match="atom signs must be \\+1/-1"):
-            atom_index((1, 0, 1))
+            atom_index(triple)
+
+    def test_atom_index_accepts_integer_signs(self):
+        assert atom_index((Outcome.MINUS, np.int64(1), -1)) == 5
 
     def test_point_mass_atom_lookup(self):
         joint = JointDistribution3.point_mass((1, -1, 1))
@@ -217,6 +233,15 @@ class TestConditional:
                 except ZeroConditioningEvent:
                     continue
                 assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
+
+
+class TestConditionals:
+    def test_one_triple_per_cond_triple_field_in_order(self):
+        # p_<target>_given_<given>_<plus|minus>, as the CondTriple fields spell them.
+        names = [f"p_{target.name.lower()}_given_{given.name.lower()}_"
+                 f"{'plus' if answer > 0 else 'minus'}" for given, answer, target in CONDITIONALS]
+        assert names == list(CondTriple._fields)
+        assert CONDITIONALS == ((B, PLUS, A), (B, MINUS, C), (C, PLUS, A))
 
 
 class TestRandomJoint:

@@ -30,7 +30,7 @@ from belltest import (
 from belltest import protocol, streams
 from belltest.probability import ATOMS, atom_index, event_probability
 from belltest.protocol import CELL_FIELDS
-from belltest.qubit import born, born_after_no, predicted_conditionals
+from belltest.qubit import second_yes
 from belltest.streams import _mix, counter_uniforms, keyed_bits, stream_keys
 
 A, B, C = VariableIndex.A, VariableIndex.B, VariableIndex.C
@@ -90,7 +90,8 @@ def reference_cells(pop, design, seed, uniforms=counter_uniforms):
             first_plus = u_first < 0.5  # unpolarized: a fair first answer
             second_q = np.where(first_plus, after_yes, after_no)
             pair = angles[first_q], angles[second_q]
-            second_plus = u_second < np.where(first_plus, born(*pair), born_after_no(*pair))
+            second_plus = u_second < np.where(first_plus, second_yes(*pair, 1),
+                                              second_yes(*pair, -1))
         cells += [CELL_FIELDS.index((branch, first_q, PLUS if f else MINUS, VariableIndex(q2),
                                      PLUS if s else MINUS))
                   for f, q2, s in zip(first_plus, second_q, second_plus)]
@@ -169,15 +170,15 @@ class TestSimulationKernel:
         rng = np.random.default_rng(25)
         triples = [WITNESS] + [QuestionTriple.from_floats(*angles)
                                for angles in rng.uniform(0.0, 2 * math.pi, (200, 3))]
-        # On arrays, as the kernel computes its weights.
-        angles = np.array([[q.a.phi, q.b.phi, q.c.phi] for q in triples])
-        predicted = np.transpose(predicted_conditionals(*angles.T))
+        # On arrays, each conditional's collapse written out by hand.
+        a, b, c = np.array([[q.a.phi, q.b.phi, q.c.phi] for q in triples]).T
+        predicted = np.transpose([second_yes(b, a, 1), second_yes(b, c, -1), second_yes(c, a, 1)])
         for q, conditionals in zip(triples, predicted.tolist()):
-            second_yes = QuantumUnpolarized(q)._second_yes.tolist()
+            weights = QuantumUnpolarized(q)._second_yes.tolist()
             for p, pair in zip(conditionals, routes):
                 for branch, answer in pair:
                     route = 2 * list(Branch).index(branch) + (answer is MINUS)
-                    assert second_yes[route] == p, (q, branch, answer)
+                    assert weights[route] == p, (q, branch, answer)
 
     def test_atom_cells_carry_the_event_probabilities(self):
         # Per branch, the atoms sent to each consistent cell (q1, a1, q2, a2)
@@ -340,8 +341,8 @@ class TestIntegerThresholds:
         pop = THRESHOLD_POPULATIONS[kind]
         if kind == "quantum":  # every Born weight a route can use, and the fair coin
             angles = np.array([[q.phi for q in WITNESS]])
-            p = np.concatenate([born(angles, angles.T), born_after_no(angles, angles.T), [[0.5]]],
-                               axis=None)
+            p = np.concatenate([second_yes(angles, angles.T, 1), second_yes(angles, angles.T, -1),
+                                [[0.5]]], axis=None)
         else:
             p = np.cumsum(pop.joint.weights)
         near = np.add.outer(streams.thresholds(p).astype(np.int64), [-1, 0, 1])
@@ -651,12 +652,12 @@ class TestCollapse:
     @pytest.mark.parametrize("gap", [math.pi / 3, math.pi / 2, 2 * math.pi / 3])
     def test_unpolarized_is_order_symmetric(self, gap):
         # a and b at x, c at x + gap: BC asks x then x + gap and CA the
-        # reverse.  Both orders have the joint law 1/2 * born(x, x + gap) for
-        # equal answers and 1/2 * (1 - born) for unequal ones.
+        # reverse.  Both orders have the joint law 1/2 * cos^2(gap / 2) for
+        # equal answers and 1/2 * sin^2(gap / 2) for unequal ones.
         x = 0.4
         pop = QuantumUnpolarized(QuestionTriple.from_floats(x, x, x + gap))
         data = run_protocol(pop, ProtocolDesign(THREE, 100_000), seed=3)
-        p = born(x, x + gap)
+        p = math.cos(gap / 2) ** 2
         expected = 0.5 * np.array([[p, 1 - p], [1 - p, p]])
         for q1, q2 in ((B, C), (C, A)):
             pairs = answer_pairs(data, q1, q2)

@@ -13,7 +13,7 @@ from belltest import (
     predicted_conditional_triple,
     wigner_conditional_check,
 )
-from belltest.qubit import born, predicted_conditionals
+from belltest.qubit import second_yes
 
 # Witness configuration with the most negative predicted margin: the
 # conditional triple (1/4, 1/4, 3/4), margin -1/4, at gaps
@@ -58,29 +58,54 @@ class TestQuestionTriple:
         assert [type(angle) for angle in triple] == [BlochAngle] * 3
 
 
-class TestTransitionProbability:
-    """The Born rule ``born(x, y)``: the chance that a state at angle x
-    answers "yes" to the question at angle y."""
+class TestSecondYes:
+    """``second_yes(first, second, answer)``: the chance of "yes" to the question
+    at angle ``second`` after ``answer`` to the one at angle ``first``."""
 
     def test_identity(self):
-        assert born(1.3, 1.3) == 1.0
+        assert second_yes(1.3, 1.3, 1) == 1.0
+        assert second_yes(1.3, 1.3, -1) == 0.0
 
     def test_orthogonality(self):
-        assert born(0.7, BlochAngle(0.7 + math.pi).phi) == pytest.approx(0.0, abs=1e-30)
+        assert second_yes(0.7, BlochAngle(0.7 + math.pi).phi, 1) == pytest.approx(0.0, abs=1e-30)
+        assert second_yes(0.7, BlochAngle(0.7 + math.pi).phi, -1) == pytest.approx(1.0, abs=1e-15)
 
     def test_quarter_gap(self):
-        assert born(0.0, math.pi / 2) == pytest.approx(0.5, abs=1e-15)
+        for answer in (1, -1):
+            assert second_yes(0.0, math.pi / 2, answer) == pytest.approx(0.5, abs=1e-15)
+
+    @given(angles, angles)
+    def test_closed_form(self, x, y):
+        bx, by = BlochAngle(x).phi, BlochAngle(y).phi
+        assert second_yes(bx, by, 1) == pytest.approx(math.cos((by - bx) / 2) ** 2, abs=1e-15)
+        assert second_yes(bx, by, -1) == pytest.approx(math.sin((by - bx) / 2) ** 2, abs=1e-15)
 
     @given(angles, angles)
     def test_born_normalization(self, x, y):
         bx, by = BlochAngle(x).phi, BlochAngle(y).phi
-        total = born(bx, by) + born(bx, BlochAngle(by + math.pi).phi)
+        total = second_yes(bx, by, 1) + second_yes(bx, BlochAngle(by + math.pi).phi, 1)
         assert total == pytest.approx(1.0, abs=1e-14)
+        assert second_yes(bx, by, 1) + second_yes(bx, by, -1) == pytest.approx(1.0, abs=1e-15)
+
+    @given(angles, angles)
+    def test_no_is_yes_from_the_antipode(self, x, y):
+        # After a "no" the state sits at first + pi, which second_yes never rounds.
+        bx, by = BlochAngle(x).phi, BlochAngle(y).phi
+        antipode = BlochAngle(bx + math.pi).phi
+        assert second_yes(bx, by, -1) == pytest.approx(second_yes(antipode, by, 1), abs=1e-14)
 
     @given(angles, angles)
     def test_symmetry(self, x, y):
         bx, by = BlochAngle(x).phi, BlochAngle(y).phi
-        assert born(bx, by) == pytest.approx(born(by, bx), abs=1e-15)
+        for answer in (1, -1):
+            assert second_yes(bx, by, answer) == pytest.approx(second_yes(by, bx, answer),
+                                                               abs=1e-15)
+
+    def test_arrays_equal_scalars_bit_for_bit(self):
+        first, second = np.random.default_rng(1).uniform(0.0, 2 * math.pi, (2, 5000))
+        for answer in (1, -1):
+            scalar = [second_yes(f, s, answer) for f, s in zip(first.tolist(), second.tolist())]
+            assert np.array_equal(second_yes(first, second, answer), scalar)
 
 
 class TestPredictedConditionalTriple:
@@ -90,7 +115,9 @@ class TestPredictedConditionalTriple:
         # is the square of a sine or cosine at finite angles, in [0, 1].
         q = QuestionTriple.from_floats(a, b, c)
         triple = predicted_conditional_triple(q)
-        built = CondTriple(*map(float, predicted_conditionals(q.a.phi, q.b.phi, q.c.phi)))
+        a, b, c = q.a.phi, q.b.phi, q.c.phi
+        built = CondTriple(*map(float, (second_yes(b, a, 1), second_yes(b, c, -1),
+                                        second_yes(c, a, 1))))
         assert type(triple) is CondTriple and tuple(triple) == tuple(built)
         assert [type(p) for p in triple] == [float] * 3
 
@@ -129,7 +156,8 @@ class TestPredictedConditionalTriple:
         # ``** 2`` calls libm pow on a numpy scalar but multiplies on an
         # array, which parted the two by 1 ulp on 63 of these triples.
         angles = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (20_000, 3))
-        on_arrays = np.transpose(predicted_conditionals(*angles.T))
+        a, b, c = angles.T
+        on_arrays = np.transpose([second_yes(b, a, 1), second_yes(b, c, -1), second_yes(c, a, 1)])
         scalar = [tuple(predicted_conditional_triple(QuestionTriple.from_floats(*row)))
                   for row in angles.tolist()]
         assert np.array_equal(on_arrays, scalar)

@@ -22,15 +22,15 @@ from belltest import (
     wigner_conditional_check,
 )
 from belltest import search
-from belltest.qubit import OPTIMUM, QuestionTriple, predicted_conditionals
+from belltest.qubit import OPTIMUM, QuestionTriple, second_yes
 from belltest.search import _BLOCK_CELLS, SearchResult
 
 TWO_PI = 2 * math.pi
 
 
 def margin_grid(beta, gamma):
-    p1, p2, p3 = predicted_conditionals(0.0, beta, gamma)
-    return p1 + p2 - p3
+    """p(a+|b+) + p(c+|b-) - p(a+|c+) at a = 0, b = beta and c = gamma."""
+    return second_yes(beta, 0.0, 1) + second_yes(beta, gamma, -1) - second_yes(gamma, 0.0, 1)
 
 
 def conditional_triple(joint):
